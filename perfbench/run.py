@@ -7,7 +7,7 @@ Run from the root of a checkout::
 
 The workloads (``paper_repro``, ``table2_sweep``, ``served_sweep``,
 ``long_trace``) are described in README.md beside this file.  A run sets
-its workload up three times (``setup_s`` is the median), then measures
+its workload up several times (``setup_s`` is the median), then measures
 iterations for ``--seconds`` (at least two measured units, three passes
 for ``paper_repro``), then checks every output it produced.  ``--trace 0``
 reports the end-to-end metrics named in BENCHMARK.json; ``--trace 1``
@@ -20,16 +20,23 @@ better direction; the last line of stdout is one JSON object
 workload each per-layer metric should move; ``--record`` rewrites the
 reference outputs in expected.json from the current program; ``--quick``
 runs a workload at its minimal size (the self-test uses it).
+
+The benchmark itself runs in a child process; this process only waits
+for it and then for every process it started (see :func:`supervise`), so
+no pool worker or multiprocessing helper outlives a run.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import shutil
+import signal
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -38,7 +45,14 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 EXPECTED = HERE / "expected.json"
-SETUP_REPEATS = 3
+#: Set in the environment of the child process that runs the benchmark.
+CHILD_ENV = "PERFBENCH_CHILD"
+#: Seconds left to processes the benchmark started to end on their own
+#: (the multiprocessing resource tracker ends once its parent has) before
+#: they are killed.
+REAP_GRACE_S = 10.0
+PR_SET_CHILD_SUBREAPER = 36
+ADDR_NO_RANDOMIZE = 0x0040000
 #: What :class:`SpeedProbe` takes on an otherwise idle reference host.
 PROBE_REFERENCE_S = 0.022
 
@@ -268,17 +282,20 @@ class SpeedProbe:
         self._sort(self._values)
         return time.perf_counter() - begin
 
-    def speed(self, repeats: int) -> float:
-        return statistics.median(self.measure() for _ in range(repeats))
+    def timed(self, step):
+        """``(step(), raw seconds, speed factor)``.  One probe on each
+        side: the host's speed changes within a second, so probes further
+        from the step (a median of several) track it worse.
 
-    def timed(self, step, repeats: int = 1):
-        """``(step(), raw seconds, speed factor)``; ``repeats`` probes on
-        each side (their median) steady the factor of long steps."""
-        before = self.speed(repeats)
+        The garbage of earlier steps is collected first, so that when the
+        collector runs inside a step depends on that step alone, not on
+        how much earlier ones left."""
+        gc.collect()
+        before = self.measure()
         begin = time.perf_counter()
         result = step()
         raw = time.perf_counter() - begin
-        factor = PROBE_REFERENCE_S / ((before + self.speed(repeats)) / 2)
+        factor = PROBE_REFERENCE_S / ((before + self.measure()) / 2)
         self.factors.append(factor)
         return result, raw, factor
 
@@ -318,12 +335,11 @@ def run(args, tmp: Path) -> dict:
     traced: list[tuple[float, float]] = []
     untraced: list[tuple[float, float]] = []
     try:
-        for repeat in range(1 if args.quick else SETUP_REPEATS):
+        for repeat in range(1 if args.quick else workload.setup_repeats):
             if repeat:
                 workload.release()
             with traced_by(setup_tracer, workload):
-                _, raw, factor = probe.timed(workload.setup,
-                                                workload.probe_repeats)
+                _, raw, factor = probe.timed(workload.setup)
             setups.append((raw, raw * factor))
         workload.prepare()
         started = time.perf_counter()
@@ -333,8 +349,7 @@ def run(args, tmp: Path) -> dict:
                or time.perf_counter() - started < args.seconds):
             tracing = bool(args.trace) and (count // workload.cycle) % 2 == 1
             with traced_by(iteration_tracer if tracing else None, workload):
-                samples, raw, factor = probe.timed(
-                    workload.iteration, workload.probe_repeats)
+                samples, raw, factor = probe.timed(workload.iteration)
             for sample_kind, values in samples.items():
                 workload.samples[sample_kind].extend(
                     value * factor for value in values)
@@ -438,7 +453,118 @@ def record(tmp: Path) -> None:
     EXPECTED.write_text(json.dumps(expected, indent=1, sort_keys=True) + "\n")
 
 
+# ----------------------------------------------------------------------
+# Process supervision.
+# ----------------------------------------------------------------------
+def prepare_process() -> None:
+    """Adopt orphaned descendants (``PR_SET_CHILD_SUBREAPER``) and start
+    programs without address-space randomisation (``ADDR_NO_RANDOMIZE``).
+
+    Both are Linux calls; where one is refused the run goes on without it.
+    Randomised layouts made the same work take a few percent more or less
+    time in one process than in the next.
+    """
+    try:
+        import ctypes
+
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+        current = libc.personality(0xFFFFFFFF)
+        if current >= 0:
+            libc.personality(current | ADDR_NO_RANDOMIZE)
+    except (OSError, AttributeError):
+        pass
+
+
+def children() -> list[int]:
+    """Pids of this process's children, zombies included (from /proc)."""
+    me = os.getpid()
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii",
+                      errors="replace") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # Fields after the command name (which may hold spaces): state, ppid.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            found.append(int(entry))
+    return found
+
+
+def group_alive(group: int) -> bool:
+    try:
+        os.killpg(group, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
+
+
+def reap(group: int) -> None:
+    """Wait until every process of ``group`` and every child has ended;
+    kill what still runs after :data:`REAP_GRACE_S`."""
+    deadline = time.monotonic() + REAP_GRACE_S
+    while True:
+        with contextlib.suppress(ChildProcessError):
+            while os.waitpid(-1, os.WNOHANG)[0]:
+                pass
+        left = children()
+        if not left and not group_alive(group):
+            return
+        if time.monotonic() > deadline:
+            with contextlib.suppress(ProcessLookupError, PermissionError):
+                os.killpg(group, signal.SIGKILL)
+            for pid in left:
+                with contextlib.suppress(ProcessLookupError, PermissionError):
+                    os.kill(pid, signal.SIGKILL)
+        time.sleep(0.02)
+
+
+def scratch_dir(pid: int) -> Path:
+    """Temporary files of the benchmark process ``pid``."""
+    return ROOT / ".perfbench_tmp" / f"run-{pid}"
+
+
+def supervise(argv: list[str]) -> int:
+    """Run the benchmark in a child process group and outlive all of it.
+
+    As subreaper this process inherits whatever the benchmark orphans
+    (pool workers, the resource tracker), so it can wait for each one;
+    a signal it receives is passed on to the whole group.
+    """
+    prepare_process()
+    # A fixed hash seed: string hashing, and so dict and set layout, is
+    # the same in every run instead of a source of run-to-run spread.
+    env = {**os.environ, CHILD_ENV: "1", "PYTHONHASHSEED": "0"}
+    child = subprocess.Popen([sys.executable, str(Path(__file__).resolve()),
+                              *argv], env=env, start_new_session=True)
+
+    def forward(signum, _frame):
+        with contextlib.suppress(ProcessLookupError, PermissionError):
+            os.killpg(child.pid, signum)
+
+    for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP):
+        signal.signal(signum, forward)
+    try:
+        code = child.wait()
+    finally:
+        reap(child.pid)
+        # Left behind when the child was killed before its own clean-up.
+        shutil.rmtree(scratch_dir(child.pid), ignore_errors=True)
+        with contextlib.suppress(OSError):  # other runs may still use it
+            scratch_dir(child.pid).parent.rmdir()
+    return code if code >= 0 else 128 - code
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not os.environ.get(CHILD_ENV):
+        return supervise(argv)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=("paper_repro", "table2_sweep",
                                                "served_sweep", "long_trace"))
@@ -457,7 +583,7 @@ def main(argv=None) -> int:
         return 0
     if not args.record and args.workload is None:
         parser.error("--workload is required")
-    tmp = ROOT / ".perfbench_tmp" / f"run-{os.getpid()}"
+    tmp = scratch_dir(os.getpid())
     try:
         use_checkout_source(tmp)
         if args.record:

@@ -43,10 +43,22 @@ SERVED_POINTS = 24
 SERVED_BLOCK = 10
 SERVED_REPEATS = 2
 
+#: Warm Figure 3 reruns after each ``paper_repro`` pass: one would give a
+#: run only three ``hit`` samples, too few for a steady median.
+WARM_RERUNS = 3
+
 
 def digest(payload) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def medians_by_position(samples: list[float], size: int) -> list[float]:
+    """Per-item medians of samples that repeat the same ``size`` items
+    in order.  Items whose times differ by orders of magnitude make a
+    percentile over single samples fall on whichever sample of one item
+    was slowest; over per-item medians it does not."""
+    return [statistics.median(samples[index::size]) for index in range(size)]
 
 
 def percentile(values, pct: int) -> float:
@@ -65,8 +77,8 @@ class Workload:
     #: boundaries).
     min_iterations = 2
     cycle = 1
-    #: Speed probes on each side of a timed step (see ``run.SpeedProbe``).
-    probe_repeats = 1
+    #: Set-ups per run; ``setup_s`` is their median.
+    setup_repeats = 5
 
     def __init__(self, seed: int, quick: bool, expected: dict, tmp: Path):
         self.seed = seed
@@ -133,13 +145,17 @@ class Workload:
     def walls(self) -> list[float]:
         return self.samples["wall"]
 
+    def latencies(self) -> list[float]:
+        return self.samples["latency"]
+
     def end_to_end(self) -> dict[str, float]:
         wall = statistics.median(self.walls())
+        latencies = self.latencies()
         return {
             "wall_s": wall,
             "points_per_s": self.points_per_wall / wall,
-            "latency_p50_ms": percentile(self.samples["latency"], 50) * 1e3,
-            "latency_p90_ms": percentile(self.samples["latency"], 90) * 1e3,
+            "latency_p50_ms": percentile(latencies, 50) * 1e3,
+            "latency_p90_ms": percentile(latencies, 90) * 1e3,
             "hit_latency_p50_ms": percentile(self.samples["hit"], 50) * 1e3,
         }
 
@@ -169,10 +185,12 @@ class PaperRepro(Workload):
 
     One iteration runs one experiment; a unit is a pass over all nine in
     registry order on a fresh session, followed by Figure 3 again on the
-    warm session (the ``hit`` timing).
+    warm session, :data:`WARM_RERUNS` times (the ``hit`` timings).
     """
 
     name = "paper_repro"
+    #: A cold interpreter start varies most from one try to the next.
+    setup_repeats = 9
     #: What a ``repro-experiments run`` process imports before any work.
     IMPORTS = ("import repro.cli, repro.experiments; "
                "from repro.accel import get_kernels; get_kernels(); "
@@ -185,10 +203,8 @@ class PaperRepro(Workload):
         self.registry = registry
         self.specs = [registry.get_experiment(name)
                       for name in registry.experiment_names()]
-        self.cycle = len(self.specs) + 1
-        # Experiments run for up to seconds: steady their speed factor,
-        # and take three passes so Figure 5, the slowest, has three samples.
-        self.probe_repeats = 3
+        self.cycle = len(self.specs) + WARM_RERUNS
+        # Three passes, so each experiment's median time is a median of three.
         self.min_iterations = 3 * self.cycle
         self.points_per_wall = len(self.specs)
         self.step = 0
@@ -222,9 +238,9 @@ class PaperRepro(Workload):
         self.step += 1
         if step == 0:
             self.session = Session(jobs=1)
-        # The last step is the warm path: Figure 3 again on the session
+        # The last steps are the warm path: Figure 3 again on the session
         # that now holds every trace and profile (the simulator reruns).
-        warm = step == len(self.specs)
+        warm = step >= len(self.specs)
         spec = self.registry.get_experiment("figure3") if warm \
             else self.specs[step]
         begin = time.perf_counter()
@@ -243,6 +259,10 @@ class PaperRepro(Workload):
         size = len(self.specs)
         return [sum(latencies[start:start + size])
                 for start in range(0, len(latencies) - size + 1, size)]
+
+    def latencies(self) -> list[float]:
+        """Each experiment's median time over the passes."""
+        return medians_by_position(self.samples["latency"], len(self.specs))
 
     def accuracy(self) -> dict[str, float] | None:
         if "figure3" in self.results and "figure5" in self.results:
@@ -285,6 +305,10 @@ class Table2Sweep(Workload):
         random.Random(self.seed).shuffle(self.order)
         self.requests = [requests[index] for index in self.order]
         self.points_per_wall = len(self.requests)
+        #: Workload -> its positions in the batch, in seeded order.
+        self.groups: dict[str, list[int]] = {}
+        for position, request in enumerate(self.requests):
+            self.groups.setdefault(request.workload.name, []).append(position)
 
     def fresh_session(self):
         """A session holding fresh trace objects: engine passes start cold."""
@@ -305,19 +329,41 @@ class Table2Sweep(Workload):
         begin = time.perf_counter()
         cold = self.guarded("cold sweep", lambda: api.evaluate_many(
             self.requests, session=session))
-        middle = time.perf_counter()
-        warm = self.guarded("warm sweep", lambda: api.evaluate_many(
-            self.requests, session=session))
-        end = time.perf_counter()
+        elapsed = time.perf_counter() - begin
+        timings = {"wall": [elapsed], "latency": [], "hit": []}
+        canonical = None
         if cold is not None:
             canonical = canonical_results(cold, self.order)
             self.check(digest(canonical) == self.expected,
                        "cold sweep differs from the recorded digest")
-            if warm is not None:
+        # The warm sweep is short: two per cold one steady its median.
+        for _ in range(2):
+            begin = time.perf_counter()
+            warm = self.guarded("warm sweep", lambda: api.evaluate_many(
+                self.requests, session=session))
+            timings["hit"].append(time.perf_counter() - begin)
+            if canonical is not None and warm is not None:
                 self.check(canonical == canonical_results(warm, self.order),
                            "warm sweep differs from the cold sweep")
-        return {"wall": [middle - begin], "latency": [middle - begin],
-                "hit": [end - middle]}
+        # Latency: each workload's 192 points as a batch of its own, cold,
+        # on another fresh session; one sweep gives only one sample.
+        session = self.fresh_session()
+        for positions in self.groups.values():
+            batch = [self.requests[position] for position in positions]
+            begin = time.perf_counter()
+            answer = self.guarded("workload sweep", lambda: api.evaluate_many(
+                batch, session=session))
+            timings["latency"].append(time.perf_counter() - begin)
+            if cold is not None and answer is not None:
+                self.check([result.to_dict() for result in answer]
+                           == [cold[position].to_dict()
+                               for position in positions],
+                           "workload sweep differs from the full sweep")
+        return timings
+
+    def latencies(self) -> list[float]:
+        """Each workload's median batch time over the iterations."""
+        return medians_by_position(self.samples["latency"], len(self.groups))
 
 
 # ----------------------------------------------------------------------
@@ -512,6 +558,8 @@ class LongTrace(Workload):
     """Sampled and exact evaluation of a chunked synthetic store."""
 
     name = "long_trace"
+    #: Writing the store takes seconds: three set-ups already steady it.
+    setup_repeats = 3
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -569,7 +617,8 @@ def accuracy_probe(workload: Workload, expected: dict) -> dict[str, float]:
 
     metrics = workload.accuracy()
     if metrics is None:
-        session = Session()
+        # Untimed, so both CPUs may simulate: results do not depend on jobs.
+        session = Session(jobs=2)
         results = {}
         for name in ("figure3", "figure5"):
             spec = registry.get_experiment(name)
@@ -577,11 +626,13 @@ def accuracy_probe(workload: Workload, expected: dict) -> dict[str, float]:
                 session, name, smoke=True,
                 overrides=experiment_overrides(spec, workload.quick)))
             if result is None:
+                session.close()
                 return {}
             want = expected["paper_repro"][workload.size][name]
             workload.check(digest(result.to_dict()) == want,
                            f"{name}: result differs from the recorded digest")
             results[name] = result
+        session.close()
         metrics = accuracy_of(results)
     with tempfile.TemporaryDirectory(dir=workload.tmp) as root:
         chunked = write_store(Path(root) / "store", long_spec(None),
