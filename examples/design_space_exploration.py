@@ -11,7 +11,8 @@ Run with:  python examples/design_space_exploration.py [workload ...]
 
 import sys
 
-from repro.dse import DesignSpaceExplorer, default_design_space
+from repro.api import evaluate_many
+from repro.dse import default_design_space
 from repro.workloads import get_workload
 
 DEFAULT_WORKLOADS = ("sha", "dijkstra", "gsm_c")
@@ -19,28 +20,24 @@ DEFAULT_WORKLOADS = ("sha", "dijkstra", "gsm_c")
 
 def main(names: list[str]) -> None:
     space = default_design_space()
-    explorer = DesignSpaceExplorer(space.configurations())
     print(f"Exploring {len(space)} design points analytically "
           f"(no detailed simulation involved)\n")
 
     for name in names:
         workload = get_workload(name)
-        points = explorer.evaluate(workload, with_power=True)
+        points = evaluate_many(space.to_sweep((name,), with_power=True).expand())
 
-        fastest = min(points, key=lambda point: point.model.execution_time_seconds)
-        best_edp = min(points, key=lambda point: point.model_edp)
+        fastest = min(points, key=lambda point: point.seconds)
+        best_edp = min(points, key=lambda point: point.edp)
 
         print(f"=== {name} ({workload.dynamic_instruction_count:,} instructions) ===")
-        print(f"  fastest configuration : {fastest.machine.name}")
-        print(f"      CPI {fastest.model_cpi:.3f}, "
-              f"{fastest.model.execution_time_seconds * 1e6:.1f} us")
-        print(f"  best EDP configuration: {best_edp.machine.name}")
-        print(f"      CPI {best_edp.model_cpi:.3f}, "
-              f"EDP {best_edp.model_edp:.3e} J*s")
-        slowest = max(points, key=lambda point: point.model.execution_time_seconds)
-        speedup = (slowest.model.execution_time_seconds
-                   / fastest.model.execution_time_seconds)
-        print(f"  performance spread across the space: {speedup:.2f}x")
+        print(f"  fastest configuration : {fastest.machine}")
+        print(f"      CPI {fastest.cpi:.3f}, {fastest.seconds * 1e6:.1f} us")
+        print(f"  best EDP configuration: {best_edp.machine}")
+        print(f"      CPI {best_edp.cpi:.3f}, EDP {best_edp.edp:.3e} J*s")
+        slowest = max(points, key=lambda point: point.seconds)
+        print(f"  performance spread across the space: "
+              f"{slowest.seconds / fastest.seconds:.2f}x")
         print()
 
 

@@ -21,7 +21,7 @@ DEFAULT_WORKLOADS = ("dijkstra", "sha", "qsort")
 
 
 def main(names: list[str]) -> None:
-    space = default_design_space().to_search_space()
+    space = default_design_space()
     session = Session()  # one session: traces/profiles shared across searches
     print(f"Searching {space.cardinality()} design points "
           f"(budget {space.cardinality() // 3} per workload)\n")

@@ -58,8 +58,7 @@ class BackendCapabilities:
 class PointEvaluation:
     """In-process outcome of one backend call (pre-serialization).
 
-    This is what :class:`~repro.dse.explorer.DesignSpaceExplorer` consumes
-    directly; the :mod:`repro.api.batch` facade flattens it into the
+    The :mod:`repro.api.batch` facade and the planner flatten it into the
     JSON-round-trippable :class:`~repro.api.spec.EvalResult`.
     """
 

@@ -44,7 +44,8 @@ from repro.api.spec import EvalRequest, EvalResult, MachineSpec
 from repro.machine import MachineConfig
 from repro.obs.tracing import emit_span, span
 from repro.runtime.dataplane import SegmentHandle, attach_trace
-from repro.trace.trace import TRACE_SCHEMA_VERSION, Trace
+from repro.trace.trace import Trace
+from repro.trace.trace_schema import TRACE_SCHEMA_VERSION
 
 
 def _pass_signature(machine: MachineConfig, request: EvalRequest) -> tuple:

@@ -11,9 +11,12 @@ grid of machine-parameter axes, and expands into the cross product of
 * ``machines`` — an explicit list of :class:`~repro.api.spec.MachineSpec`
   entries, used when the grid is irregular or the caller wants to control
   the generated configuration names (this is how
-  :meth:`repro.dse.space.DesignSpace.to_sweep` re-expresses the paper's
-  Table 2 space without renaming its 192 points).
+  :meth:`repro.search.space.SearchSpace.to_sweep` carries the paper's
+  Table 2 space with its 192 point names).
 
+The ``axes`` grid expands through :class:`~repro.search.space.SearchSpace`,
+the one owner of grid expansion: a field on two axes, an axis without
+values and a coupled value of the wrong arity are all :class:`ValueError`.
 Expansion order is deterministic — workloads outermost, then grid points
 in axis order, then backends — so batch output is reproducible
 byte-for-byte regardless of the job count.
@@ -21,7 +24,6 @@ byte-for-byte regardless of the job count.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -82,21 +84,16 @@ class SweepRequest:
             return list(self.machines)
         if not self.axes:
             return [self.base]
-        axis_fields = [tuple(key.split(",")) for key, _ in self.axes]
-        axis_values = [values for _, values in self.axes]
+        # repro.search imports repro.api, so the import waits for the call.
+        from repro.search.space import SearchSpace
+
+        space = SearchSpace.make(
+            [{"axis": key, "values": values} for key, values in self.axes],
+            base=self.base,
+        )
         grid = []
-        for combo in itertools.product(*axis_values):
-            overrides: dict[str, object] = {}
-            for fields_group, value in zip(axis_fields, combo):
-                if len(fields_group) == 1:
-                    overrides[fields_group[0]] = value
-                else:
-                    if not isinstance(value, (tuple, list)) or len(value) != len(fields_group):
-                        raise ValueError(
-                            f"coupled axis {','.join(fields_group)!r} needs "
-                            f"{len(fields_group)}-tuples, got {value!r}"
-                        )
-                    overrides.update(zip(fields_group, value))
+        for index in range(space.cardinality()):
+            overrides = space.overrides(index)
             if "name" not in overrides:
                 overrides["name"] = ",".join(
                     f"{field_name}={value}"

@@ -6,9 +6,6 @@ Times the paths every PR is expected to keep fast:
   benchmarks (fresh workloads, no cache),
 * ``profile_machine``      — miss-event profiling of those traces on the
   default machine (trace generation excluded),
-* ``dse_evaluate``         — model-only ``DesignSpaceExplorer.evaluate`` of
-  the Figure 5 fast benchmarks across the Figure 5 (reduced) design space,
-  including the profiling passes the explorer triggers,
 * ``api_batch_evaluate``   — the public ``repro.api`` facade answering all
   19 MiBench workloads x 4 machine presets through ``evaluate_many`` on a
   cold session (trace generation included),
@@ -114,8 +111,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.dse.explorer import DesignSpaceExplorer
-from repro.dse.space import reduced_design_space
 from repro.experiments.common import FIGURE5_FAST_BENCHMARKS
 from repro.machine import DEFAULT_MACHINE
 from repro.profiler.machine_stats import profile_machine
@@ -162,17 +157,6 @@ def bench_profile_machine() -> float:
     start = time.perf_counter()
     for trace in traces:
         profile_machine(trace, DEFAULT_MACHINE)
-    return time.perf_counter() - start
-
-
-def bench_dse_evaluate() -> float:
-    workloads = _fresh_workloads()
-    for workload in workloads:
-        workload.trace()
-    explorer = DesignSpaceExplorer(reduced_design_space().configurations())
-    start = time.perf_counter()
-    for workload in workloads:
-        explorer.evaluate(workload)
     return time.perf_counter() - start
 
 
@@ -706,7 +690,7 @@ def bench_search_surrogate_dse() -> tuple[float, dict]:
     from repro.search import OptimizeRequest, optimize
 
     session = _table2_session()
-    space = default_design_space().to_search_space()
+    space = default_design_space()
     base = {"space": space, "workload": {"name": SEARCH_WORKLOAD},
             "objectives": ["edp"]}
     exhaustive = optimize(
@@ -758,7 +742,6 @@ def bench_search_surrogate_dse() -> tuple[float, dict]:
 BENCHES = {
     "trace_generation": bench_trace_generation,
     "profile_machine": bench_profile_machine,
-    "dse_evaluate": bench_dse_evaluate,
     "api_batch_evaluate": bench_api_batch_evaluate,
     "session_cached_rerun": bench_session_cached_rerun,
     "service_warm_eval": bench_service_warm_eval,

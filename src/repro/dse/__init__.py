@@ -1,17 +1,5 @@
-"""Design-space exploration (Table 2 and Figures 5 and 9 of the paper)."""
+"""The paper's Table 2 design space (driving Figures 5 and 9)."""
 
-from repro.dse.space import DesignSpace, default_design_space, reduced_design_space
-from repro.dse.explorer import (
-    DesignPointResult,
-    DesignSpaceExplorer,
-    EDPResult,
-)
+from repro.dse.space import default_design_space, reduced_design_space
 
-__all__ = [
-    "DesignSpace",
-    "default_design_space",
-    "reduced_design_space",
-    "DesignSpaceExplorer",
-    "DesignPointResult",
-    "EDPResult",
-]
+__all__ = ["default_design_space", "reduced_design_space"]

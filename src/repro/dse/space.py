@@ -1,4 +1,4 @@
-"""Definition of the paper's architecture design space (Table 2).
+"""The paper's architecture design space (Table 2) as data.
 
 The full space crosses
 
@@ -8,147 +8,48 @@ The full space crosses
 * branch predictor: 1 KB global history or 3.5 KB hybrid,
 
 for 3 x 4 x 8 x 2 = 192 design points, all sharing 32 KB 4-way L1 caches.
+Both spaces below are :class:`~repro.search.space.SearchSpace` literals:
+depth/frequency is the most significant axis and the predictor the least,
+and every point is named like ``w1_d5_f600_l2-128k-8w_global_1kb``.
+``space.to_sweep(workloads)`` turns a space into the :mod:`repro.api`
+batch that Figures 5 and 9 run.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
-from repro.machine import MachineConfig
-
-#: (pipeline stages, frequency in MHz) pairs explored by the paper.
-DEPTH_FREQUENCY_POINTS: tuple[tuple[int, int], ...] = (
-    (5, 600),
-    (7, 800),
-    (9, 1000),
-)
-
-WIDTHS: tuple[int, ...] = (1, 2, 3, 4)
-
-L2_SIZES: tuple[int, ...] = (128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024)
-
-L2_ASSOCIATIVITIES: tuple[int, ...] = (8, 16)
-
-BRANCH_PREDICTORS: tuple[str, ...] = ("global_1kb", "hybrid_3.5kb")
+from repro.search.space import SearchSpace
 
 
-@dataclass(frozen=True)
-class DesignSpace:
-    """A cross product of microarchitecture parameter choices."""
-
-    depth_frequency: tuple[tuple[int, int], ...] = DEPTH_FREQUENCY_POINTS
-    widths: tuple[int, ...] = WIDTHS
-    l2_sizes: tuple[int, ...] = L2_SIZES
-    l2_associativities: tuple[int, ...] = L2_ASSOCIATIVITIES
-    branch_predictors: tuple[str, ...] = BRANCH_PREDICTORS
-    base: MachineConfig = field(default_factory=MachineConfig)
-
-    def __len__(self) -> int:
-        return (len(self.depth_frequency) * len(self.widths) * len(self.l2_sizes)
-                * len(self.l2_associativities) * len(self.branch_predictors))
-
-    def configurations(self) -> list[MachineConfig]:
-        """Materialise every design point as a :class:`MachineConfig`."""
-        configurations = []
-        for (stages, frequency), width, l2_size, l2_assoc, predictor in itertools.product(
-            self.depth_frequency,
-            self.widths,
-            self.l2_sizes,
-            self.l2_associativities,
-            self.branch_predictors,
-        ):
-            name = (
-                f"w{width}_d{stages}_f{frequency}"
-                f"_l2-{l2_size // 1024}k-{l2_assoc}w_{predictor}"
-            )
-            configurations.append(
-                self.base.with_(
-                    width=width,
-                    pipeline_stages=stages,
-                    frequency_mhz=frequency,
-                    l2_size=l2_size,
-                    l2_associativity=l2_assoc,
-                    branch_predictor=predictor,
-                    name=name,
-                )
-            )
-        return configurations
-
-    def __iter__(self):
-        return iter(self.configurations())
-
-    def to_sweep(self, workloads, *, backends=("analytical",),
-                 with_power: bool = False, flags: str = "O3"):
-        """Express this space in the :mod:`repro.api` sweep grammar.
-
-        The sweep carries the space's configurations as an explicit machine
-        grid (preset + minimal overrides), preserving the generated point
-        names, so ``space.to_sweep(names).expand()`` asks exactly the
-        questions ``DesignSpaceExplorer`` over this space would — but as
-        declarative, JSON-serializable requests that batch through
-        :func:`repro.api.evaluate_many`.
-        """
-        from repro.api.spec import MachineSpec, WorkloadSpec
-        from repro.api.sweep import SweepRequest
-
-        return SweepRequest(
-            workloads=tuple(WorkloadSpec(name, flags) for name in workloads),
-            machines=tuple(MachineSpec.from_machine(machine)
-                           for machine in self.configurations()),
-            backends=tuple(backends),
-            with_power=with_power,
-        )
-
-    def to_search_space(self):
-        """Express this space as a :class:`repro.search.space.SearchSpace`.
-
-        Point ``i`` of the returned space resolves to *exactly*
-        ``self.configurations()[i]`` — same enumeration order (depth/
-        frequency most significant, predictor least, matching the
-        ``itertools.product`` above) and same generated names via the
-        name template — so an exhaustive search over it reproduces
-        :class:`~repro.dse.explorer.DesignSpaceExplorer` selections
-        byte-for-byte, while indexed access costs O(axes) instead of
-        materialising the cross product.
-        """
-        from repro.api.spec import MachineSpec
-        from repro.search.space import SearchSpace
-
-        return SearchSpace.make(
-            [
-                {"axis": "pipeline_stages,frequency_mhz",
-                 "values": list(self.depth_frequency)},
-                {"axis": "width", "values": list(self.widths)},
-                {"axis": "l2_size", "values": list(self.l2_sizes)},
-                {"axis": "l2_associativity",
-                 "values": list(self.l2_associativities)},
-                {"axis": "branch_predictor",
-                 "values": list(self.branch_predictors)},
-            ],
-            base=MachineSpec.from_machine(self.base),
-            name_template=("w{width}_d{pipeline_stages}_f{frequency_mhz}"
-                           "_l2-{l2_size_kb}k-{l2_associativity}w"
-                           "_{branch_predictor}"),
-        )
+def _table2_space(depth_frequency, widths, l2_sizes, l2_associativities,
+                  branch_predictors) -> SearchSpace:
+    return SearchSpace.make(
+        {
+            "pipeline_stages,frequency_mhz": depth_frequency,
+            "width": widths,
+            "l2_size": l2_sizes,
+            "l2_associativity": l2_associativities,
+            "branch_predictor": branch_predictors,
+        },
+        name_template=("w{width}_d{pipeline_stages}_f{frequency_mhz}"
+                       "_l2-{l2_size_kb}k-{l2_associativity}w"
+                       "_{branch_predictor}"),
+    )
 
 
-def default_design_space() -> DesignSpace:
+def default_design_space() -> SearchSpace:
     """The paper's full 192-point design space."""
-    return DesignSpace()
+    return _table2_space(((5, 600), (7, 800), (9, 1000)), (1, 2, 3, 4),
+                         (128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024),
+                         (8, 16), ("global_1kb", "hybrid_3.5kb"))
 
 
-def reduced_design_space() -> DesignSpace:
+def reduced_design_space() -> SearchSpace:
     """A 24-point subsample used where detailed simulation of all 192 points
     would be too slow (e.g. the default benchmark harness settings).
 
     The subsample keeps the extremes and the default of every dimension, so
     error statistics computed on it are representative of the full space.
     """
-    return DesignSpace(
-        depth_frequency=((5, 600), (9, 1000)),
-        widths=(1, 2, 4),
-        l2_sizes=(128 * 1024, 512 * 1024),
-        l2_associativities=(8,),
-        branch_predictors=("global_1kb", "hybrid_3.5kb"),
-    )
+    return _table2_space(((5, 600), (9, 1000)), (1, 2, 4),
+                         (128 * 1024, 512 * 1024), (8,),
+                         ("global_1kb", "hybrid_3.5kb"))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dse.explorer import DesignSpaceExplorer, EDPResult
 from repro.dse.space import default_design_space, reduced_design_space
 from repro.experiments.common import FIGURE9_BENCHMARKS, ensure_session
 from repro.runtime import ExperimentResult, Session, experiment
@@ -27,7 +26,6 @@ class Figure9Row:
     simulated_best: str
     same_choice: bool
     edp_gap: float
-    exploration: EDPResult
 
 
 @dataclass
@@ -41,20 +39,30 @@ class Figure9Result:
 
 
 def _edp_exploration(session: Session, item) -> Figure9Row:
-    """One benchmark's EDP sweep over the space (a parallel work unit)."""
+    """One benchmark's EDP sweep over the space (a parallel work unit).
+
+    Every point is answered twice in one :mod:`repro.api` batch — model
+    and simulator, both with power — and each backend's EDP optimum is
+    the first point of least EDP.  The gap is how much more EDP the
+    model's pick costs in simulation than the simulated optimum.
+    """
+    from repro.api import evaluate_many
+
     name, full = item
     space = default_design_space() if full else reduced_design_space()
-    explorer = DesignSpaceExplorer.from_space(space, session=session)
-    exploration = explorer.explore_edp(session.workload(name), simulate=True)
-    model_best = exploration.best_by_model()
-    simulated_best = exploration.best_by_simulation()
+    sweep = space.to_sweep((name,), backends=("analytical", "simulator"),
+                           with_power=True)
+    results = evaluate_many(sweep.expand(), session=session)
+    estimated, detailed = results[0::2], results[1::2]
+    model_pick = min(range(len(estimated)), key=lambda i: estimated[i].edp)
+    simulated_pick = min(range(len(detailed)), key=lambda i: detailed[i].edp)
+    optimum = detailed[simulated_pick].edp
     return Figure9Row(
         benchmark=name,
-        model_best=model_best.machine.name,
-        simulated_best=simulated_best.machine.name,
-        same_choice=model_best.machine.name == simulated_best.machine.name,
-        edp_gap=exploration.model_choice_edp_gap(),
-        exploration=exploration,
+        model_best=estimated[model_pick].machine,
+        simulated_best=detailed[simulated_pick].machine,
+        same_choice=model_pick == simulated_pick,
+        edp_gap=(detailed[model_pick].edp - optimum) / optimum,
     )
 
 

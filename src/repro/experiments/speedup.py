@@ -53,7 +53,7 @@ def run(benchmark: str = "sha", configurations: int | None = None,
     session = ensure_session(session)
     workload = session.workload(benchmark)
     trace = workload.trace()
-    machines = reduced_design_space().configurations()
+    machines = reduced_design_space().to_sweep(()).configurations()
     if configurations is not None:
         machines = machines[:configurations]
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dse.space import DesignSpace, default_design_space
+from repro.dse.space import default_design_space
 from repro.experiments.common import default_machine
 from repro.machine import MachineConfig
 from repro.runtime import ExperimentResult, Session, experiment
+from repro.search.space import SearchSpace
 
 
 @dataclass
@@ -15,7 +16,7 @@ class Table2Result:
     """The default configuration plus the enumerated design space."""
 
     default: MachineConfig
-    space: DesignSpace
+    space: SearchSpace
 
     @property
     def design_points(self) -> int:
@@ -28,23 +29,23 @@ def run(session: Session | None = None) -> Table2Result:
 
 def to_experiment_result(result: Table2Result) -> ExperimentResult:
     default = result.default
-    space = result.space
+    values = {axis.key: axis.values for axis in result.space.axes}
     rows = (
         ("I-cache", f"{default.l1i_size // 1024}KB {default.l1i_associativity}-way",
          "fixed"),
         ("D-cache", f"{default.l1d_size // 1024}KB {default.l1d_associativity}-way",
          "fixed"),
         ("L2 cache", f"{default.l2_size // 1024}KB {default.l2_associativity}-way",
-         " / ".join(f"{size // 1024}KB" for size in space.l2_sizes)
-         + f"; {' vs '.join(str(a) for a in space.l2_associativities)}-way"),
+         " / ".join(f"{size // 1024}KB" for size in values["l2_size"])
+         + f"; {' vs '.join(str(a) for a in values['l2_associativity'])}-way"),
         ("pipeline depth", f"{default.pipeline_stages} stages",
          " / ".join(f"{stages} stages @ {freq}MHz"
-                    for stages, freq in space.depth_frequency)),
+                    for stages, freq in values["pipeline_stages,frequency_mhz"])),
         ("frequency", f"{default.frequency_mhz} MHz", "tied to depth"),
         ("width", f"{default.width} slots",
-         " / ".join(str(width) for width in space.widths)),
+         " / ".join(str(width) for width in values["width"])),
         ("branch predictor", default.branch_predictor,
-         " / ".join(space.branch_predictors)),
+         " / ".join(values["branch_predictor"])),
     )
     return ExperimentResult(
         experiment="table2",

@@ -37,10 +37,6 @@ from repro.machine import MachineConfig
 from repro.profiler.machine_stats import MissProfile
 from repro.trace.trace import Trace
 
-#: Backwards-compatible aliases (the pass dataclasses live in repro.accel now).
-_BasePass = BasePass
-_L2Pass = L2Pass
-
 #: Version of the engine's cached-pass layout.  The on-disk artifact cache
 #: (:mod:`repro.runtime.artifacts`) keys persisted engine state on this
 #: number; bump it whenever the pass dataclasses or their keying change.

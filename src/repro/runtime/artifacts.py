@@ -3,7 +3,7 @@
 Traces and single-pass profiling state are expensive to produce and fully
 deterministic, so the session runtime stores them on disk keyed by a SHA-256
 digest of their *identity*: artifact kind, workload name, compiler flags and
-the relevant schema versions (:data:`~repro.trace.trace.TRACE_SCHEMA_VERSION`,
+the relevant schema versions (:data:`~repro.trace.trace_schema.TRACE_SCHEMA_VERSION`,
 :data:`~repro.profiler.single_pass_engine.ENGINE_SCHEMA_VERSION`).  Any code
 change that alters what a builder produces must bump the corresponding
 version, which changes every digest and naturally invalidates stale entries.

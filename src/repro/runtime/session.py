@@ -36,7 +36,8 @@ from repro.profiler.program import ProgramProfile, profile_program
 from repro.profiler.single_pass_engine import ENGINE_SCHEMA_VERSION, SinglePassEngine
 from repro.resilience.faults import InjectedFault
 from repro.runtime.artifacts import MISSING, ArtifactCache
-from repro.trace.trace import TRACE_SCHEMA_VERSION, Trace
+from repro.trace.trace import Trace
+from repro.trace.trace_schema import TRACE_SCHEMA_VERSION
 from repro.workloads.base import Workload
 
 #: Compiler treatments a session can build (the Figure 8 variants).

@@ -23,12 +23,14 @@ million-point spaces in O(sample size).
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.api.spec import MachineSpec
+from repro.api.spec import MachineSpec, WorkloadSpec
+from repro.api.sweep import SweepRequest
 from repro.machine import SIZE_FIELDS, parse_size
 from repro.search.objectives import Constraint
 
@@ -131,7 +133,7 @@ class SearchSpace:
     base: MachineSpec = field(default_factory=MachineSpec)
     #: Optional point-name template over axis fields; ``{field}`` expands
     #: to the chosen value, ``{field_kb}`` to ``value // 1024`` — enough
-    #: to reproduce legacy config names (Table 2) through the adapter.
+    #: to spell the Table 2 point names (:mod:`repro.dse.space`).
     name_template: str | None = None
 
     def __post_init__(self) -> None:
@@ -171,15 +173,20 @@ class SearchSpace:
     # ------------------------------------------------------------------
     def _base_bindings(self) -> dict[str, object]:
         """Field values ``when`` clauses may read before any axis binds them."""
+        paths = [axis.condition.path for axis in self.axes
+                 if axis.when is not None]
+        paths = [path for path in paths if path != "area_proxy"]
+        if not paths:
+            return {}
         machine = self.base.resolve()
-        bindings: dict[str, object] = {}
-        for axis in self.axes:
-            condition = axis.condition
-            if condition is not None and condition.path != "area_proxy":
-                bindings.setdefault(condition.path,
-                                    getattr(machine, condition.path))
-        return bindings
+        return {path: getattr(machine, path) for path in paths}
 
+    @functools.cached_property
+    def _counts(self) -> dict:
+        """Subtree point counts, shared by every count and decode."""
+        return {}
+
+    @functools.cached_property
     def _referenced(self) -> frozenset[str]:
         """Fields any ``when`` clause reads (the memo key vocabulary)."""
         names = set()
@@ -202,7 +209,7 @@ class SearchSpace:
                     memo: dict) -> int:
         if axis_index == len(self.axes):
             return 1
-        referenced = self._referenced()
+        referenced = self._referenced
         key = (axis_index,
                tuple(sorted((name, bindings[name]) for name in referenced
                             if name in bindings)))
@@ -225,7 +232,7 @@ class SearchSpace:
         """Exact number of points, computed without enumeration."""
         if not self.axes:
             return 1
-        return self._count_from(0, self._base_bindings(), {})
+        return self._count_from(0, self._base_bindings(), self._counts)
 
     def __len__(self) -> int:
         return self.cardinality()
@@ -238,9 +245,9 @@ class SearchSpace:
                 f"point index {index} out of range for a space of "
                 f"{cardinality} points"
             )
-        memo: dict = {}
+        memo = self._counts
         bindings = self._base_bindings()
-        referenced = self._referenced()
+        referenced = self._referenced
         overrides: dict[str, object] = {}
         remaining = index
         for axis_index, axis in enumerate(self.axes):
@@ -264,9 +271,9 @@ class SearchSpace:
         of :meth:`overrides`); :class:`KeyError` if no point matches —
         e.g. a value not on its axis, or a conditional axis's field bound
         while the axis is inactive."""
-        memo: dict = {}
+        memo = self._counts
         bindings = self._base_bindings()
-        referenced = self._referenced()
+        referenced = self._referenced
         index = 0
         for axis_index, axis in enumerate(self.axes):
             if all(field_name in overrides for field_name in axis.fields):
@@ -321,6 +328,24 @@ class SearchSpace:
 
     def specs(self, indices: Iterable[int]) -> list[MachineSpec]:
         return [self.spec(index) for index in indices]
+
+    def to_sweep(self, workloads: Iterable[str], *,
+                 backends: Sequence[str] = ("analytical",),
+                 with_power: bool = False, flags: str = "O3") -> SweepRequest:
+        """Every point, in index order, as an explicit sweep machine grid.
+
+        Each point is carried as the preset plus *minimal* overrides (the
+        fields where its resolved config differs from the preset, name
+        included), so ``space.to_sweep(names).expand()`` is a declarative,
+        JSON-serializable batch for :func:`repro.api.evaluate_many`.
+        """
+        return SweepRequest(
+            workloads=tuple(WorkloadSpec(name, flags) for name in workloads),
+            machines=tuple(MachineSpec.from_machine(self.spec(index).resolve())
+                           for index in range(self.cardinality())),
+            backends=tuple(backends),
+            with_power=with_power,
+        )
 
     # ------------------------------------------------------------------
     # Seeded sampling.

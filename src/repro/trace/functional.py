@@ -21,7 +21,7 @@ use.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
@@ -30,7 +30,6 @@ from repro.trace.trace import (
     INSTR_BYTES,
     NO_VALUE,
     OP_CLASS_IDS,
-    DynamicInstruction,
     Trace,
 )
 
@@ -374,12 +373,3 @@ class FunctionalSimulator:
             static_index=static_index,
             name=program.name,
         )
-
-    def step(self) -> Iterator[DynamicInstruction]:
-        """Generator form of :meth:`run`, yielding one record per instruction.
-
-        Compatibility shim: the program is executed eagerly by :meth:`run`
-        (register and memory state are mutated exactly once), then the
-        materialized records are yielded in order.
-        """
-        yield from self.run()

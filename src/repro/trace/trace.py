@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import OpClass
-from repro.trace.trace_schema import (  # noqa: F401  (re-exported legacy names)
+from repro.trace.trace_schema import (
     COLUMN_NAMES,
     NO_VALUE,
     TRACE_COLUMNS,

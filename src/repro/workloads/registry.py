@@ -165,16 +165,3 @@ def clear_cache() -> None:
     """Drop all cached workloads (mostly useful in tests)."""
     _CACHE.clear()
 
-
-def __getattr__(name: str):
-    # Deprecation shim: _ALL_BUILDERS was the pre-registry lookup table.
-    if name == "_ALL_BUILDERS":
-        import warnings
-
-        warnings.warn(
-            "_ALL_BUILDERS is deprecated; use the WORKLOADS registry "
-            "(register_workload/get_workload/all_workload_names) instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return {name: WORKLOADS.get(name) for name in WORKLOADS.names()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

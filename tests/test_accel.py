@@ -75,7 +75,7 @@ def test_numpy_matches_python_across_figure5_space(name):
     trace = get_workload(name).trace()
     python_engine = SinglePassEngine(trace, PythonKernels())
     numpy_engine = SinglePassEngine(trace, NumpyKernels())
-    for machine in reduced_design_space().configurations():
+    for machine in reduced_design_space().to_sweep(()).configurations():
         assert _counts(numpy_engine.miss_profile(machine)) == _counts(
             python_engine.miss_profile(machine)
         ), f"{name}: numpy kernels diverge from python on {machine.name}"

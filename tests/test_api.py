@@ -314,35 +314,12 @@ class TestSweep:
         space = reduced_design_space()
         sweep = space.to_sweep(("sha",), backends=("analytical", "simulator"))
         resolved = sweep.configurations()
-        expected = space.configurations()
+        expected = [space.spec(index).resolve() for index in range(len(space))]
         assert resolved == expected
         assert [m.name for m in resolved] == [m.name for m in expected]
         assert len(sweep) == len(expected) * 2
         # And the whole thing still serializes.
         assert api.SweepRequest.from_json(sweep.to_json()) == sweep
-
-    def test_sweep_batch_matches_explorer(self):
-        """The sweep adapter answers exactly what the explorer answers."""
-        from repro.dse.explorer import DesignSpaceExplorer
-
-        space = reduced_design_space()
-        configurations = space.configurations()[:4]
-        session = Session()
-        explorer = DesignSpaceExplorer(configurations, session=session)
-        workload = get_workload("sha")
-        points = explorer.evaluate(workload, simulate=True)
-
-        sweep = api.SweepRequest(
-            workloads=(api.WorkloadSpec("sha"),),
-            machines=tuple(api.MachineSpec.from_machine(machine)
-                           for machine in configurations),
-            backends=("analytical", "simulator"),
-        )
-        results = api.evaluate_many(sweep.expand(), session=session)
-        for point, predicted, simulated in zip(points, results[0::2], results[1::2]):
-            assert predicted.cpi == point.model_cpi
-            assert simulated.cpi == point.simulated_cpi
-            assert predicted.machine == point.machine.name
 
 
 class TestRegistriesPlugIn:
@@ -384,13 +361,6 @@ class TestRegistriesPlugIn:
         finally:
             WORKLOADS.unregister("tiny_plugin")
 
-    def test_all_builders_shim_warns(self):
-        import repro.workloads.registry as registry
-
-        with pytest.warns(DeprecationWarning, match="_ALL_BUILDERS"):
-            builders = registry._ALL_BUILDERS
-        assert "sha" in builders
-
 
 class TestRequestFiles:
     def test_payload_forms(self):
@@ -412,6 +382,15 @@ class TestRequestFiles:
             api.parse_request_payload({"requests": [], "sweep": {}})
         with pytest.raises(ValueError, match="workload"):
             api.parse_request_payload({"backend": "analytical"})
+        # A field on two axes, and an axis without values.
+        with pytest.raises(ValueError, match="more than one axis"):
+            api.parse_request_payload({
+                "workloads": ["sha"],
+                "axes": {"width": [1, 2], "width,l2_size": [[3, 131072]]},
+            })
+        with pytest.raises(ValueError, match="has no values"):
+            api.parse_request_payload({"workloads": ["sha"],
+                                       "axes": {"width": []}})
 
 
 class TestEvalCLI:

@@ -5,6 +5,9 @@ remains fast; the full runs are available through the benchmark harness and
 the command line interface (whose smoke suite lives in ``test_cli.py``).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -28,6 +31,13 @@ def quick_machine():
     return MachineConfig(name="default")
 
 
+def result_digest(module, result) -> str:
+    """sha256 of the experiment's canonical JSON result."""
+    payload = json.dumps(module.to_experiment_result(result).to_dict(),
+                         sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 class TestTable2:
     def test_run_and_format(self):
         result = table2.run()
@@ -35,6 +45,8 @@ class TestTable2:
         text = table2.format_result(result)
         assert "192 design points" in text
         assert "branch predictor" in text
+        assert result_digest(table2, result) == (
+            "9c9490eb6138ed42d95aea8e32a5021e2ee8371dcca38478298ea044bda9cc5a")
 
 
 class TestFigure3:
@@ -71,6 +83,8 @@ class TestFigure5:
         assert 0.0 <= result.fraction_below_6_percent <= 1.0
         assert result.cdf[-1][1] == pytest.approx(1.0)
         assert "Figure 5" in figure5.format_result(result)
+        assert result_digest(figure5, result) == (
+            "7e3db1ec9b460c3c1ca451e71dead888d9ec5129ffb4abd36091f58546d550d3")
 
 
 class TestFigure6:
@@ -118,6 +132,8 @@ class TestFigure9:
         assert row.edp_gap >= 0.0
         assert row.edp_gap < 0.10
         assert "Figure 9" in figure9.format_result(result)
+        assert result_digest(figure9, result) == (
+            "5fd328bc2f54203ab6137c6d5a41d1000edf8b120b6f2efcc60bab51652b5571")
 
 
 class TestSpeedup:

@@ -11,7 +11,8 @@ from repro.api.planner import plan_requests, evaluate_group
 from repro.api.spec import EvalRequest, MachineSpec, WorkloadSpec
 from repro.dse.space import reduced_design_space
 from repro.runtime.session import Session
-from repro.trace.trace import TRACE_SCHEMA_VERSION, Trace
+from repro.trace.trace import Trace
+from repro.trace.trace_schema import TRACE_SCHEMA_VERSION
 from repro.workloads import get_workload
 
 

@@ -64,7 +64,7 @@ def test_engine_matches_replay_across_figure5_space(name):
     trace = get_workload(name).trace()
     engine = SinglePassEngine.for_trace(trace)
     replayed: dict[tuple, dict[str, int]] = {}
-    for machine in reduced_design_space().configurations():
+    for machine in reduced_design_space().to_sweep(()).configurations():
         key = _replay_key(machine)
         if key not in replayed:
             replayed[key] = _counts(profile_machine(trace, machine, exact=True))

@@ -11,7 +11,7 @@ from repro.trace.store import (
     store_info,
     write_portable,
 )
-from repro.trace.trace import COLUMN_NAMES, ChunkedTrace, Trace
+from repro.trace.trace import ChunkedTrace, Trace
 from repro.workloads.synthetic import (
     SyntheticWorkloadSpec,
     SyntheticTraceGenerator,
