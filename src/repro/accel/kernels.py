@@ -1,42 +1,47 @@
 """Kernel protocol and the pure-Python reference implementation.
 
 A :class:`Kernels` instance computes the profiling passes of the single-pass
-engine over a trace's packed columns:
+engine over a trace's packed columns.  Every pass is implemented once, as a
+chunk-resumable **stream** (``update(chunk...)`` / ``finish()``):
 
-* the **base pass** — per L1/TLB front-end geometry: stack-distance
-  histograms for the L1I, the L1D and both TLBs, plus the interleaved
-  L1-miss stream the unified L2 observes;
-* the **L2 pass** — stack distances of that stream for one (sets, line
-  size) geometry, split into instruction- and data-side histograms;
-* **miss-run counting** — grouping DL2 misses into MLP runs;
-* **branch replay** — branch statistics of the packed control stream for
-  one predictor specification;
-* **dependency profiling** — the machine-independent dependency-distance
-  histograms of the program profile.
+* the **base stream** — per L1/TLB front-end geometry: stack-distance
+  histograms for the L1I, the L1D and both TLBs; each update returns the
+  chunk's slice of the interleaved L1-miss stream the unified L2 observes;
+* the **L2 stream** — stack distances of that stream for one (sets, line
+  size) geometry, split into instruction- and data-side histograms; each
+  update returns the chunk's data-side ``(seq, distance)`` slice;
+* the **branch stream** — branch statistics of the packed control stream
+  for one predictor specification;
+* the **dependency** and **mix streams** — the machine-independent
+  dependency-distance histograms and op-class histogram of the program
+  profile;
+* **miss-run counting** — grouping DL2 misses into MLP runs.
 
-:class:`PythonKernels` is the stdlib-only reference: it is the exact code
-the engine ran before the kernel layer existed, so its results define the
+The whole-trace names (:meth:`Kernels.base_pass`, :meth:`Kernels.l2_pass`,
+:meth:`Kernels.branch_profile`, :meth:`Kernels.dependency_profile`,
+:meth:`Kernels.instruction_mix`) are defined once, on the protocol, as
+one-chunk wrappers over those streams; no backend overrides them.
+
+:class:`PythonKernels` is the stdlib-only reference: its streams define the
 contract.  The NumPy backend (:mod:`repro.accel.np_kernels`) must be
 bit-identical to it; the parity suite in ``tests/test_accel.py`` asserts
 that across the full workload set and randomized traces.
 
-A kernel hook may return ``None`` (``branch_profile``,
-``dependency_profile``) to tell the caller "no accelerated path for this
-input" — the caller then falls back to the interpreted loop, which keeps
-third-party branch predictors and exotic traces fully supported.
+:meth:`Kernels.branch_stream` may return ``None`` to tell the caller "no
+accelerated replay for this predictor" — the caller then falls back to
+:class:`PredictorBranchStream` around the interpreted predictor, which keeps
+third-party branch predictors fully supported.
 """
 
 from __future__ import annotations
 
 import abc
-import dataclasses
 from array import array
-from typing import NamedTuple
+from typing import NamedTuple, final
 
 from repro.accel.passes import (
     BasePass,
     L2Pass,
-    StreamedL2Pass,
     count_miss_runs,
     resume_miss_runs,
 )
@@ -83,34 +88,13 @@ class Kernels(abc.ABC):
     name: str = "kernels"
 
     @abc.abstractmethod
-    def base_pass(self, trace: Trace, geometry: BaseGeometry) -> BasePass:
-        """One walk of ``trace`` for a fixed L1/TLB front-end geometry."""
-
-    @abc.abstractmethod
-    def l2_pass(self, base: BasePass, sets: int, line_size: int) -> L2Pass:
-        """Stack distances of ``base``'s L2 stream for one (sets, line)."""
-
-    @abc.abstractmethod
     def control_stream(self, trace: Trace) -> ControlStream:
         """The packed (pc, taken, is conditional) control columns."""
-
-    def branch_profile(self, controls: ControlStream,
-                       predictor_spec: str) -> BranchProfile | None:
-        """Branch statistics for one predictor, or ``None`` to fall back."""
-        return None
 
     def count_runs(self, seqs, distances, associativity: int,
                    mlp_window: int) -> int:
         """Number of miss runs in a miss stream (see :class:`MissProfile`)."""
         return count_miss_runs(seqs, distances, associativity, mlp_window)
-
-    def dependency_profile(self, trace: Trace, max_distance: int):
-        """Dependency-distance histograms, or ``None`` to fall back."""
-        return None
-
-    def instruction_mix(self, trace: Trace):
-        """Dynamic op-class histogram, or ``None`` to fall back."""
-        return None
 
     def predict_batch(self, program, profiles, machines):
         """Batched mechanistic-model evaluation, or ``None`` to fall back.
@@ -124,14 +108,15 @@ class Kernels(abc.ABC):
         return None
 
     # ------------------------------------------------------------------
-    # Chunk-resumable streaming.  Each ``*_stream`` factory returns a
-    # stateful object with ``update(chunk...)`` / ``finish()`` methods whose
-    # accumulated result is bit-identical to the corresponding offline pass
-    # over the concatenation of the chunks: all carried state (LRU stacks,
-    # predictor tables and histories, miss-run cursors, register writers)
-    # survives chunk boundaries exactly.  The defaults below are the
-    # stdlib reference implementations, so any backend streams correctly;
-    # backends override them with resumable accelerated passes.
+    # Chunk-resumable streams: the implementation of every pass.  Each
+    # factory returns a stateful object with ``update(chunk...)`` /
+    # ``finish()`` methods; all carried state (LRU stacks, predictor tables
+    # and histories, miss-run cursors, register writers) survives chunk
+    # boundaries exactly, so any chunking of a trace gives bit-identical
+    # results.  ``finish()`` may be called mid-stream for a cumulative
+    # snapshot.  The defaults below are the stdlib reference streams, so
+    # any backend streams correctly; backends override them with
+    # accelerated ones.
     # ------------------------------------------------------------------
 
     def base_stream(self, geometry: BaseGeometry):
@@ -139,16 +124,18 @@ class Kernels(abc.ABC):
 
         Each update returns the chunk's slice of the interleaved L2 access
         stream (to be fed to an L2 stream); ``finish()`` returns a
-        :class:`BasePass` whose L2 stream columns are empty.
+        :class:`BasePass` without L2 stream columns.
         """
         return _PyBaseStream(geometry)
 
     def l2_stream(self, sets: int, line_size: int, run_keys=()):
-        """Resumable L2 pass over base-stream slices.
+        """Resumable L2 pass: ``update(addrs, sides, seqs) -> (seqs, dists)``.
 
-        ``run_keys`` is the set of ``(associativity, mlp_window)`` pairs
-        whose miss-run counts are accumulated incrementally; ``finish()``
-        returns a :class:`StreamedL2Pass` that answers exactly those.
+        Each update returns the slice's data-side ``(sequence, stack
+        distance)`` columns.  ``run_keys`` is the set of ``(associativity,
+        mlp_window)`` pairs whose miss-run counts are accumulated
+        incrementally; ``finish()`` returns an :class:`L2Pass` without data
+        columns that answers exactly those.
         """
         return _PyL2Stream(sets, line_size, run_keys)
 
@@ -171,59 +158,55 @@ class Kernels(abc.ABC):
 
     def mix_stream(self):
         """Resumable instruction-mix histogram (never ``None``)."""
-        return MixStream(self)
+        return MixStream()
+
+    # ------------------------------------------------------------------
+    # Whole-trace names: one-chunk wrappers over the streams above.
+    # ------------------------------------------------------------------
+
+    @final
+    def base_pass(self, trace: Trace, geometry: BaseGeometry) -> BasePass:
+        """One walk of ``trace`` for a fixed L1/TLB front-end geometry."""
+        stream = self.base_stream(geometry)
+        l2_stream = stream.update(trace)
+        return stream.finish().with_l2_stream(*l2_stream)
+
+    @final
+    def l2_pass(self, base: BasePass, sets: int, line_size: int) -> L2Pass:
+        """Stack distances of ``base``'s L2 stream for one (sets, line)."""
+        stream = self.l2_stream(sets, line_size)
+        data = stream.update(base.l2_addrs, base.l2_sides, base.l2_seqs)
+        return stream.finish().with_data(*data)
+
+    @final
+    def branch_profile(self, controls: ControlStream,
+                       predictor_spec: str) -> BranchProfile | None:
+        """Branch statistics for one predictor, or ``None`` to fall back."""
+        stream = self.branch_stream(predictor_spec)
+        if stream is None:
+            return None
+        stream.update(controls)
+        return stream.finish()
+
+    @final
+    def dependency_profile(self, trace: Trace, max_distance: int):
+        """Dependency-distance histograms of ``trace``."""
+        stream = self.dependency_stream(trace.statics, max_distance)
+        stream.update(trace)
+        return stream.finish()
+
+    @final
+    def instruction_mix(self, trace: Trace):
+        """Dynamic op-class histogram of ``trace``."""
+        stream = self.mix_stream()
+        stream.update(trace)
+        return stream.finish()
 
 
 class PythonKernels(Kernels):
     """The stdlib-only reference implementation (defines the contract)."""
 
     name = "python"
-
-    def base_pass(self, trace: Trace, geometry: BaseGeometry) -> BasePass:
-        # The offline pass is the one-chunk case of the resumable stream,
-        # which keeps the two code paths structurally identical.
-        stream = _PyBaseStream(geometry)
-        l2_addrs, l2_sides, l2_seqs = stream.update(trace)
-        return dataclasses.replace(
-            stream.finish(),
-            l2_addrs=l2_addrs,
-            l2_sides=l2_sides,
-            l2_seqs=l2_seqs,
-        )
-
-    def l2_pass(self, base: BasePass, sets: int, line_size: int) -> L2Pass:
-        profiler = StackDistanceProfiler(sets, line_size)
-        access = profiler.access
-        instruction_cold = data_cold = 0
-        instruction_histogram: dict[int, int] = {}
-        data_histogram: dict[int, int] = {}
-        data_seqs = array("q")
-        data_distances = array("q")
-        for addr, side, seq in zip(base.l2_addrs, base.l2_sides, base.l2_seqs):
-            distance = access(addr)
-            if side == INSTRUCTION_SIDE:
-                if distance < 0:
-                    instruction_cold += 1
-                else:
-                    instruction_histogram[distance] = (
-                        instruction_histogram.get(distance, 0) + 1
-                    )
-            else:
-                if distance < 0:
-                    data_cold += 1
-                else:
-                    data_histogram[distance] = data_histogram.get(distance, 0) + 1
-                data_seqs.append(seq)
-                data_distances.append(distance)
-
-        return L2Pass(
-            instruction_cold=instruction_cold,
-            data_cold=data_cold,
-            instruction_histogram=instruction_histogram,
-            data_histogram=data_histogram,
-            data_seqs=data_seqs,
-            data_distances=data_distances,
-        )
 
     def control_stream(self, trace: Trace) -> ControlStream:
         pcs = trace.pcs
@@ -304,9 +287,9 @@ class _PyBaseStream:
             l1d=self._l1d.result(),
             itlb=self._itlb.result(),
             dtlb=self._dtlb.result(),
-            l2_addrs=array("q"),
-            l2_sides=array("b"),
-            l2_seqs=array("q"),
+            l2_addrs=None,
+            l2_sides=None,
+            l2_seqs=None,
         )
 
 
@@ -324,7 +307,7 @@ class _PyL2Stream:
             key: None for key in self._runs
         }
 
-    def update(self, addrs, sides, seqs) -> None:
+    def update(self, addrs, sides, seqs) -> tuple[array, array]:
         access = self._profiler.access
         instruction_histogram = self._instruction_histogram
         data_histogram = self._data_histogram
@@ -352,15 +335,16 @@ class _PyL2Stream:
             )
             self._runs[(associativity, window)] += runs
             self._last_seq[(associativity, window)] = last
+        return chunk_seqs, chunk_distances
 
-    def finish(self) -> StreamedL2Pass:
-        return StreamedL2Pass(
+    def finish(self) -> L2Pass:
+        return L2Pass(
             instruction_cold=self._instruction_cold,
             data_cold=self._data_cold,
             instruction_histogram=self._instruction_histogram,
             data_histogram=self._data_histogram,
-            data_seqs=array("q"),
-            data_distances=array("q"),
+            data_seqs=None,
+            data_distances=None,
             _runs=dict(self._runs),
         )
 
@@ -448,29 +432,25 @@ class _PyDependencyStream:
 
 
 class MixStream:
-    """Chunk-resumable instruction mix (shared by every backend).
+    """Chunk-resumable instruction mix (the reference counting step).
 
-    Per-chunk histograms come from the owning backend's offline
-    ``instruction_mix`` kernel (or the trace's columnar histogram when the
-    backend has none); merging them in chunk order preserves the global
-    first-encounter key order of the offline histogram.
+    Each chunk is counted by :meth:`_count` — here the trace's columnar
+    histogram, which lists op classes in first-encounter order — and merged
+    in chunk order, which preserves the global first-encounter key order.
+    Backends override :meth:`_count` only.
     """
 
-    def __init__(self, kernels: Kernels):
-        self._kernels = kernels
+    def __init__(self):
         self._total = 0
         self._counts: dict = {}
 
+    def _count(self, trace: Trace) -> dict:
+        return trace.instruction_mix()
+
     def update(self, trace: Trace) -> None:
-        mix = self._kernels.instruction_mix(trace)
-        if mix is None:
-            counts = trace.instruction_mix()
-            self._total += len(trace)
-        else:
-            counts = mix.counts
-            self._total += mix.total
+        self._total += len(trace)
         merged = self._counts
-        for op_class, count in counts.items():
+        for op_class, count in self._count(trace).items():
             merged[op_class] = merged.get(op_class, 0) + count
 
     def finish(self):

@@ -5,6 +5,15 @@ Every kernel reproduces the pure-Python reference
 integers computed by exact algorithms, so there is no floating-point
 tolerance anywhere, only equality.
 
+Every pass is implemented once, as a chunk-resumable stream
+(``base_stream``, ``l2_stream``, ``branch_stream``, ``dependency_stream``,
+``mix_stream``); a whole trace is the one-chunk case, driven by the
+protocol's whole-trace names (:meth:`~repro.accel.kernels.Kernels.base_pass`
+and friends).  The state a stream carries into its next chunk — LRU
+last-access positions, counter tables, local histories — is folded in only
+when a next chunk arrives, and the carried-state gathers are skipped until
+then, so a one-chunk walk pays nothing for resumability.
+
 Vectorization notes
 -------------------
 **Stack distances.**  The per-set LRU stack walk is replaced by an exact
@@ -57,8 +66,9 @@ from repro.accel.kernels import (
     BaseGeometry,
     ControlStream,
     Kernels,
+    MixStream,
 )
-from repro.accel.passes import BasePass, L2Pass, StreamedL2Pass
+from repro.accel.passes import BasePass, L2Pass
 from repro.branch.predictors import PREDICTORS
 from repro.branch.profiler import BranchProfile
 from repro.isa.opcodes import OpClass
@@ -70,7 +80,7 @@ from repro.profiler.dependences import (
     KIND_UNIT,
     DependencyProfile,
 )
-from repro.trace.trace import OP_CLASS_IDS, Trace
+from repro.trace.trace import OP_CLASS_BY_ID, OP_CLASS_IDS, Trace
 
 _LOAD_ID = OP_CLASS_IDS[OpClass.LOAD]
 _STORE_ID = OP_CLASS_IDS[OpClass.STORE]
@@ -310,34 +320,6 @@ def _grouped_distances(a_lines: np.ndarray, a_sets: np.ndarray | None,
     return distances
 
 
-def _histogram(distances: np.ndarray) -> dict[int, int]:
-    warm = distances[distances >= 0]
-    if warm.size == 0:
-        return {}
-    counts = np.bincount(warm)
-    return {int(d): int(counts[d]) for d in np.flatnonzero(counts)}
-
-
-def _profile_structure(addrs: np.ndarray, sets: int,
-                       line_size: int) -> tuple[SinglePassResult, np.ndarray]:
-    _validate_geometry(sets, line_size)
-    lines = addrs >> (line_size.bit_length() - 1)
-    if sets == 1:
-        distances = _stack_distances(lines, lines, single_set=True)
-    else:
-        distances = _stack_distances(lines, lines & (sets - 1))
-    return (
-        SinglePassResult(
-            sets=sets,
-            line_size=line_size,
-            accesses=int(distances.size),
-            cold_misses=int((distances < 0).sum()),
-            distance_histogram=_histogram(distances),
-        ),
-        distances,
-    )
-
-
 def _interleave_l2_stream(pcs, seqs, memory_indices, data_addrs,
                           i_distances, d_distances, i_ways, d_ways):
     """The L2's interleaved L1-miss stream as (addrs, sides, seqs) arrays.
@@ -384,6 +366,10 @@ class _NpStackState:
     walk would produce (a prologue line's last access becomes its prologue
     slot, and the reuse window from there contains exactly the lines more
     recent than it).  The prologue's own distances are discarded.
+
+    Folding a chunk into the dict is deferred until the next chunk
+    arrives, so a one-chunk walk (a whole resident trace) never pays for
+    state it does not use.
     """
 
     def __init__(self, sets: int, line_size: int):
@@ -392,31 +378,15 @@ class _NpStackState:
         self._shift = line_size.bit_length() - 1
         self._last: dict[int, int] = {}
         self._position = 0
+        self._pending: np.ndarray | None = None
 
-    def distances(self, addrs: np.ndarray) -> np.ndarray:
-        lines = addrs >> self._shift
-        n = int(lines.size)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        if self._last:
-            carried = np.fromiter(self._last.keys(), dtype=np.int64,
-                                  count=len(self._last))
-            stamps = np.fromiter(self._last.values(), dtype=np.int64,
-                                 count=len(self._last))
-            prologue = carried[np.argsort(stamps)]  # oldest first
-            full = np.concatenate([prologue, lines])
-        else:
-            prologue = np.empty(0, dtype=np.int64)
-            full = lines
-        if self._sets == 1:
-            all_distances = _stack_distances(full, full, single_set=True)
-        else:
-            all_distances = _stack_distances(full, full & (self._sets - 1))
-        distances = all_distances[prologue.size:]
-        # Remember each chunk line's last (global) access position.
+    def _fold_pending(self) -> None:
+        """Remember the previous chunk's lines' last (global) positions."""
+        lines = self._pending
+        self._pending = None
         order = _stable_argsort_ints(lines)
         ordered = lines[order]
-        last_of_line = np.empty(n, dtype=bool)
+        last_of_line = np.empty(lines.size, dtype=bool)
         last_of_line[-1] = True
         last_of_line[:-1] = ordered[1:] != ordered[:-1]
         picks = np.flatnonzero(last_of_line)
@@ -424,8 +394,28 @@ class _NpStackState:
             ordered[picks].tolist(),
             (order[picks] + self._position).tolist(),
         ))
-        self._position += n
-        return distances
+        self._position += int(lines.size)
+
+    def distances(self, addrs: np.ndarray) -> np.ndarray:
+        lines = addrs >> self._shift
+        if lines.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if self._pending is not None:
+            self._fold_pending()
+        self._pending = lines
+        if not self._last:
+            return self._offline(lines)
+        carried = np.fromiter(self._last.keys(), dtype=np.int64,
+                              count=len(self._last))
+        stamps = np.fromiter(self._last.values(), dtype=np.int64,
+                             count=len(self._last))
+        prologue = carried[np.argsort(stamps)]  # oldest first
+        return self._offline(np.concatenate([prologue, lines]))[prologue.size:]
+
+    def _offline(self, lines: np.ndarray) -> np.ndarray:
+        if self._sets == 1:
+            return _stack_distances(lines, lines, single_set=True)
+        return _stack_distances(lines, lines & (self._sets - 1))
 
 
 class _DistanceTally:
@@ -439,16 +429,20 @@ class _DistanceTally:
         self.histogram: dict[int, int] = {}
 
     def add(self, distances: np.ndarray) -> None:
+        cold = distances < 0
         self.accesses += int(distances.size)
-        self.cold += int((distances < 0).sum())
-        warm = distances[distances >= 0]
+        self.cold += int(np.count_nonzero(cold))
+        warm = distances[~cold]
         if warm.size:
             counts = np.bincount(warm)
+            present = np.flatnonzero(counts)
+            chunk = zip(present.tolist(), counts[present].tolist())
             histogram = self.histogram
-            for distance in np.flatnonzero(counts):
-                histogram[int(distance)] = (
-                    histogram.get(int(distance), 0) + int(counts[distance])
-                )
+            if not histogram:
+                histogram.update(chunk)
+                return
+            for distance, count in chunk:
+                histogram[distance] = histogram.get(distance, 0) + count
 
     def result(self, sets: int, line_size: int) -> SinglePassResult:
         return SinglePassResult(
@@ -477,7 +471,7 @@ class _NpBaseStream:
         self._itlb_tally = _DistanceTally()
         self._dtlb_tally = _DistanceTally()
 
-    def update(self, trace: Trace):
+    def update(self, trace: Trace) -> tuple[array, array, array]:
         geometry = self._geometry
         pcs = _as_i64(trace.pcs)
         op_classes = _as_i8(trace.op_classes)
@@ -492,10 +486,11 @@ class _NpBaseStream:
         d_distances = self._l1d_state.distances(data_addrs)
         self._l1d_tally.add(d_distances)
         self._dtlb_tally.add(self._dtlb_state.distances(data_addrs))
-        return _interleave_l2_stream(
+        addrs, sides, stream_seqs = _interleave_l2_stream(
             pcs, seqs, memory_indices, data_addrs, i_distances, d_distances,
             geometry.l1i_associativity, geometry.l1d_associativity,
         )
+        return _to_q(addrs), _to_b(sides), _to_q(stream_seqs)
 
     def finish(self) -> BasePass:
         geometry = self._geometry
@@ -505,9 +500,9 @@ class _NpBaseStream:
             l1d=self._l1d_tally.result(self._l1d_sets, line),
             itlb=self._itlb_tally.result(1, geometry.page_size),
             dtlb=self._dtlb_tally.result(1, geometry.page_size),
-            l2_addrs=array("q"),
-            l2_sides=array("b"),
-            l2_seqs=array("q"),
+            l2_addrs=None,
+            l2_sides=None,
+            l2_seqs=None,
         )
 
 
@@ -515,7 +510,6 @@ class _NpL2Stream:
     """Chunk-resumable vectorized L2 pass over base-stream slices."""
 
     def __init__(self, sets: int, line_size: int, run_keys=()):
-        _validate_geometry(sets, line_size)
         self._state = _NpStackState(sets, line_size)
         self._instruction = _DistanceTally()
         self._data = _DistanceTally()
@@ -524,7 +518,7 @@ class _NpL2Stream:
             key: None for key in self._runs
         }
 
-    def update(self, addrs, sides, seqs) -> None:
+    def update(self, addrs, sides, seqs) -> tuple[array, array]:
         addrs = _as_i64(addrs)
         sides = _as_i8(sides)
         seqs = _as_i64(seqs)
@@ -533,8 +527,6 @@ class _NpL2Stream:
         self._instruction.add(distances[~data_side])
         data_distances = distances[data_side]
         self._data.add(data_distances)
-        if not self._runs:
-            return
         data_seqs = seqs[data_side]
         for key, last in self._last_seq.items():
             associativity, window = key
@@ -547,15 +539,16 @@ class _NpL2Stream:
                 runs += 1
             self._runs[key] += runs
             self._last_seq[key] = int(miss_seqs[-1])
+        return _to_q(data_seqs), _to_q(data_distances)
 
-    def finish(self) -> StreamedL2Pass:
-        return StreamedL2Pass(
+    def finish(self) -> L2Pass:
+        return L2Pass(
             instruction_cold=self._instruction.cold,
             data_cold=self._data.cold,
             instruction_histogram=self._instruction.histogram,
             data_histogram=self._data.histogram,
-            data_seqs=array("q"),
-            data_distances=array("q"),
+            data_seqs=None,
+            data_distances=None,
             _runs=dict(self._runs),
         )
 
@@ -585,86 +578,72 @@ def _build_compose() -> np.ndarray:
 _COMPOSE = _build_compose()
 
 
-def _counter_states(slots: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Pre-event state (0..3, init 2) of per-slot saturating counters.
+class _CounterTable:
+    """A table of 2-bit saturating counters (states 0..3, init 2).
 
-    ``maps`` holds one packed state map per event (chronological order);
-    events on different slots are independent, so the scan runs segmented
-    over the slot-grouped (stable) ordering: a Hillis-Steele doubling pass
-    composes the packed maps through the 256x256 composition table.
+    :meth:`advance` takes one packed state map per event (chronological
+    order) and returns each event's pre-update counter state.  Events on
+    different slots are independent, so the scan runs segmented over the
+    slot-grouped (stable) ordering: a Hillis-Steele doubling pass composes
+    the packed maps through the 256x256 composition table.  The first event
+    of each slot reads the slot's carried state, and every touched slot's
+    final state is written back before the next chunk is scanned — so
+    chunk-by-chunk replay matches one replay of the concatenation exactly.
+    The write-back is deferred until that next chunk arrives, and until it
+    happens every counter holds the init state, which spares the table
+    and the carried-state gather: a one-chunk replay pays for neither.
     """
-    n = int(slots.size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    order = _stable_argsort_ints(slots)
-    grouped_slots = slots[order]
-    acc = maps[order].astype(np.int64)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = grouped_slots[1:] != grouped_slots[:-1]
-    segment = np.cumsum(boundary) - 1
-    longest = int(np.bincount(segment).max())
-    step = 1
-    while step < longest:
-        # acc[i] (later maps) composed after acc[i - step] (earlier maps),
-        # except across segment boundaries.
-        merged = _COMPOSE[acc[step:], acc[:-step]]
-        acc[step:] = np.where(segment[step:] == segment[:-step],
-                              merged, acc[step:])
-        step <<= 1
-    states = np.full(n, 2, dtype=np.int64)
-    inner = np.flatnonzero(~boundary)
-    states[inner] = (acc[inner - 1] >> 4) & 3  # map applied to init state 2
-    out = np.empty(n, dtype=np.int64)
-    out[order] = states
-    return out
 
+    def __init__(self, entries: int):
+        self._entries = entries
+        #: Counter states, allocated at the first write-back.
+        self._states: np.ndarray | None = None
+        self._pending: tuple | None = None
 
-def _counter_predictions(slots: np.ndarray, taken: np.ndarray) -> np.ndarray:
-    """predict-then-update predictions of a 2-bit counter table."""
-    maps = np.where(taken, np.uint8(_MAP_INC), np.uint8(_MAP_DEC))
-    return _counter_states(slots, maps) >= 2
+    def _write_back(self) -> None:
+        grouped_slots, acc, boundary = self._pending
+        self._pending = None
+        if self._states is None:
+            self._states = np.full(self._entries, 2, dtype=np.int64)
+        ends = np.flatnonzero(np.append(boundary[1:], True))
+        slots = grouped_slots[ends]
+        self._states[slots] = (acc[ends] >> (2 * self._states[slots])) & 3
 
-
-def _counter_states_resumable(slots: np.ndarray, maps: np.ndarray,
-                              table: np.ndarray) -> np.ndarray:
-    """Resumable :func:`_counter_states`: carried table, updated in place.
-
-    ``table`` holds the current state (0..3) of every counter.  The scan is
-    identical to the offline one, except the first event of each slot reads
-    its initial state from the table instead of the hardwired init, and the
-    per-slot final states are written back — so chunk-by-chunk replay
-    matches one offline replay of the concatenation exactly.
-    """
-    n = int(slots.size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    order = _stable_argsort_ints(slots)
-    grouped_slots = slots[order]
-    acc = maps[order].astype(np.int64)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = grouped_slots[1:] != grouped_slots[:-1]
-    segment = np.cumsum(boundary) - 1
-    longest = int(np.bincount(segment).max())
-    step = 1
-    while step < longest:
-        merged = _COMPOSE[acc[step:], acc[:-step]]
-        acc[step:] = np.where(segment[step:] == segment[:-step],
-                              merged, acc[step:])
-        step <<= 1
-    init = table[grouped_slots]  # per-event init state of its slot
-    states = init.copy()  # the first event of a slot sees the init directly
-    inner = np.flatnonzero(~boundary)
-    states[inner] = (acc[inner - 1] >> (2 * init[inner])) & 3
-    segment_starts = np.flatnonzero(boundary)
-    segment_ends = np.append(segment_starts[1:], n) - 1
-    table[grouped_slots[segment_starts]] = (
-        (acc[segment_ends] >> (2 * init[segment_ends])) & 3
-    )
-    out = np.empty(n, dtype=np.int64)
-    out[order] = states
-    return out
+    def advance(self, slots: np.ndarray, maps: np.ndarray) -> np.ndarray:
+        n = int(slots.size)
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        if self._pending is not None:
+            self._write_back()
+        order = _stable_argsort_ints(slots)
+        grouped_slots = slots[order]
+        acc = maps[order].astype(np.int64)
+        boundary = np.empty(n, dtype=bool)
+        boundary[0] = True
+        boundary[1:] = grouped_slots[1:] != grouped_slots[:-1]
+        segment = np.cumsum(boundary) - 1
+        longest = int(np.bincount(segment).max())
+        step = 1
+        while step < longest:
+            # acc[i] (later maps) composed after acc[i - step] (earlier
+            # maps), except across segment boundaries.
+            merged = _COMPOSE[acc[step:], acc[:-step]]
+            acc[step:] = np.where(segment[step:] == segment[:-step],
+                                  merged, acc[step:])
+            step <<= 1
+        inner = np.flatnonzero(~boundary)
+        if self._states is None:
+            # A map applied to init state 2 is its third digit.
+            states = np.full(n, 2, dtype=np.int64)
+            states[inner] = (acc[inner - 1] >> 4) & 3
+        else:
+            init = self._states[grouped_slots]  # per-event carried state
+            states = init.copy()  # a slot's first event sees it directly
+            states[inner] = (acc[inner - 1] >> (2 * init[inner])) & 3
+        self._pending = (grouped_slots, acc, boundary)
+        out = np.empty(n, dtype=np.int64)
+        out[order] = states
+        return out
 
 
 def _global_history(taken: np.ndarray, bits: int) -> np.ndarray:
@@ -677,98 +656,30 @@ def _global_history(taken: np.ndarray, bits: int) -> np.ndarray:
     return history
 
 
-def _local_histories(pcs: np.ndarray, taken: np.ndarray, history_bits: int,
-                     history_entries: int) -> np.ndarray:
-    """Pre-branch per-PC local history (the local predictor's first level)."""
-    n = int(pcs.size)
-    slots = (pcs >> 2) & (history_entries - 1)
-    order = _stable_argsort_ints(slots)
-    grouped_slots = slots[order]
-    grouped_taken = taken[order].astype(np.int64)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = grouped_slots[1:] != grouped_slots[:-1]
-    start_positions = np.flatnonzero(boundary)
-    segment_start = start_positions[np.cumsum(boundary) - 1]
-    positions = np.arange(n, dtype=np.int64)
-    history = np.zeros(n, dtype=np.int64)
-    for j in range(1, history_bits + 1):
-        source = positions - j
-        ok = source >= segment_start
-        history[ok] |= grouped_taken[source[ok]] << (j - 1)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = history
-    return out
-
-
-def _predict_bimodal(pcs, taken, entries=2048):
-    return _counter_predictions((pcs >> 2) & (entries - 1), taken)
-
-
-def _predict_gshare(pcs, taken, history_bits=12):
-    entries = 1 << history_bits
-    index = (pcs >> 2) ^ _global_history(taken, history_bits)
-    return _counter_predictions(index & (entries - 1), taken)
-
-
-def _predict_local(pcs, taken, history_bits=10, history_entries=1024):
-    histories = _local_histories(pcs, taken, history_bits, history_entries)
-    # The shared second-level table is indexed by the history value itself.
-    return _counter_predictions(histories & ((1 << history_bits) - 1), taken)
-
-
-def _predict_hybrid(pcs, taken, chooser_entries=1024):
-    local = _predict_local(pcs, taken, history_bits=10, history_entries=1024)
-    global_ = _predict_gshare(pcs, taken, history_bits=12)
-    # The chooser trains only on disagreements (toward whichever component
-    # was right) and is consulted before any update.
-    maps = np.where(
-        local == global_,
-        np.uint8(_MAP_IDENTITY),
-        np.where(global_ == taken, np.uint8(_MAP_INC), np.uint8(_MAP_DEC)),
-    )
-    choose_global = _counter_states((pcs >> 2) & (chooser_entries - 1),
-                                    maps) >= 2
-    return np.where(choose_global, global_, local)
-
-
-#: spec -> (prediction kernel, BranchPredictor.name of the built instance).
-_PREDICTOR_KERNELS = {
-    "global_1kb": (_predict_gshare, "gshare"),
-    "hybrid_3.5kb": (_predict_hybrid, "hybrid"),
-    "bimodal": (_predict_bimodal, "bimodal"),
-    "always_taken": (lambda pcs, taken: np.ones(taken.size, dtype=bool),
-                     "always_taken"),
-    "always_not_taken": (lambda pcs, taken: np.zeros(taken.size, dtype=bool),
-                         "always_not_taken"),
-}
-
-
 # ----------------------------------------------------------------------
 # Chunk-resumable predictor states.
 #
 # Each class carries a predictor's architectural state (counter tables,
 # global/local histories, chooser) across chunk boundaries; one
-# ``predict(pcs, taken)`` call per chunk returns the predictions the
-# offline kernel would have produced for that slice of the full replay.
+# ``predict(pcs, taken)`` call per chunk returns the predictions of that
+# slice of the full replay.
 # ----------------------------------------------------------------------
 class _BimodalState:
     def __init__(self, entries: int = 2048):
         self._entries = entries
-        self._table = np.full(entries, 2, dtype=np.int64)
+        self._table = _CounterTable(entries)
 
     def predict(self, pcs: np.ndarray, taken: np.ndarray) -> np.ndarray:
         maps = np.where(taken, np.uint8(_MAP_INC), np.uint8(_MAP_DEC))
-        return _counter_states_resumable(
-            (pcs >> 2) & (self._entries - 1), maps, self._table
-        ) >= 2
+        return self._table.advance((pcs >> 2) & (self._entries - 1),
+                                   maps) >= 2
 
 
 class _GShareState:
     def __init__(self, history_bits: int = 12):
         self._bits = history_bits
         self._mask = (1 << history_bits) - 1
-        self._table = np.full(1 << history_bits, 2, dtype=np.int64)
+        self._table = _CounterTable(1 << history_bits)
         self._history = 0  # carried global history register
 
     def predict(self, pcs: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -785,12 +696,12 @@ class _GShareState:
             ) & self._mask
         maps = np.where(taken, np.uint8(_MAP_INC), np.uint8(_MAP_DEC))
         index = ((pcs >> 2) ^ history) & self._mask
-        predictions = _counter_states_resumable(index, maps, self._table) >= 2
+        predictions = self._table.advance(index, maps) >= 2
         if n:
-            width = min(n, self._bits)
-            recent = taken[n - width:].astype(np.int64)[::-1]  # newest first
-            packed = int((recent << np.arange(width, dtype=np.int64)).sum())
-            self._history = ((self._history << width) | packed) & self._mask
+            # The last branch's history with its own outcome shifted in.
+            self._history = (
+                (int(history[-1]) << 1) | int(taken[-1])
+            ) & self._mask
         return predictions
 
 
@@ -799,13 +710,30 @@ class _LocalState:
         self._bits = history_bits
         self._mask = (1 << history_bits) - 1
         self._entries = history_entries
-        self._histories = np.zeros(history_entries, dtype=np.int64)
-        self._table = np.full(1 << history_bits, 2, dtype=np.int64)
+        #: Per-slot histories, allocated at the first write-back.
+        self._histories: np.ndarray | None = None
+        self._pending: tuple | None = None
+        self._table = _CounterTable(1 << history_bits)
+
+    def _write_back(self) -> None:
+        """Each touched slot's history after its last event: that event's
+        history with its own outcome shifted in (deferred, like
+        :meth:`_CounterTable._write_back`)."""
+        grouped_slots, history, grouped_taken, boundary = self._pending
+        self._pending = None
+        if self._histories is None:
+            self._histories = np.zeros(self._entries, dtype=np.int64)
+        ends = np.flatnonzero(np.append(boundary[1:], True))
+        self._histories[grouped_slots[ends]] = (
+            (history[ends] << 1) | grouped_taken[ends]
+        ) & self._mask
 
     def predict(self, pcs: np.ndarray, taken: np.ndarray) -> np.ndarray:
         n = int(pcs.size)
         if n == 0:
             return np.zeros(0, dtype=bool)
+        if self._pending is not None:
+            self._write_back()
         bits = self._bits
         slots = (pcs >> 2) & (self._entries - 1)
         order = _stable_argsort_ints(slots)
@@ -822,29 +750,22 @@ class _LocalState:
             source = positions - j
             ok = source >= segment_start
             history[ok] |= grouped_taken[source[ok]] << (j - 1)
-        # An event at within-slot rank r has only r in-chunk predecessors;
-        # the carried per-slot history supplies the rest, shifted past them.
-        rank = positions - segment_start
-        carried = self._histories[grouped_slots]
-        shallow = rank < bits
-        history[shallow] |= (carried[shallow] << rank[shallow]) & self._mask
+        if self._histories is not None:
+            # An event at within-slot rank r has only r in-chunk
+            # predecessors; the carried per-slot history supplies the rest,
+            # shifted past them.
+            rank = positions - segment_start
+            carried = self._histories[grouped_slots]
+            shallow = rank < bits
+            history[shallow] |= (
+                (carried[shallow] << rank[shallow]) & self._mask
+            )
+        self._pending = (grouped_slots, history, grouped_taken, boundary)
         out_history = np.empty(n, dtype=np.int64)
         out_history[order] = history
-        # Advance each touched slot's history by its segment's outcomes.
-        segment_ends = np.append(start_positions[1:], n) - 1
-        counts = segment_ends - start_positions + 1
-        packed = np.zeros(start_positions.size, dtype=np.int64)
-        for j in range(bits):
-            deep = counts > j
-            packed[deep] |= grouped_taken[segment_ends[deep] - j] << j
-        shift = np.minimum(counts, bits)
-        slot_ids = grouped_slots[start_positions]
-        self._histories[slot_ids] = (
-            (self._histories[slot_ids] << shift) | packed
-        ) & self._mask
         maps = np.where(taken, np.uint8(_MAP_INC), np.uint8(_MAP_DEC))
         # The shared second-level table is indexed by the history value.
-        return _counter_states_resumable(out_history, maps, self._table) >= 2
+        return self._table.advance(out_history, maps) >= 2
 
 
 class _HybridState:
@@ -852,7 +773,7 @@ class _HybridState:
         self._local = _LocalState(history_bits=10, history_entries=1024)
         self._gshare = _GShareState(history_bits=12)
         self._entries = chooser_entries
-        self._chooser = np.full(chooser_entries, 2, dtype=np.int64)
+        self._chooser = _CounterTable(chooser_entries)
 
     def predict(self, pcs: np.ndarray, taken: np.ndarray) -> np.ndarray:
         local = self._local.predict(pcs, taken)
@@ -862,8 +783,8 @@ class _HybridState:
             np.uint8(_MAP_IDENTITY),
             np.where(global_ == taken, np.uint8(_MAP_INC), np.uint8(_MAP_DEC)),
         )
-        choose_global = _counter_states_resumable(
-            (pcs >> 2) & (self._entries - 1), maps, self._chooser
+        choose_global = self._chooser.advance(
+            (pcs >> 2) & (self._entries - 1), maps
         ) >= 2
         return np.where(choose_global, global_, local)
 
@@ -929,60 +850,6 @@ class NumpyKernels(Kernels):
         #: across every batch the backend answers.
         self._machine_factors: dict = {}
 
-    def base_pass(self, trace: Trace, geometry: BaseGeometry) -> BasePass:
-        line = geometry.line_size
-        pcs = _as_i64(trace.pcs)
-        op_classes = _as_i8(trace.op_classes)
-        seqs = _as_i64(trace.seqs)
-
-        l1i, i_distances = _profile_structure(
-            pcs, geometry.l1i_size // (geometry.l1i_associativity * line), line
-        )
-        itlb, _ = _profile_structure(pcs, 1, geometry.page_size)
-
-        memory_indices = np.flatnonzero(
-            (op_classes == _LOAD_ID) | (op_classes == _STORE_ID)
-        )
-        data_addrs = _as_i64(trace.mem_addrs)[memory_indices]
-        l1d, d_distances = _profile_structure(
-            data_addrs, geometry.l1d_size // (geometry.l1d_associativity * line),
-            line,
-        )
-        dtlb, _ = _profile_structure(data_addrs, 1, geometry.page_size)
-
-        addrs, sides, stream_seqs = _interleave_l2_stream(
-            pcs, seqs, memory_indices, data_addrs, i_distances, d_distances,
-            geometry.l1i_associativity, geometry.l1d_associativity,
-        )
-
-        return BasePass(
-            l1i=l1i, l1d=l1d, itlb=itlb, dtlb=dtlb,
-            l2_addrs=_to_q(addrs), l2_sides=_to_b(sides),
-            l2_seqs=_to_q(stream_seqs),
-        )
-
-    def l2_pass(self, base: BasePass, sets: int, line_size: int) -> L2Pass:
-        _validate_geometry(sets, line_size)
-        addrs = _as_i64(base.l2_addrs)
-        sides = _as_i8(base.l2_sides)
-        seqs = _as_i64(base.l2_seqs)
-        lines = addrs >> (line_size.bit_length() - 1)
-        if sets == 1:
-            distances = _stack_distances(lines, lines, single_set=True)
-        else:
-            distances = _stack_distances(lines, lines & (sets - 1))
-        data_side = sides == DATA_SIDE
-        instruction_distances = distances[~data_side]
-        data_distances = distances[data_side]
-        return L2Pass(
-            instruction_cold=int((instruction_distances < 0).sum()),
-            data_cold=int((data_distances < 0).sum()),
-            instruction_histogram=_histogram(instruction_distances),
-            data_histogram=_histogram(data_distances),
-            data_seqs=_to_q(seqs[data_side]),
-            data_distances=_to_q(data_distances),
-        )
-
     def control_stream(self, trace: Trace) -> ControlStream:
         op_classes = _as_i8(trace.op_classes)
         control = np.flatnonzero(
@@ -994,34 +861,6 @@ class NumpyKernels(Kernels):
             _to_q(_as_i64(trace.pcs)[control]),
             _to_b(taken.astype(np.int8)),
             _to_b(conditional.astype(np.int8)),
-        )
-
-    def branch_profile(self, controls: ControlStream,
-                       predictor_spec: str) -> BranchProfile | None:
-        try:
-            canonical = PREDICTORS.canonical(predictor_spec.lower())
-        except KeyError:
-            return None
-        kernel = _PREDICTOR_KERNELS.get(canonical)
-        if kernel is None:
-            # Third-party predictor registration: no vectorized replay.
-            return None
-        predict, predictor_name = kernel
-
-        taken = _as_i8(controls.taken) == 1
-        conditional = _as_i8(controls.conditional) == 1
-        pcs = _as_i64(controls.pcs)[conditional]
-        outcomes = taken[conditional]
-        jumps = int((~conditional).sum())
-        predictions = predict(pcs, outcomes)
-        correct = predictions == outcomes
-        return BranchProfile(
-            predictor_name=predictor_name,
-            conditional_branches=int(outcomes.size),
-            unconditional_jumps=jumps,
-            taken_branches=int(outcomes.sum()) + jumps,
-            mispredictions=int((~correct).sum()),
-            predicted_taken_correct=int((correct & outcomes).sum()),
         )
 
     def count_runs(self, seqs, distances, associativity: int,
@@ -1159,35 +998,6 @@ class NumpyKernels(Kernels):
             results.append((cycle_list[index], stack))
         return results
 
-    def instruction_mix(self, trace: Trace):
-        from repro.profiler.instruction_mix import InstructionMix
-        from repro.trace.trace import OP_CLASS_BY_ID
-
-        op_classes = _as_i8(trace.op_classes)
-        if op_classes.size == 0:
-            return InstructionMix(total=0, counts={})
-        counts = np.bincount(op_classes)
-        present, first_at = np.unique(op_classes, return_index=True)
-        # Counter() insertion order is first-encounter order; mirror it.
-        ordered = present[np.argsort(first_at, kind="stable")]
-        return InstructionMix(
-            total=int(op_classes.size),
-            counts={OP_CLASS_BY_ID[class_id]: int(counts[class_id])
-                    for class_id in ordered},
-        )
-
-    def dependency_profile(self, trace: Trace,
-                           max_distance: int) -> DependencyProfile | None:
-        # The offline pass is the one-chunk case of the resumable stream.
-        if len(trace) == 0:
-            return DependencyProfile()
-        table = _dependency_static_table(trace.statics)
-        if table is None:
-            return None  # outside the two-operand ISA: reference walk
-        stream = _NpDependencyStream(max_distance, trace.statics, table)
-        stream.update(trace)
-        return stream.finish()
-
     def base_stream(self, geometry: BaseGeometry):
         return _NpBaseStream(geometry)
 
@@ -1212,6 +1022,24 @@ class NumpyKernels(Kernels):
             # Outside the two-operand ISA: the reference stream handles it.
             return super().dependency_stream(statics, max_distance)
         return _NpDependencyStream(max_distance, statics, table)
+
+    def mix_stream(self):
+        return _NpMixStream()
+
+
+class _NpMixStream(MixStream):
+    """Instruction mix counted with one ``bincount`` per chunk."""
+
+    def _count(self, trace: Trace) -> dict:
+        op_classes = _as_i8(trace.op_classes)
+        if op_classes.size == 0:
+            return {}
+        counts = np.bincount(op_classes)
+        present, first_at = np.unique(op_classes, return_index=True)
+        # The reference histogram lists classes in first-encounter order.
+        ordered = present[np.argsort(first_at, kind="stable")]
+        return {OP_CLASS_BY_ID[class_id]: int(counts[class_id])
+                for class_id in ordered.tolist()}
 
 
 #: Memo for :func:`_dependency_static_table`, keyed by the identity of the

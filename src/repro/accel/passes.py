@@ -58,12 +58,20 @@ class BasePass:
     l1d: SinglePassResult
     itlb: SinglePassResult
     dtlb: SinglePassResult
-    #: The unified L2's access stream (byte addresses, trace order).
-    l2_addrs: array
+    #: The unified L2's access stream (byte addresses, trace order);
+    #: ``None`` when the pass was streamed chunk by chunk and the stream
+    #: never kept.
+    l2_addrs: array | None
     #: 0 = instruction fetch, 1 = load/store, per ``l2_addrs`` entry.
-    l2_sides: array
+    l2_sides: array | None
     #: Dynamic sequence number of the instruction that caused each access.
-    l2_seqs: array
+    l2_seqs: array | None
+
+    def with_l2_stream(self, addrs: array, sides: array,
+                       seqs: array) -> "BasePass":
+        """This pass keeping the L2 access stream its walk produced."""
+        return BasePass(self.l1i, self.l1d, self.itlb, self.dtlb,
+                        addrs, sides, seqs)
 
 
 @dataclass(frozen=True)
@@ -75,10 +83,20 @@ class L2Pass:
     instruction_histogram: dict[int, int]
     data_histogram: dict[int, int]
     #: Data-side accesses only: (sequence, stack distance) with -1 = cold.
-    data_seqs: array
-    data_distances: array
-    #: Memoized miss-run counts per (associativity, mlp_window).
+    #: ``None`` when the pass was streamed chunk by chunk: the columns were
+    #: never kept, and only the miss-run counts accumulated into ``_runs``
+    #: during the walk can be answered.
+    data_seqs: array | None
+    data_distances: array | None
+    #: Miss-run counts per (associativity, mlp_window): accumulated during a
+    #: streamed walk, memoized on demand when the data columns are kept.
     _runs: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def with_data(self, data_seqs: array, data_distances: array) -> "L2Pass":
+        """This pass keeping the data-side columns its walk produced."""
+        return L2Pass(self.instruction_cold, self.data_cold,
+                      self.instruction_histogram, self.data_histogram,
+                      data_seqs, data_distances, self._runs)
 
     def _suffix(self, attr: str, histogram: dict[int, int]) -> array:
         # Lazily built so instances unpickled from older cache entries (or
@@ -100,38 +118,28 @@ class L2Pass:
         conflict = suffix[associativity] if associativity < len(suffix) else 0
         return self.data_cold + conflict
 
+    def answers_runs(self, associativity: int, mlp_window: int) -> bool:
+        """Whether :meth:`data_miss_runs` can answer this pair."""
+        return (self.data_seqs is not None
+                or (associativity, mlp_window) in self._runs)
+
     def data_miss_runs(self, associativity: int, mlp_window: int,
                        counter=count_miss_runs) -> int:
-        """Number of DL2 "miss runs" (see :class:`MissProfile`), memoized."""
+        """Number of DL2 "miss runs" (see :class:`MissProfile`), memoized.
+
+        A streamed pass answers only the pairs registered before its walk;
+        any other pair raises (the silent alternative would be a wrong count).
+        """
         key = (associativity, mlp_window)
         cached = self._runs.get(key)
         if cached is None:
+            if self.data_seqs is None:
+                raise KeyError(
+                    f"streamed L2 pass has no miss-run count for "
+                    f"associativity={associativity}, mlp_window={mlp_window}; "
+                    f"re-stream the trace with this pair in run_keys"
+                )
             cached = counter(self.data_seqs, self.data_distances,
                              associativity, mlp_window)
             self._runs[key] = cached
         return cached
-
-
-@dataclass(frozen=True)
-class StreamedL2Pass(L2Pass):
-    """An :class:`L2Pass` assembled chunk by chunk from a trace stream.
-
-    The per-access ``(seq, distance)`` miss stream is never materialized —
-    that is the whole point of streaming — so run counts exist only for the
-    ``(associativity, mlp_window)`` pairs that were registered before the
-    walk and accumulated incrementally into ``_runs``.  Asking for any other
-    pair is a programming error (the silent alternative would be a wrong
-    count computed from the empty arrays), so it raises instead.
-    """
-
-    def data_miss_runs(self, associativity: int, mlp_window: int,
-                       counter=count_miss_runs) -> int:
-        key = (associativity, mlp_window)
-        try:
-            return self._runs[key]
-        except KeyError:
-            raise KeyError(
-                f"streamed L2 pass has no miss-run count for associativity="
-                f"{associativity}, mlp_window={mlp_window}; re-stream the "
-                f"trace with this pair in run_keys"
-            ) from None

@@ -505,7 +505,7 @@ def _long_workload_child() -> None:
 
     from repro.core.model import InOrderMechanisticModel
     from repro.profiler.sampling import sample_evaluate
-    from repro.profiler.streaming import StreamingEngine
+    from repro.profiler.single_pass_engine import SinglePassEngine
     from repro.workloads.synthetic import (
         SyntheticWorkloadSpec,
         generate_synthetic_store,
@@ -537,10 +537,10 @@ def _long_workload_child() -> None:
 
         exact_seconds = float("inf")
         for _ in range(3):
-            # A fresh engine each round: ``for_chunked`` memoizes its walk
+            # A fresh engine each round: ``for_trace`` memoizes its walk
             # on the trace, which would make later rounds free.
             start = time.perf_counter()
-            engine = StreamingEngine(chunked)
+            engine = SinglePassEngine(chunked)
             exact = InOrderMechanisticModel(DEFAULT_MACHINE).predict(
                 engine.program_profile(),
                 engine.miss_profile(DEFAULT_MACHINE),

@@ -974,11 +974,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise SystemExit(f"sample: {args.store}: {exc}") from exc
 
     if args.rate == 1:
-        # Exact: stream every chunk once through the resumable engine.
+        # Exact: stream every chunk once through the resumable engine (the
+        # walk builds the program profile alongside the miss passes).
         from repro.core.model import InOrderMechanisticModel
-        from repro.profiler.streaming import StreamingEngine
+        from repro.profiler.single_pass_engine import SinglePassEngine
 
-        engine = StreamingEngine.for_chunked(chunked)
+        engine = SinglePassEngine.for_trace(chunked)
         misses = engine.miss_profile(machine, args.mlp_window)
         program = engine.program_profile()
         result = InOrderMechanisticModel(machine).predict(program, misses)

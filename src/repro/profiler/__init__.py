@@ -11,6 +11,13 @@ Two kinds of statistics are collected from a dynamic trace:
   cache geometry, one branch replay per predictor) with an ``exact=True``
   full-replay escape hatch.
 
+Every pass runs through the active :mod:`repro.accel` backend's
+chunk-resumable streams, which are the only implementation of each pass.
+:class:`SinglePassEngine` drives them over either trace form — a resident
+trace as one chunk, a :class:`~repro.trace.trace.ChunkedTrace` chunk by
+chunk — and the whole-trace collectors (:func:`collect_instruction_mix`,
+:func:`collect_dependencies`) are one-chunk wrappers over the same streams.
+
 Together with the machine parameters (:class:`repro.machine.MachineConfig`)
 these are the inputs of Table 1 of the paper.
 """

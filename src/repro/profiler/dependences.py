@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.opcodes import OpClass
-from repro.isa.registers import NUM_INT_REGS
 from repro.trace.trace import Trace
 
 #: Dependencies longer than this are irrelevant for any practical width.
@@ -75,48 +74,12 @@ def _producer_kind(op_class: OpClass) -> str:
 def collect_dependencies(trace: Trace, max_distance: int = MAX_DISTANCE) -> DependencyProfile:
     """Collect the dependency-distance profile of ``trace``.
 
-    The active :mod:`repro.accel` kernel backend answers first (the NumPy
-    kernels resolve producers with vectorized searches over the packed
-    columns, bit-identically); the interpreted walk below is the reference
-    and the fallback.  Operand tuples and producer kinds are resolved once
-    per *static* instruction, then the walk reads only the trace's packed
-    ``static_index`` column — no per-instruction facade objects are
-    materialized.
+    Answered by the active :mod:`repro.accel` kernel backend's dependency
+    stream, driven over the whole trace as one chunk (the NumPy kernels
+    resolve producers with vectorized searches over the packed columns,
+    bit-identically to the reference walk in
+    :class:`~repro.accel.kernels.PythonKernels`).
     """
     from repro.accel import get_kernels
 
-    accelerated = get_kernels().dependency_profile(trace, max_distance)
-    if accelerated is not None:
-        return accelerated
-    profile = DependencyProfile()
-    # Per-static operand info: (sources, destinations, producer kind).
-    operands = [
-        (
-            instruction.src_regs(),
-            instruction.dest_regs(),
-            _producer_kind(instruction.op_class),
-        )
-        for instruction in trace.statics
-    ]
-    # Most recent producer of each architectural register: (sequence, kind).
-    last_writer: list[tuple[int, str] | None] = [None] * NUM_INT_REGS
-
-    seqs = trace.seqs
-    for index, static_slot in enumerate(trace.static_index):
-        sources, destinations, kind = operands[static_slot]
-        seq = seqs[index]
-        if sources:
-            best: tuple[int, str] | None = None
-            for source in sources:
-                producer = last_writer[source]
-                if producer is None:
-                    continue
-                distance = seq - producer[0]
-                if best is None or distance < best[0]:
-                    best = (distance, producer[1])
-            if best is not None and best[0] <= max_distance:
-                profile.consumers += 1
-                profile._record(best[1], best[0])
-        for dest in destinations:
-            last_writer[dest] = (seq, kind)
-    return profile
+    return get_kernels().dependency_profile(trace, max_distance)

@@ -53,14 +53,10 @@ class InstructionMix:
 def collect_instruction_mix(trace: Trace) -> InstructionMix:
     """Histogram the dynamic instruction classes of ``trace``.
 
-    The active :mod:`repro.accel` kernel backend answers first (one
-    ``bincount`` over the packed column); the fallback delegates to the
-    trace's columnar histogram, which counts the ``op_classes`` column
-    instead of iterating facade objects.
+    Answered by the active :mod:`repro.accel` kernel backend's mix stream,
+    driven over the whole trace as one chunk (one ``bincount`` over the
+    packed column on NumPy; the trace's columnar histogram otherwise).
     """
     from repro.accel import get_kernels
 
-    accelerated = get_kernels().instruction_mix(trace)
-    if accelerated is not None:
-        return accelerated
-    return InstructionMix(total=len(trace), counts=trace.instruction_mix())
+    return get_kernels().instruction_mix(trace)

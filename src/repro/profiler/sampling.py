@@ -1,11 +1,12 @@
 """Systematic interval sampling over chunked traces.
 
-Exact streamed profiling (:mod:`repro.profiler.streaming`) bounds *memory*
-but still touches every dynamic instruction.  For workloads two or three
-orders of magnitude longer than the MiBench traces, this module bounds
-*time* as well: it profiles only every ``rate``-th chunk (a systematic
-sample of fixed-length intervals, in the spirit of SMARTS/SimPoint) and
-scales the per-interval statistics up to the full workload.
+Exact streamed profiling (:mod:`repro.profiler.single_pass_engine` over a
+chunked trace) bounds *memory* but still touches every dynamic instruction.
+For workloads two or three orders of magnitude longer than the MiBench
+traces, this module bounds *time* as well: it profiles only every
+``rate``-th chunk (a systematic sample of fixed-length intervals, in the
+spirit of SMARTS/SimPoint) and scales the per-interval statistics up to the
+full workload.
 
 The estimator:
 
@@ -52,16 +53,18 @@ import math
 from dataclasses import dataclass, field, fields
 
 from repro.accel import get_kernels
-from repro.accel.kernels import PredictorBranchStream
-from repro.branch.predictors import make_predictor
 from repro.core import penalties
 from repro.core.model import InOrderMechanisticModel, ModelResult
 from repro.machine import MachineConfig
-from repro.profiler.dependences import DependencyProfile
+from repro.profiler.dependences import MAX_DISTANCE, DependencyProfile
 from repro.profiler.instruction_mix import InstructionMix
 from repro.profiler.machine_stats import MissProfile
 from repro.profiler.program import ProgramProfile
-from repro.profiler.single_pass_engine import SinglePassEngine
+from repro.profiler.single_pass_engine import (
+    assemble_miss_profile,
+    branch_stream,
+    pass_keys,
+)
 from repro.trace.store import chunk_digest
 from repro.trace.trace import ChunkedTrace
 
@@ -202,18 +205,12 @@ class _StreamSet:
         self.machine = machine
         self.mlp_window = mlp_window
         self.kernels = kernels if kernels is not None else get_kernels()
-        geometry = SinglePassEngine._base_key(machine)
-        line = machine.line_size
-        sets = machine.l2_size // (machine.l2_associativity * line)
+        geometry, (_, sets, line) = pass_keys(machine)
         self.base = self.kernels.base_stream(geometry)
         self.l2 = self.kernels.l2_stream(
             sets, line, [(machine.l2_associativity, mlp_window)]
         )
-        self.branches = self.kernels.branch_stream(machine.branch_predictor)
-        if self.branches is None:
-            self.branches = PredictorBranchStream(
-                make_predictor(machine.branch_predictor)
-            )
+        self.branches = branch_stream(self.kernels, machine.branch_predictor)
 
     def update(self, chunk) -> None:
         self.l2.update(*self.base.update(chunk))
@@ -221,51 +218,34 @@ class _StreamSet:
 
     def snapshot(self) -> tuple[dict[str, int], dict[str, int], int]:
         """Cumulative (metric counts, cold counts, dl2 miss runs) so far."""
-        machine = self.machine
         base = self.base.finish()
         l2 = self.l2.finish()
-        branches = self.branches.finish()
-        counts = {
-            "l1i_misses": base.l1i.misses(machine.l1i_associativity),
-            "il2_misses": l2.instruction_misses(machine.l2_associativity),
-            "itlb_misses": base.itlb.misses(machine.tlb_entries),
-            "l1d_misses": base.l1d.misses(machine.l1d_associativity),
-            "dl2_misses": l2.data_misses(machine.l2_associativity),
-            "dtlb_misses": base.dtlb.misses(machine.tlb_entries),
-            "mispredictions": branches.mispredictions,
-            "taken_bubbles": branches.taken_bubbles,
-            "conditional_branches": branches.conditional_branches,
-        }
+        profile = assemble_miss_profile(
+            self.machine, 0, base, l2, self.branches.finish(),
+            self.mlp_window, self.kernels.count_runs,
+        )
+        counts = {metric: getattr(profile, metric) for metric in MISS_METRICS}
         cold = {
             "l1i": base.l1i.cold_misses, "l1d": base.l1d.cold_misses,
             "itlb": base.itlb.cold_misses, "dtlb": base.dtlb.cold_misses,
             "il2": l2.instruction_cold, "dl2": l2.data_cold,
         }
-        runs = l2.data_miss_runs(machine.l2_associativity, self.mlp_window)
-        return counts, cold, runs
+        return counts, cold, profile.dl2_miss_runs
 
 
-def _chunk_program(chunk, statics, kernels,
-                   max_dependency_distance: int = 64) -> ProgramProfile:
-    """Chunk-local program profile through the active kernel backend.
+def _chunk_program(chunk, kernels) -> ProgramProfile:
+    """Chunk-local program profile through the given kernel backend.
 
-    Value-identical to :func:`profile_program` on the chunk (the kernel
-    streams are bit-exact against the reference profiler) but runs at
-    kernel speed — per-chunk program profiling is the only per-interval
-    work that is not a miss stream, so it must not fall back to the
-    per-row reference path.
+    Value-identical to :func:`profile_program` on the chunk; per-chunk
+    program profiling is the only per-interval work that is not a miss
+    stream.
     """
     kernels = kernels if kernels is not None else get_kernels()
-    dependencies = kernels.dependency_stream(statics,
-                                             max_dependency_distance)
-    mix = kernels.mix_stream()
-    dependencies.update(chunk)
-    mix.update(chunk)
     return ProgramProfile(
         name=chunk.name,
         instructions=len(chunk),
-        mix=mix.finish(),
-        dependencies=dependencies.finish(),
+        mix=kernels.instruction_mix(chunk),
+        dependencies=kernels.dependency_profile(chunk, MAX_DISTANCE),
     )
 
 
@@ -293,7 +273,7 @@ def profile_interval(chunked: ChunkedTrace, index: int,
         source: after_cold[source] - before_cold[source]
         for source in after_cold
     }
-    program = _chunk_program(chunk, chunked.statics, kernels)
+    program = _chunk_program(chunk, kernels)
     misses = MissProfile(
         machine=machine,
         instructions=len(chunk),
@@ -664,7 +644,7 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
     # ``profile_interval``); only position 0 needs a fresh pass.
     census_programs = [
         census_records[position].program if position in census_records
-        else _chunk_program(chunked.chunk(index), chunked.statics, kernels)
+        else _chunk_program(chunked.chunk(index), kernels)
         for position, index in enumerate(plan.census)
     ]
     weighted_programs = [

@@ -1,245 +1,12 @@
-"""Exact streamed profiling of chunked traces at bounded memory.
+"""The former name of the chunked-trace profiling engine.
 
-:class:`StreamingEngine` is the chunked-trace counterpart of
-:class:`~repro.profiler.single_pass_engine.SinglePassEngine`: it answers
-the same miss profiles and program profile, but walks a
-:class:`~repro.trace.trace.ChunkedTrace` one chunk at a time through the
-active kernel backend's chunk-resumable streams
-(:meth:`~repro.accel.kernels.Kernels.base_stream` and friends).  Carried
-state — LRU stacks, predictor tables and histories, L2 interleave
-cursors, miss-run cursors, register writers — survives every chunk
-boundary exactly, so the streamed results are **bit-identical** to the
-in-memory engine's on the concatenated trace, while peak memory is one
-chunk plus state proportional to the footprint (distinct lines), not to
-the trace length.
-
-Unlike the in-memory engine, the L2 miss stream is never materialized:
-DL2 miss-run counts are accumulated during the walk for the
-``(associativity, mlp_window)`` pairs the requested machines need.  The
-engine gathers requirements per :meth:`profile_machines` call and walks
-the trace once for everything still missing, so profiling a design space
-costs one streamed walk per new front-end geometry — the same
-amortization the in-memory engine provides.
+:class:`~repro.profiler.single_pass_engine.SinglePassEngine` profiles both
+trace forms; a :class:`~repro.trace.trace.ChunkedTrace` is streamed one
+chunk at a time.  The alias stays only because the repository benchmark
+imports ``StreamingEngine`` and wraps its ``program_profile``,
+``profile_machines`` and ``miss_profile`` methods by this name.
 """
 
-from __future__ import annotations
-
-from repro.accel import BaseGeometry, Kernels, get_kernels
-from repro.accel.kernels import PredictorBranchStream
-from repro.branch.predictors import make_predictor
-from repro.branch.profiler import BranchProfile
-from repro.machine import MachineConfig
-from repro.profiler.machine_stats import MissProfile
-from repro.profiler.program import ProgramProfile
 from repro.profiler.single_pass_engine import SinglePassEngine
-from repro.trace.trace import ChunkedTrace
 
-#: Version of the streaming engine's cached-pass layout (persisted through
-#: the artifact cache alongside the in-memory engine's state).
-STREAMING_SCHEMA_VERSION = 1
-
-
-class StreamingEngine:
-    """Amortized streamed profiling of one chunked trace.
-
-    All finished passes are cached exactly like the in-memory engine's;
-    a :meth:`profile_machines` call walks the chunk sequence at most once,
-    updating only the streams whose results are not cached yet.
-    """
-
-    def __init__(self, chunked: ChunkedTrace, kernels: Kernels | None = None,
-                 max_dependency_distance: int = 64):
-        self.chunked = chunked
-        self.kernels = kernels if kernels is not None else get_kernels()
-        self.max_dependency_distance = max_dependency_distance
-        self._base_passes: dict[tuple, object] = {}
-        self._l2_passes: dict[tuple, object] = {}
-        self._branch_profiles: dict[str, BranchProfile] = {}
-        self._program: ProgramProfile | None = None
-        #: Number of streamed walks performed (observability / tests).
-        self.walks = 0
-
-    @classmethod
-    def for_chunked(cls, chunked: ChunkedTrace) -> "StreamingEngine":
-        """The engine attached to ``chunked`` (created and cached on demand)."""
-        engine = getattr(chunked, "_streaming_engine", None)
-        if engine is None:
-            engine = cls(chunked)
-            chunked._streaming_engine = engine
-        return engine
-
-    # ------------------------------------------------------------------
-    # Persistence (mirrors SinglePassEngine's contract).
-    # ------------------------------------------------------------------
-    @property
-    def pass_count(self) -> int:
-        return (
-            len(self._base_passes)
-            + len(self._l2_passes)
-            + len(self._branch_profiles)
-            + (1 if self._program is not None else 0)
-        )
-
-    def export_state(self) -> dict:
-        return {
-            "base_passes": dict(self._base_passes),
-            "l2_passes": dict(self._l2_passes),
-            "branch_profiles": dict(self._branch_profiles),
-            "program": self._program,
-        }
-
-    def install_state(self, state: dict) -> None:
-        merged_base = dict(state["base_passes"])
-        merged_base.update(self._base_passes)
-        self._base_passes = merged_base
-        merged_l2 = dict(state["l2_passes"])
-        merged_l2.update(self._l2_passes)
-        self._l2_passes = merged_l2
-        merged_branches = dict(state["branch_profiles"])
-        merged_branches.update(self._branch_profiles)
-        self._branch_profiles = merged_branches
-        if self._program is None:
-            self._program = state["program"]
-
-    # ------------------------------------------------------------------
-    # Requirements gathering.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _l2_key(machine: MachineConfig) -> tuple:
-        line = machine.line_size
-        sets = machine.l2_size // (machine.l2_associativity * line)
-        return (tuple(SinglePassEngine._base_key(machine)), sets, line)
-
-    def _ensure(self, machines, mlp_window: int, want_program: bool) -> None:
-        """One streamed walk covering everything the request still misses."""
-        base_geometries: set[BaseGeometry] = set()
-        l2_requirements: dict[tuple, set] = {}
-        branch_specs: set[str] = set()
-        for machine in machines:
-            base_geometries.add(SinglePassEngine._base_key(machine))
-            key = self._l2_key(machine)
-            l2_requirements.setdefault(key, set()).add(
-                (machine.l2_associativity, mlp_window)
-            )
-            branch_specs.add(machine.branch_predictor)
-
-        missing_bases = {
-            geometry for geometry in base_geometries
-            if geometry not in self._base_passes
-        }
-        missing_l2 = {}
-        for key, run_keys in l2_requirements.items():
-            cached = self._l2_passes.get(key)
-            if cached is not None:
-                run_keys = run_keys - set(cached._runs)
-                if not run_keys:
-                    continue
-                # A new (associativity, window) pair: re-stream this L2
-                # with the union so the refreshed pass still answers every
-                # previously accumulated pair.
-                run_keys = run_keys | set(cached._runs)
-            missing_l2[key] = run_keys
-        missing_branches = branch_specs - set(self._branch_profiles)
-        want_program = want_program and self._program is None
-
-        if not (missing_bases or missing_l2 or missing_branches
-                or want_program):
-            return
-
-        # An L2 stream consumes its front-end geometry's miss stream, so
-        # streaming an L2 (re)streams its base pass too — the recomputed
-        # base pass is bit-identical to the cached one.
-        base_streams = {
-            geometry: self.kernels.base_stream(geometry)
-            for geometry in missing_bases | {
-                BaseGeometry(*key[0]) for key in missing_l2
-            }
-        }
-        l2_streams = {
-            key: self.kernels.l2_stream(key[1], key[2], sorted(run_keys))
-            for key, run_keys in missing_l2.items()
-        }
-        branch_streams = {}
-        for spec in missing_branches:
-            stream = self.kernels.branch_stream(spec)
-            if stream is None:
-                # No accelerated replay for this predictor (e.g. a
-                # third-party registration): interpreted reference replay.
-                stream = PredictorBranchStream(make_predictor(spec))
-            branch_streams[spec] = stream
-        dependency_stream = mix_stream = None
-        if want_program:
-            dependency_stream = self.kernels.dependency_stream(
-                self.chunked.statics, self.max_dependency_distance
-            )
-            mix_stream = self.kernels.mix_stream()
-
-        self.walks += 1
-        for chunk in self.chunked.chunks():
-            slices = {
-                geometry: stream.update(chunk)
-                for geometry, stream in base_streams.items()
-            }
-            for key, stream in l2_streams.items():
-                stream.update(*slices[BaseGeometry(*key[0])])
-            if branch_streams:
-                controls = self.kernels.control_stream(chunk)
-                for stream in branch_streams.values():
-                    stream.update(controls)
-            if dependency_stream is not None:
-                dependency_stream.update(chunk)
-            if mix_stream is not None:
-                mix_stream.update(chunk)
-
-        for geometry, stream in base_streams.items():
-            self._base_passes.setdefault(geometry, stream.finish())
-        for key, stream in l2_streams.items():
-            self._l2_passes[key] = stream.finish()
-        for spec, stream in branch_streams.items():
-            self._branch_profiles[spec] = stream.finish()
-        if want_program:
-            self._program = ProgramProfile(
-                name=self.chunked.name,
-                instructions=len(self.chunked),
-                mix=mix_stream.finish(),
-                dependencies=dependency_stream.finish(),
-            )
-
-    # ------------------------------------------------------------------
-    # Assembly (identical to SinglePassEngine's, from streamed passes).
-    # ------------------------------------------------------------------
-    def profile_machines(self, machines, mlp_window: int = 64):
-        """Miss profiles for ``machines``; at most one streamed trace walk."""
-        machines = list(machines)
-        self._ensure(machines, mlp_window, want_program=False)
-        return [self._assemble(machine, mlp_window) for machine in machines]
-
-    def miss_profile(self, machine: MachineConfig,
-                     mlp_window: int = 64) -> MissProfile:
-        return self.profile_machines([machine], mlp_window)[0]
-
-    def program_profile(self) -> ProgramProfile:
-        """The machine-independent program profile (streamed once)."""
-        self._ensure([], mlp_window=64, want_program=True)
-        return self._program
-
-    def _assemble(self, machine: MachineConfig,
-                  mlp_window: int) -> MissProfile:
-        base = self._base_passes[SinglePassEngine._base_key(machine)]
-        l2 = self._l2_passes[self._l2_key(machine)]
-        branches = self._branch_profiles[machine.branch_predictor]
-        l2_ways = machine.l2_associativity
-        return MissProfile(
-            machine=machine,
-            instructions=len(self.chunked),
-            l1i_misses=base.l1i.misses(machine.l1i_associativity),
-            il2_misses=l2.instruction_misses(l2_ways),
-            itlb_misses=base.itlb.misses(machine.tlb_entries),
-            l1d_misses=base.l1d.misses(machine.l1d_associativity),
-            dl2_misses=l2.data_misses(l2_ways),
-            dtlb_misses=base.dtlb.misses(machine.tlb_entries),
-            dl2_miss_runs=l2.data_miss_runs(l2_ways, mlp_window),
-            mispredictions=branches.mispredictions,
-            taken_bubbles=branches.taken_bubbles,
-            conditional_branches=branches.conditional_branches,
-        )
+StreamingEngine = SinglePassEngine

@@ -12,9 +12,10 @@ The pool is **persistent and pre-warmed**: a session creates its
 :class:`WorkerPool` once and reuses it for every subsequent ``map`` call,
 so worker sessions keep their attached shared-memory segments, adopted
 traces and warm :class:`~repro.profiler.single_pass_engine.SinglePassEngine`
-state between batches — the second request a :mod:`repro.service` server
-answers pays zero pool spawn, zero trace transport and zero repeated
-profiling passes.  This module is the only place in the tree allowed to
+passes between batches (a resident engine's kept L1-miss streams answer new
+L2 geometries without another trace walk) — the second request a
+:mod:`repro.service` server answers pays zero pool spawn, zero trace
+transport and zero repeated profiling passes.  This module is the only place in the tree allowed to
 construct a ``ProcessPoolExecutor`` (``make lint`` enforces it), which is
 what makes the warm-pool guarantee checkable.
 

@@ -240,3 +240,30 @@ class TestFastSubsetPipeline:
         session = Session(cache_dir=cache_dir)
         rendered = render_text(run_experiment(session, "figure5", smoke=True))
         assert rendered == _sections(smoke_outputs["serial_warm"])["figure5"]
+
+
+class TestTraceSample:
+    def test_exact_rate_streams_the_store_once(self, tmp_path, monkeypatch,
+                                               capsys):
+        """``--rate 1`` walks every chunk once: one walk builds the miss
+        passes and the program profile together."""
+        from repro.trace.trace import ChunkedTrace
+
+        store = tmp_path / "store"
+        assert cli_main(["trace", "synth", str(store), "--instructions",
+                         "3000", "--chunk-length", "1000"]) == 0
+        walks = []
+        chunks = ChunkedTrace.chunks
+
+        def counting_chunks(self):
+            walks.append(self.name)
+            return chunks(self)
+
+        monkeypatch.setattr(ChunkedTrace, "chunks", counting_chunks)
+        capsys.readouterr()
+        assert cli_main(["trace", "sample", str(store), "--rate", "1",
+                         "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exact"] is True
+        assert payload["instructions"] == 3000
+        assert len(walks) == 1

@@ -24,7 +24,7 @@ from repro.profiler.sampling import (
     sample_evaluate,
     systematic_plan,
 )
-from repro.profiler.streaming import StreamingEngine
+from repro.profiler.single_pass_engine import SinglePassEngine
 from repro.runtime.session import Session
 from repro.trace.store import TraceStore
 from repro.trace.trace import ChunkedTrace
@@ -82,7 +82,7 @@ def test_plan_rejects_bad_parameters():
 def test_error_bars_bracket_truth_on_mibench(name):
     trace = get_workload(name).trace()
     chunked = ChunkedTrace.from_trace(trace, CHUNK_LENGTH)
-    engine = StreamingEngine.for_chunked(chunked)
+    engine = SinglePassEngine.for_trace(chunked)
     exact_misses = engine.miss_profile(DEFAULT_MACHINE)
     exact = InOrderMechanisticModel(DEFAULT_MACHINE).predict(
         engine.program_profile(), exact_misses
@@ -115,7 +115,7 @@ def test_census_only_trace_is_answered_exactly():
     )
     chunked = ChunkedTrace.from_trace(trace, CHUNK_LENGTH)
     sampled = sample_evaluate(chunked, DEFAULT_MACHINE, 10, warmup=WARMUP)
-    engine = StreamingEngine.for_chunked(chunked)
+    engine = SinglePassEngine.for_trace(chunked)
     exact_misses = engine.miss_profile(DEFAULT_MACHINE)
     assert sampled.plan.exact
     for metric in MISS_METRICS:
@@ -238,7 +238,7 @@ import json, resource, sys, tempfile
 from repro.workloads.synthetic import (
     SyntheticWorkloadSpec, generate_synthetic_store)
 from repro.profiler.sampling import sample_evaluate
-from repro.profiler.streaming import StreamingEngine
+from repro.profiler.single_pass_engine import SinglePassEngine
 from repro.machine import DEFAULT_MACHINE
 
 baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -248,7 +248,7 @@ with tempfile.TemporaryDirectory() as tmp:
         scale=100, chunk_length=8192)
     sampled = sample_evaluate(chunked, DEFAULT_MACHINE, 32, warmup=4,
                               warming=1)
-    exact = StreamingEngine.for_chunked(chunked).miss_profile(
+    exact = SinglePassEngine.for_trace(chunked).miss_profile(
         DEFAULT_MACHINE)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({

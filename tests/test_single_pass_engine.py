@@ -148,3 +148,54 @@ def test_spec_suite_smoke_equivalence():
         assert _counts(profile_machine(trace, machine)) == _counts(
             profile_machine(trace, machine, exact=True)
         ), name
+
+
+def _counting_kernels():
+    """The active backend, counting every pass stream it starts."""
+    from collections import Counter
+
+    from repro.accel import get_kernels
+
+    built = Counter()
+
+    class CountingKernels(type(get_kernels())):
+        def base_stream(self, geometry):
+            built["base"] += 1
+            return super().base_stream(geometry)
+
+        def l2_stream(self, sets, line_size, run_keys=()):
+            built["l2"] += 1
+            return super().l2_stream(sets, line_size, run_keys)
+
+        def branch_stream(self, predictor_spec):
+            built["branch"] += 1
+            return super().branch_stream(predictor_spec)
+
+    return CountingKernels(), built
+
+
+def test_table2_space_costs_one_base_five_l2_two_branch_passes():
+    """A resident engine answers all 192 Table-2 machines from 1 base,
+    5 L2 and 2 branch passes.  L2 set counts 256, 512 and 1024 are each
+    shared by an 8-way and a 16-way point: the second one must reuse the
+    kept L2 pass (and any new MLP window its kept data columns), never
+    re-stream the geometry."""
+    from repro.dse.space import default_design_space
+
+    machines = default_design_space().to_sweep(()).configurations()
+    assert len(machines) == 192
+    trace = get_workload("sha").trace()
+    reference = SinglePassEngine(trace)
+    for one_at_a_time in (True, False):
+        kernels, built = _counting_kernels()
+        engine = SinglePassEngine(trace, kernels)
+        if one_at_a_time:
+            profiles = [engine.miss_profile(machine) for machine in machines]
+        else:
+            profiles = engine.profile_machines(machines)
+        engine.profile_machines(machines, mlp_window=16)
+        assert dict(built) == {"base": 1, "l2": 5, "branch": 2}
+        assert engine.walks <= 2  # one per predictor at most
+        assert [_counts(profile) for profile in profiles] == [
+            _counts(reference.miss_profile(machine)) for machine in machines
+        ]

@@ -19,7 +19,6 @@ from repro.core.model import InOrderMechanisticModel
 from repro.machine import DEFAULT_MACHINE, MachineConfig
 from repro.profiler.program import profile_program
 from repro.profiler.single_pass_engine import SinglePassEngine
-from repro.profiler.streaming import StreamingEngine
 from repro.trace.trace import ChunkedTrace
 from repro.workloads import get_workload
 from repro.workloads.registry import MIBENCH_BUILDERS
@@ -70,7 +69,7 @@ OFF_SPACE = MachineConfig(
 def test_streamed_profile_bit_identical(backend, chunk_length):
     _use_backend(backend)
     chunked = ChunkedTrace.from_trace(SMALL, chunk_length)
-    streaming = StreamingEngine(chunked)
+    streaming = SinglePassEngine(chunked)
     reference = SinglePassEngine.for_trace(SMALL)
     for machine in (DEFAULT_MACHINE, OFF_SPACE):
         assert (_counts(streaming.miss_profile(machine))
@@ -84,7 +83,7 @@ def test_streamed_matches_in_memory_on_mibench(name, backend):
     _use_backend(backend)
     trace = get_workload(name).trace()
     chunked = ChunkedTrace.from_trace(trace, 1024)
-    streaming = StreamingEngine.for_chunked(chunked)
+    streaming = SinglePassEngine.for_trace(chunked)
     reference = SinglePassEngine.for_trace(trace)
     streamed = streaming.miss_profile(DEFAULT_MACHINE)
     exact = reference.miss_profile(DEFAULT_MACHINE)
@@ -103,7 +102,7 @@ def test_every_registered_predictor_streams_exactly(backend, predictor):
     machine = MachineConfig(name=f"bp_{predictor}",
                             branch_predictor=predictor)
     chunked = ChunkedTrace.from_trace(SMALL, 333)
-    streamed = StreamingEngine(chunked).miss_profile(machine)
+    streamed = SinglePassEngine(chunked).miss_profile(machine)
     exact = SinglePassEngine.for_trace(SMALL).miss_profile(machine)
     for metric in ("mispredictions", "taken_bubbles",
                    "conditional_branches"):
@@ -112,7 +111,7 @@ def test_every_registered_predictor_streams_exactly(backend, predictor):
 
 def test_one_walk_covers_a_design_space():
     chunked = ChunkedTrace.from_trace(SMALL, 500)
-    engine = StreamingEngine(chunked)
+    engine = SinglePassEngine(chunked)
     machines = [DEFAULT_MACHINE, OFF_SPACE,
                 MachineConfig(name="wide", width=4, l2_associativity=16)]
     engine.profile_machines(machines)
@@ -125,19 +124,19 @@ def test_one_walk_covers_a_design_space():
 
 def test_state_export_install_round_trip():
     chunked = ChunkedTrace.from_trace(SMALL, 500)
-    warm = StreamingEngine(chunked)
+    warm = SinglePassEngine(chunked)
     expected = _counts(warm.miss_profile(DEFAULT_MACHINE))
     warm.program_profile()
     assert warm.walks >= 1
 
-    cold = StreamingEngine(ChunkedTrace.from_trace(SMALL, 500))
+    cold = SinglePassEngine(ChunkedTrace.from_trace(SMALL, 500))
     cold.install_state(warm.export_state())
     assert _counts(cold.miss_profile(DEFAULT_MACHINE)) == expected
     assert cold.program_profile() == warm.program_profile()
     assert cold.walks == 0
 
 
-def test_for_chunked_memoizes_engine():
+def test_for_trace_memoizes_chunked_engine():
     chunked = ChunkedTrace.from_trace(SMALL, 500)
-    assert (StreamingEngine.for_chunked(chunked)
-            is StreamingEngine.for_chunked(chunked))
+    assert (SinglePassEngine.for_trace(chunked)
+            is SinglePassEngine.for_trace(chunked))
