@@ -15,7 +15,10 @@ chunk-resumable **stream** (``update(chunk...)`` / ``finish()``):
 * the **dependency** and **mix streams** — the machine-independent
   dependency-distance histograms and op-class histogram of the program
   profile;
-* **miss-run counting** — grouping DL2 misses into MLP runs.
+* **miss-run counting** — grouping DL2 misses into MLP runs;
+* **pipeline events** — the per-instruction fetch latency, data latency and
+  branch outcome one machine sees, in trace order: the miss-event columns
+  the cycle-accurate simulators (:mod:`repro.pipeline`) are driven from.
 
 The whole-trace names (:meth:`Kernels.base_pass`, :meth:`Kernels.l2_pass`,
 :meth:`Kernels.branch_profile`, :meth:`Kernels.dependency_profile`,
@@ -45,8 +48,10 @@ from repro.accel.passes import (
     count_miss_runs,
     resume_miss_runs,
 )
+from repro.branch.predictors import make_predictor
 from repro.branch.profiler import BranchProfile, profile_control_stream
 from repro.isa.opcodes import OpClass
+from repro.memory.hierarchy import CacheHierarchy, HierarchyStats
 from repro.memory.single_pass import StackDistanceProfiler
 from repro.trace.trace import OP_CLASS_IDS, Trace
 
@@ -58,6 +63,13 @@ _JUMP_ID = OP_CLASS_IDS[OpClass.JUMP]
 #: Instruction-side / data-side tags in the recorded L2 access stream.
 INSTRUCTION_SIDE = 0
 DATA_SIDE = 1
+
+#: Control-column codes of :meth:`Kernels.pipeline_events`: no control
+#: event; a taken bubble (a correctly predicted taken conditional branch,
+#: or any unconditional jump); a mispredicted conditional branch.
+CONTROL_NONE = 0
+CONTROL_TAKEN = 1
+CONTROL_MISPREDICT = 2
 
 
 class BaseGeometry(NamedTuple):
@@ -80,6 +92,22 @@ class ControlStream(NamedTuple):
 
     def __len__(self) -> int:
         return len(self.pcs)
+
+
+class PipelineEvents(NamedTuple):
+    """The miss events one machine sees on one trace, one row per instruction.
+
+    ``fetch`` holds each instruction's fetch latency in cycles (L1I hit, L2
+    hit or memory, plus the page walk of an ITLB miss); ``data`` the
+    latency of its load or store the same way through the L1D, the unified
+    L2 and the DTLB (``0`` for non-memory instructions); ``control`` its
+    ``CONTROL_*`` code.  ``stats`` are the hierarchy's miss counts.
+    """
+
+    fetch: list
+    data: list
+    control: list
+    stats: HierarchyStats
 
 
 class Kernels(abc.ABC):
@@ -106,6 +134,50 @@ class Kernels(abc.ABC):
         or ``None`` when the backend has no vectorized model path.
         """
         return None
+
+    def pipeline_events(self, trace: Trace, machine) -> PipelineEvents:
+        """Per-instruction miss-event columns of ``trace`` on ``machine``.
+
+        The reference replays a fresh :class:`CacheHierarchy` and branch
+        predictor in trace order, each instruction's fetch before its data
+        access — the one place the simulators' object replay lives.
+        Backends override it with a bit-identical computation.
+        """
+        hierarchy = CacheHierarchy(machine.memory_hierarchy_config())
+        predictor = make_predictor(machine.branch_predictor)
+        access_instruction = hierarchy.access_instruction
+        access_data = hierarchy.access_data
+        latency_of = hierarchy.latency_of
+        predict = predictor.predict
+        update = predictor.update
+        fetch: list[int] = []
+        data: list[int] = []
+        control: list[int] = []
+        pcs = trace.pcs
+        mem_addrs = trace.mem_addrs
+        takens = trace.taken
+        for index, class_id in enumerate(trace.op_classes):
+            pc = pcs[index]
+            fetch.append(latency_of(*access_instruction(pc)))
+            if class_id == _LOAD_ID or class_id == _STORE_ID:
+                data.append(latency_of(*access_data(
+                    mem_addrs[index], is_store=class_id == _STORE_ID
+                )))
+            else:
+                data.append(0)
+            if class_id == _BRANCH_ID:
+                taken = takens[index] == 1
+                prediction = predict(pc)
+                update(pc, taken)
+                control.append(
+                    CONTROL_MISPREDICT if prediction != taken
+                    else CONTROL_TAKEN if taken else CONTROL_NONE
+                )
+            elif class_id == _JUMP_ID:
+                control.append(CONTROL_TAKEN)
+            else:
+                control.append(CONTROL_NONE)
+        return PipelineEvents(fetch, data, control, hierarchy.stats)
 
     # ------------------------------------------------------------------
     # Chunk-resumable streams: the implementation of every pass.  Each

@@ -45,6 +45,13 @@ insertion point in the read sequence and a running maximum forward-fills
 every read's latest visible producer.  The shortest-distance/first-source
 tie rule is a two-step scatter fold.
 
+**Pipeline events.**  The simulators' per-instruction miss events come
+from the same stack distances: an access hits an ``a``-way LRU structure
+iff its distance ``d < a`` (Mattson et al. 1970), so the L1I, L1D and TLB
+outcomes are one comparison per access, the unified L2 runs over the
+interleaved L1-miss stream, and the mispredict flags come from the
+vectorized predictor states.
+
 **Batched model evaluation.**  ``predict_batch`` evaluates the
 mechanistic model for a whole configuration list at once: per-machine
 penalty scalars come from the exact scalar code (Python floats), and only
@@ -61,18 +68,23 @@ from operator import attrgetter
 import numpy as np
 
 from repro.accel.kernels import (
+    CONTROL_MISPREDICT,
+    CONTROL_NONE,
+    CONTROL_TAKEN,
     DATA_SIDE,
     INSTRUCTION_SIDE,
     BaseGeometry,
     ControlStream,
     Kernels,
     MixStream,
+    PipelineEvents,
 )
 from repro.accel.passes import BasePass, L2Pass
-from repro.branch.predictors import PREDICTORS
+from repro.branch.predictors import PREDICTORS, make_predictor
 from repro.branch.profiler import BranchProfile
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import NUM_INT_REGS
+from repro.memory.hierarchy import HierarchyStats
 from repro.memory.single_pass import SinglePassResult
 from repro.profiler.dependences import (
     KIND_LOAD,
@@ -807,6 +819,34 @@ _PREDICTOR_STREAM_STATES = {
 }
 
 
+def _predictor_state(predictor_spec: str):
+    """``(state factory, predictor name)`` of a vectorized predictor, or
+    ``None`` for a spec without one (a third-party registration)."""
+    try:
+        canonical = PREDICTORS.canonical(predictor_spec.lower())
+    except KeyError:
+        return None
+    return _PREDICTOR_STREAM_STATES.get(canonical)
+
+
+def _mispredictions(predictor_spec: str, pcs: np.ndarray,
+                    taken: np.ndarray) -> np.ndarray:
+    """Per-branch mispredict flags of the conditional-branch stream.
+
+    Replays the vectorized predictor state when there is one, and the
+    interpreted predictor otherwise (a third-party registration).
+    """
+    entry = _predictor_state(predictor_spec)
+    if entry is not None:
+        return entry[0]().predict(pcs, taken) != taken
+    predictor = make_predictor(predictor_spec)
+    flags = []
+    for pc, outcome in zip(pcs.tolist(), taken.tolist()):
+        flags.append(predictor.predict(pc) != outcome)
+        predictor.update(pc, outcome)
+    return np.array(flags, dtype=bool)
+
+
 class _NpBranchStream:
     """Chunk-resumable vectorized branch replay for one predictor."""
 
@@ -1005,16 +1045,77 @@ class NumpyKernels(Kernels):
         return _NpL2Stream(sets, line_size, run_keys)
 
     def branch_stream(self, predictor_spec: str):
-        try:
-            canonical = PREDICTORS.canonical(predictor_spec.lower())
-        except KeyError:
-            return None
-        entry = _PREDICTOR_STREAM_STATES.get(canonical)
+        entry = _predictor_state(predictor_spec)
         if entry is None:
             # Third-party predictor registration: no vectorized replay.
             return None
         factory, predictor_name = entry
         return _NpBranchStream(factory(), predictor_name)
+
+    def pipeline_events(self, trace: Trace, machine) -> PipelineEvents:
+        config = machine.memory_hierarchy_config()
+        n = len(trace)
+        pcs = _as_i64(trace.pcs)
+        op_classes = _as_i8(trace.op_classes)
+        memory_at = np.flatnonzero(
+            (op_classes == _LOAD_ID) | (op_classes == _STORE_ID)
+        )
+        data_addrs = _as_i64(trace.mem_addrs)[memory_at]
+
+        def lookup(sets, block, ways, addrs):
+            """Stack distances in one LRU structure, and its misses."""
+            distances = _NpStackState(sets, block).distances(addrs)
+            return distances, (distances < 0) | (distances >= ways)
+
+        l1i, l1d, l2 = config.l1i, config.l1d, config.l2
+        i_distances, l1i_miss = lookup(l1i.sets, l1i.line_size,
+                                       l1i.associativity, pcs)
+        d_distances, l1d_miss = lookup(l1d.sets, l1d.line_size,
+                                       l1d.associativity, data_addrs)
+        _, itlb_miss = lookup(1, config.itlb.page_size, config.itlb.entries,
+                              pcs)
+        _, dtlb_miss = lookup(1, config.dtlb.page_size, config.dtlb.entries,
+                              data_addrs)
+        # The unified L2 sees the L1 misses in trace order, fetch first.
+        l2_addrs, sides, positions = _interleave_l2_stream(
+            pcs, np.arange(n, dtype=np.int64), memory_at, data_addrs,
+            i_distances, d_distances, l1i.associativity, l1d.associativity,
+        )
+        _, l2_miss = lookup(l2.sets, l2.line_size, l2.associativity, l2_addrs)
+        instruction_side = sides == INSTRUCTION_SIDE
+        data_side = ~instruction_side
+        beyond_l1 = np.where(l2_miss, config.l2_hit_cycles + config.memory_cycles,
+                             config.l2_hit_cycles)
+
+        walk = config.tlb_miss_cycles
+        fetch = config.l1_hit_cycles + walk * itlb_miss.astype(np.int64)
+        fetch[positions[instruction_side]] += beyond_l1[instruction_side]
+        data = np.zeros(n, dtype=np.int64)
+        data[memory_at] = config.l1_hit_cycles + walk * dtlb_miss
+        data[positions[data_side]] += beyond_l1[data_side]
+
+        control = np.where(op_classes == _JUMP_ID, CONTROL_TAKEN, CONTROL_NONE)
+        branch_at = np.flatnonzero(op_classes == _BRANCH_ID)
+        taken = _as_i8(trace.taken)[branch_at] == 1
+        mispredicted = _mispredictions(machine.branch_predictor,
+                                       pcs[branch_at], taken)
+        control[branch_at] = np.where(
+            mispredicted, CONTROL_MISPREDICT,
+            np.where(taken, CONTROL_TAKEN, CONTROL_NONE),
+        )
+
+        stats = HierarchyStats(
+            instruction_accesses=n,
+            data_accesses=int(memory_at.size),
+            l1i_misses=int(np.count_nonzero(l1i_miss)),
+            l1d_misses=int(np.count_nonzero(l1d_miss)),
+            il2_misses=int(np.count_nonzero(l2_miss & instruction_side)),
+            dl2_misses=int(np.count_nonzero(l2_miss & data_side)),
+            itlb_misses=int(np.count_nonzero(itlb_miss)),
+            dtlb_misses=int(np.count_nonzero(dtlb_miss)),
+        )
+        return PipelineEvents(fetch.tolist(), data.tolist(), control.tolist(),
+                              stats)
 
     def dependency_stream(self, statics, max_distance: int):
         table = _dependency_static_table(statics)

@@ -192,9 +192,10 @@ def evaluate_group_timed(
 
     The returned mapping accounts the group's wall time to the data-plane
     stages ``attach`` (trace transport into this session), ``profile``
-    (miss profiles + program profiles through the single-pass engine) and
+    (miss profiles + program profiles through the single-pass engine),
     ``model`` (mechanistic-model evaluation; scalar backends fold their
-    profiling in here).  This is the :meth:`Session.map` work unit the
+    profiling in here) and ``simulate`` (the cycle-accurate simulator
+    backend).  This is the :meth:`Session.map` work unit the
     batch layer dispatches, so stage timings ride back with each group's
     results and are merged into the parent session.  When tracing is
     enabled the group and its stages become spans — children of whatever
@@ -301,34 +302,39 @@ def _evaluate_group_body(
         emit_span("planner.model", stages["model"],
                   workload=group.workload, points=len(batched))
 
-    remaining = [position for position in range(len(group.requests))
-                 if results[position] is None]
-    if remaining:
+    # Scalar backends interleave profiling with the model: their whole
+    # time is booked to the model stage rather than guessing a split —
+    # except the cycle-accurate simulator's, which is the simulate stage.
+    by_stage: dict[str, list[int]] = {}
+    for position in range(len(group.requests)):
+        if results[position] is None:
+            canonical = BACKENDS.canonical(group.requests[position].backend)
+            stage = "simulate" if canonical == "simulator" else "model"
+            by_stage.setdefault(stage, []).append(position)
+    for stage, positions in by_stage.items():
         started = time.perf_counter()
-    for position in remaining:
-        request = group.requests[position]
-        backend = get_backend(request.backend)
-        machine, label = resolved(request)
-        point = backend.evaluate(
-            session, workload, machine,
-            with_power=request.with_power, mlp_window=request.mlp_window,
-        )
-        results[position] = EvalResult(
-            request=request,
-            backend=BACKENDS.canonical(request.backend),
-            workload=workload.name,
-            machine=label,
-            instructions=point.instructions,
-            cycles=point.cycles,
-            seconds=point.execution_time_seconds,
-            cpi_stack=point.cpi_stack,
-            energy_joules=point.energy_joules,
-        )
-    if remaining:
-        # Scalar backends interleave profiling with the model; account the
-        # whole fallback to the model stage rather than guessing a split.
-        elapsed = time.perf_counter() - started
-        stages["model"] = stages.get("model", 0.0) + elapsed
-        emit_span("planner.model", elapsed, workload=group.workload,
-                  points=len(remaining))
+        # A live span (not a back-dated one): the backend's own spans —
+        # the simulator's run, the session's profiling — nest under it.
+        with span(f"planner.{stage}", workload=group.workload,
+                  points=len(positions)):
+            for position in positions:
+                request = group.requests[position]
+                machine, label = resolved(request)
+                point = get_backend(request.backend).evaluate(
+                    session, workload, machine,
+                    with_power=request.with_power,
+                    mlp_window=request.mlp_window,
+                )
+                results[position] = EvalResult(
+                    request=request,
+                    backend=BACKENDS.canonical(request.backend),
+                    workload=workload.name,
+                    machine=label,
+                    instructions=point.instructions,
+                    cycles=point.cycles,
+                    seconds=point.execution_time_seconds,
+                    cpi_stack=point.cpi_stack,
+                    energy_joules=point.energy_joules,
+                )
+        stages[stage] = stages.get(stage, 0.0) + time.perf_counter() - started
     return results, stages

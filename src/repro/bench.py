@@ -24,6 +24,10 @@ Times the paths every PR is expected to keep fast:
 * ``accel_vs_python``      — the identical sweep forced onto the
   pure-Python kernel backend; ``sweep_table2``'s median divided into this
   one is the kernel-layer speedup (reported as ``accel_speedup``),
+* ``simulate_table2``      — the cycle-accurate in-order simulator over
+  the 24 reduced-space machines on sha and qsort, every simulation
+  uncached (trace generation excluded), with the active kernel backend
+  computing its miss-event columns; the entry names the simulator timed,
 * ``sharded_evaluate_many`` — all 19 MiBench workloads x 4 machine
   presets through ``evaluate_many`` sharded across a **persistent 4-worker
   pool**, four consecutive batches over parent-held traces on the active
@@ -313,6 +317,35 @@ def bench_sweep_table2() -> float:
 def bench_accel_vs_python() -> float:
     """The identical sweep on the pure-Python kernels (the speedup baseline)."""
     return _timed_table2_sweep("python")
+
+
+#: Workloads the ``simulate_table2`` bench simulates.
+SIMULATE_WORKLOADS = ("sha", "qsort")
+
+
+def bench_simulate_table2() -> tuple[float, dict]:
+    """The in-order simulator over the 24 reduced-space machines x 2 traces.
+
+    The traces are built before the timed region; every simulation inside
+    it runs in full, its miss-event columns included — nothing caches
+    a simulated result.
+    """
+    from repro.accel import get_kernels
+    from repro.dse.space import reduced_design_space
+    from repro.pipeline.inorder import InOrderPipeline
+
+    traces = [get_workload(name).trace() for name in SIMULATE_WORKLOADS]
+    machines = reduced_design_space().to_sweep(()).configurations()
+    start = time.perf_counter()
+    for trace in traces:
+        for machine in machines:
+            InOrderPipeline(machine).run(trace)
+    elapsed = time.perf_counter() - start
+    return elapsed, {
+        "simulator": f"InOrderPipeline ({get_kernels().name} events)",
+        "points": len(traces) * len(machines),
+        "instructions": sum(len(trace) for trace in traces) * len(machines),
+    }
 
 
 def _timed_sharded_evaluate_many(plane: str) -> tuple[float, dict]:
@@ -747,6 +780,7 @@ BENCHES = {
     "service_warm_eval": bench_service_warm_eval,
     "sweep_table2": bench_sweep_table2,
     "accel_vs_python": bench_accel_vs_python,
+    "simulate_table2": bench_simulate_table2,
     "sharded_evaluate_many": bench_sharded_evaluate_many,
     "sharded_evaluate_many_payload": bench_sharded_evaluate_many_payload,
     "obs_overhead": bench_obs_overhead,

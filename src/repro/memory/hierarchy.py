@@ -1,9 +1,12 @@
 """Two-level cache hierarchy with TLBs.
 
-The hierarchy is shared by the profiler and by the detailed pipeline
-simulators so that both observe exactly the same miss events for a given
-trace and configuration — the key property the paper relies on when
-validating the analytical model against detailed simulation.
+The hierarchy is the reference for every miss event: the exact replay
+profiler walks it, and so does the reference computation of the detailed
+pipeline simulators' per-instruction events
+(:meth:`repro.accel.Kernels.pipeline_events`), so the profiler and the
+simulators observe exactly the same miss events for a given trace and
+configuration — the key property the paper relies on when validating the
+analytical model against detailed simulation.
 """
 
 from __future__ import annotations

@@ -21,22 +21,63 @@ Wrong-path instructions are not replayed (their effect is modelled as lost
 fetch cycles), which is the standard trace-driven simplification and matches
 the first-order assumptions of the analytical model being validated.
 
-The cache hierarchy and the branch predictor are consulted once per dynamic
-instruction in trace order — exactly like the profiler in
-:mod:`repro.profiler` — so the detailed simulator and the analytical model
-observe identical miss-event counts for a given configuration.
+The miss events come precomputed, one column each, from the active kernel
+backend (:meth:`repro.accel.Kernels.pipeline_events`): every instruction's
+fetch latency, data-access latency and branch outcome, exactly as a cache
+hierarchy and branch predictor consulted once per instruction in trace order
+would see them — which is also how the profiler in :mod:`repro.profiler`
+counts them, so the detailed simulator and the analytical model observe
+identical miss-event counts for a given configuration.  What remains here is
+the timing recurrence alone, over those columns and a table of each static
+instruction's operands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.branch.predictors import make_predictor
+from repro.accel import get_kernels
+from repro.accel.kernels import CONTROL_MISPREDICT, CONTROL_TAKEN
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import NUM_INT_REGS
 from repro.machine import BACKEND_STAGES, MachineConfig
-from repro.memory.hierarchy import CacheHierarchy, HierarchyStats
+from repro.memory.hierarchy import HierarchyStats
+from repro.obs.tracing import span
 from repro.trace.trace import Trace
+
+#: Execute behaviour of a static instruction in :func:`static_table`.
+KIND_UNIT = 0       # single-cycle ALU, control or nop
+KIND_LONG = 1       # multiply / divide: occupies execute for its latency
+KIND_MEMORY = 2     # load / store: latency from the data-event column
+
+#: ``reg_ready`` slot written by instructions without a destination, and
+#: the slot read in place of a missing source (never written, always 0).
+NO_DEST = NUM_INT_REGS
+NO_SOURCE = NUM_INT_REGS + 1
+
+
+def static_table(statics, machine: MachineConfig) -> list[tuple]:
+    """``(source 1, source 2, destination, kind, latency)`` per static.
+
+    Missing operands name the :data:`NO_SOURCE` / :data:`NO_DEST` slots, so
+    the simulators read and write registers without a length test; the
+    latency is the execute latency of a :data:`KIND_LONG` instruction.
+    """
+    table = []
+    for instruction in statics:
+        # An instruction reads at most its two source fields.
+        sources = instruction.src_regs() + (NO_SOURCE, NO_SOURCE)
+        dests = instruction.dest_regs()
+        op_class = instruction.op_class
+        if op_class in (OpClass.INT_MUL, OpClass.INT_DIV):
+            kind = KIND_LONG
+        elif op_class.is_memory:
+            kind = KIND_MEMORY
+        else:
+            kind = KIND_UNIT
+        table.append((sources[0], sources[1], dests[0] if dests else NO_DEST,
+                      kind, machine.execute_latency(op_class)))
+    return table
 
 
 @dataclass
@@ -71,143 +112,135 @@ class InOrderPipeline:
 
     def run(self, trace: Trace) -> InOrderResult:
         machine = self.machine
-        width = machine.width
-        depth = machine.frontend_depth
-        capacity = max(1, depth * width)
-
-        hierarchy = CacheHierarchy(machine.memory_hierarchy_config())
-        predictor = make_predictor(machine.branch_predictor)
-
-        # Earliest cycle at which a consumer of each register may enter execute.
-        reg_ready = [0] * NUM_INT_REGS
-        # Issue cycles of the most recent `capacity` instructions (front-end
-        # backpressure) — a ring buffer indexed by sequence number.
-        recent_issues = [0] * capacity
-
-        fetch_cycle = 0          # cycle in which the next instruction is fetched
-        fetch_slots = 0          # instructions already fetched in that cycle
-        exec_free = 0            # earliest cycle execute accepts a new instruction
-        last_issue = -1          # issue cycle of the previous instruction
-        issued_in_cycle = 0      # how many instructions issued in `last_issue`
-        redirect_at = -1         # pending fetch redirect (branch misprediction)
-
-        mispredictions = 0
-        taken_bubbles = 0
-        issue = 0
-
-        for index, dyn in enumerate(trace):
-            instruction = dyn.instruction
-
-            # ----------------------------------------------------------
-            # Fetch.
-            # ----------------------------------------------------------
-            if redirect_at >= 0:
-                # The previous (mispredicted) branch redirects fetch when it
-                # resolves at the end of its execute cycle.
-                if redirect_at > fetch_cycle or fetch_slots:
-                    fetch_cycle = max(fetch_cycle, redirect_at)
-                    fetch_slots = 0
-                redirect_at = -1
-
-            # Front-end buffering: instruction `index` can only be fetched
-            # once instruction `index - capacity` has left the front end.
-            if index >= capacity:
-                oldest_issue = recent_issues[index % capacity]
-                if oldest_issue > fetch_cycle:
-                    fetch_cycle = oldest_issue
-                    fetch_slots = 0
-
-            outcome, itlb_miss = hierarchy.access_instruction(dyn.pc)
-            fetch_latency = hierarchy.latency_of(outcome, itlb_miss)
-            if fetch_latency > 1:
-                # The I-cache (or ITLB) miss stalls fetch; this instruction is
-                # delivered once the line arrives, starting a fresh group.
-                fetch_cycle += fetch_latency - 1 + (1 if fetch_slots else 0)
-                fetch_slots = 0
-
-            fetched_at = fetch_cycle
-            fetch_slots += 1
-            if fetch_slots >= width:
-                fetch_cycle += 1
-                fetch_slots = 0
-
-            available = fetched_at + depth
-
-            # Branch prediction happens alongside fetch/decode.
-            taken_bubble = False
-            mispredicted = False
-            if dyn.is_control:
-                actually_taken = bool(dyn.taken)
-                if instruction.is_branch:
-                    prediction = predictor.predict(dyn.pc)
-                    predictor.update(dyn.pc, actually_taken)
-                    mispredicted = prediction != actually_taken
-                    taken_bubble = (not mispredicted) and actually_taken
-                else:
-                    # Unconditional jumps are always predicted taken.
-                    taken_bubble = True
-                if taken_bubble:
-                    taken_bubbles += 1
-                    # The redirect to the target is known one cycle after the
-                    # branch was fetched: the next fetch cycle is a bubble.
-                    fetch_cycle = max(fetch_cycle, fetched_at + 2)
-                    fetch_slots = 0
-                if mispredicted:
-                    mispredictions += 1
-
-            # ----------------------------------------------------------
-            # Issue (decode -> execute).
-            # ----------------------------------------------------------
-            issue = max(available, exec_free, last_issue)
-            for source in instruction.src_regs():
-                ready = reg_ready[source]
-                if ready > issue:
-                    issue = ready
-            if issue == last_issue and issued_in_cycle >= width:
-                issue += 1
-            if issue == last_issue:
-                issued_in_cycle += 1
-            else:
-                last_issue = issue
-                issued_in_cycle = 1
-            recent_issues[index % capacity] = issue
-
-            # ----------------------------------------------------------
-            # Execute / memory behaviour.
-            # ----------------------------------------------------------
-            op_class = dyn.op_class
-            if op_class in (OpClass.INT_MUL, OpClass.INT_DIV):
-                latency = machine.execute_latency(op_class)
-                exec_free = max(exec_free, issue + latency)
-                for dest in instruction.dest_regs():
-                    reg_ready[dest] = issue + latency
-            elif op_class.is_memory:
-                data_outcome, dtlb_miss = hierarchy.access_data(
-                    dyn.mem_addr or 0, is_store=dyn.is_store
-                )
-                access_latency = hierarchy.latency_of(data_outcome, dtlb_miss)
-                if access_latency > 1:
-                    # The memory stage blocks; nothing may enter execute while
-                    # the miss (or multi-cycle hit) is outstanding.
-                    exec_free = max(exec_free, issue + access_latency)
-                for dest in instruction.dest_regs():
-                    # Loads produce their value at the end of the memory stage.
-                    reg_ready[dest] = issue + 1 + access_latency
-            else:
-                for dest in instruction.dest_regs():
-                    reg_ready[dest] = issue + 1
-
-            if mispredicted:
-                # Fetch restarts at the correct target once the branch has
-                # executed (end of its execute cycle).
-                redirect_at = issue + 1
-
-        total_cycles = max(issue, exec_free) + BACKEND_STAGES
+        with span("pipeline.inorder", workload=trace.name,
+                  instructions=len(trace)):
+            events = get_kernels().pipeline_events(trace, machine)
+            cycles = _simulate(machine, trace, events)
         return InOrderResult(
             machine=machine,
             instructions=len(trace),
-            cycles=total_cycles,
-            mispredictions=mispredictions,
-            taken_bubbles=taken_bubbles,
-            hierarchy_stats=hierarchy.stats,
+            cycles=cycles,
+            mispredictions=events.control.count(CONTROL_MISPREDICT),
+            taken_bubbles=events.control.count(CONTROL_TAKEN),
+            hierarchy_stats=events.stats,
         )
+
+
+def _simulate(machine: MachineConfig, trace: Trace, events) -> int:
+    """The timing recurrence over the event columns; returns total cycles."""
+    width = machine.width
+    depth = machine.frontend_depth
+    capacity = max(1, depth * width)
+    table = static_table(trace.statics, machine)
+
+    # Earliest cycle at which a consumer of each register may enter
+    # execute, plus the NO_DEST and NO_SOURCE slots.
+    reg_ready = [0] * (NUM_INT_REGS + 2)
+    # Issue cycles of the most recent `capacity` instructions (front-end
+    # backpressure) — a ring buffer.  Its initial zeros never stall fetch,
+    # so the first `capacity` instructions need no special case.
+    recent_issues = [0] * capacity
+    ring = 0
+
+    fetch_cycle = 0          # cycle in which the next instruction is fetched
+    fetch_slots = 0          # instructions already fetched in that cycle
+    exec_free = 0            # earliest cycle execute accepts a new instruction
+    last_issue = -1          # issue cycle of the previous instruction
+    issued_in_cycle = 0      # how many instructions issued in `last_issue`
+    redirect_at = -1         # pending fetch redirect (branch misprediction)
+    issue = 0
+
+    for slot, fetch_latency, data_latency, control in zip(
+        trace.static_index, events.fetch, events.data, events.control
+    ):
+        # --------------------------------------------------------------
+        # Fetch.
+        # --------------------------------------------------------------
+        if redirect_at >= 0:
+            # The previous (mispredicted) branch redirects fetch when it
+            # resolves at the end of its execute cycle.
+            if redirect_at > fetch_cycle or fetch_slots:
+                if redirect_at > fetch_cycle:
+                    fetch_cycle = redirect_at
+                fetch_slots = 0
+            redirect_at = -1
+
+        # Front-end buffering: an instruction can only be fetched once the
+        # one `capacity` places earlier has left the front end.
+        oldest_issue = recent_issues[ring]
+        if oldest_issue > fetch_cycle:
+            fetch_cycle = oldest_issue
+            fetch_slots = 0
+
+        if fetch_latency > 1:
+            # The I-cache (or ITLB) miss stalls fetch; this instruction is
+            # delivered once the line arrives, starting a fresh group.
+            fetch_cycle += fetch_latency - 1 + (1 if fetch_slots else 0)
+            fetch_slots = 0
+
+        fetched_at = fetch_cycle
+        fetch_slots += 1
+        if fetch_slots >= width:
+            fetch_cycle += 1
+            fetch_slots = 0
+
+        if control == CONTROL_TAKEN:
+            # The redirect to the target is known one cycle after the
+            # branch was fetched: the next fetch cycle is a bubble.
+            if fetched_at + 2 > fetch_cycle:
+                fetch_cycle = fetched_at + 2
+            fetch_slots = 0
+
+        # --------------------------------------------------------------
+        # Issue (decode -> execute).
+        # --------------------------------------------------------------
+        source1, source2, dest, kind, latency = table[slot]
+        issue = fetched_at + depth
+        if exec_free > issue:
+            issue = exec_free
+        if last_issue > issue:
+            issue = last_issue
+        ready = reg_ready[source1]
+        if ready > issue:
+            issue = ready
+        ready = reg_ready[source2]
+        if ready > issue:
+            issue = ready
+        if issue == last_issue:
+            if issued_in_cycle >= width:
+                issue += 1
+                last_issue = issue
+                issued_in_cycle = 1
+            else:
+                issued_in_cycle += 1
+        else:
+            last_issue = issue
+            issued_in_cycle = 1
+        recent_issues[ring] = issue
+        ring += 1
+        if ring == capacity:
+            ring = 0
+
+        # --------------------------------------------------------------
+        # Execute / memory behaviour.
+        # --------------------------------------------------------------
+        if kind == KIND_UNIT:
+            reg_ready[dest] = issue + 1
+        elif kind == KIND_MEMORY:
+            if data_latency > 1 and issue + data_latency > exec_free:
+                # The memory stage blocks; nothing may enter execute while
+                # the miss (or multi-cycle hit) is outstanding.
+                exec_free = issue + data_latency
+            # Loads produce their value at the end of the memory stage.
+            reg_ready[dest] = issue + 1 + data_latency
+        else:
+            if issue + latency > exec_free:
+                exec_free = issue + latency
+            reg_ready[dest] = issue + latency
+
+        if control == CONTROL_MISPREDICT:
+            # Fetch restarts at the correct target once the branch has
+            # executed (end of its execute cycle).
+            redirect_at = issue + 1
+
+    return max(issue, exec_free) + BACKEND_STAGES

@@ -11,17 +11,24 @@ comparison:
 * branch mispredictions redirect fetch when the branch executes, so the
   penalty includes the branch resolution time plus the front-end refill,
 * long-latency arithmetic does not block independent younger instructions.
+
+Like the in-order core it is driven from the active kernel backend's
+per-instruction miss-event columns
+(:meth:`repro.accel.Kernels.pipeline_events`) and the per-static operand
+table of :func:`repro.pipeline.inorder.static_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.branch.predictors import make_predictor
-from repro.isa.opcodes import OpClass
+from repro.accel import get_kernels
+from repro.accel.kernels import CONTROL_MISPREDICT, CONTROL_TAKEN
 from repro.isa.registers import NUM_INT_REGS
 from repro.machine import BACKEND_STAGES, MachineConfig
-from repro.memory.hierarchy import CacheHierarchy, HierarchyStats
+from repro.memory.hierarchy import HierarchyStats
+from repro.obs.tracing import span
+from repro.pipeline.inorder import KIND_LONG, KIND_MEMORY, static_table
 from repro.trace.trace import Trace
 
 
@@ -67,16 +74,32 @@ class OutOfOrderPipeline:
 
     def run(self, trace: Trace) -> OutOfOrderResult:
         machine = self.machine
+        with span("pipeline.ooo", workload=trace.name,
+                  instructions=len(trace)):
+            events = get_kernels().pipeline_events(trace, machine)
+            cycles = self._simulate(trace, events)
+        return OutOfOrderResult(
+            machine=machine,
+            instructions=len(trace),
+            cycles=cycles,
+            mispredictions=events.control.count(CONTROL_MISPREDICT),
+            hierarchy_stats=events.stats,
+        )
+
+    def _simulate(self, trace: Trace, events) -> int:
+        """The timing recurrence over the event columns; returns cycles."""
+        machine = self.machine
         width = machine.width
         depth = machine.frontend_depth
         rob_size = self.ooo.rob_size
         mshrs = self.ooo.mshrs
+        table = static_table(trace.statics, machine)
 
-        hierarchy = CacheHierarchy(machine.memory_hierarchy_config())
-        predictor = make_predictor(machine.branch_predictor)
-
-        reg_ready = [0] * NUM_INT_REGS
-        commit_history = [0] * rob_size        # commit cycles, ring buffer
+        reg_ready = [0] * (NUM_INT_REGS + 2)   # plus the NO_DEST/NO_SOURCE slots
+        # Commit cycles, ring buffer.  Its initial zeros never hold back
+        # dispatch, so a not-yet-full ROB needs no special case.
+        commit_history = [0] * rob_size
+        ring = 0
         outstanding_misses: list[int] = []     # completion cycles of in-flight misses
 
         fetch_cycle = 0
@@ -86,20 +109,18 @@ class OutOfOrderPipeline:
         last_commit = -1
         committed_in_cycle = 0
         redirect_at = -1
-        mispredictions = 0
         commit = 0
 
-        for index, dyn in enumerate(trace):
-            instruction = dyn.instruction
-
+        for slot, fetch_latency, data_latency, control, taken in zip(
+            trace.static_index, events.fetch, events.data, events.control,
+            trace.taken,
+        ):
             # ---------------- fetch ----------------
             if redirect_at >= 0:
                 fetch_cycle = max(fetch_cycle, redirect_at)
                 fetch_slots = 0
                 redirect_at = -1
 
-            outcome, itlb_miss = hierarchy.access_instruction(dyn.pc)
-            fetch_latency = hierarchy.latency_of(outcome, itlb_miss)
             if fetch_latency > 1:
                 fetch_cycle += fetch_latency - 1 + (1 if fetch_slots else 0)
                 fetch_slots = 0
@@ -109,23 +130,16 @@ class OutOfOrderPipeline:
                 fetch_cycle += 1
                 fetch_slots = 0
 
-            mispredicted = False
-            if dyn.is_control:
-                actually_taken = bool(dyn.taken)
-                if instruction.is_branch:
-                    prediction = predictor.predict(dyn.pc)
-                    predictor.update(dyn.pc, actually_taken)
-                    mispredicted = prediction != actually_taken
-                if actually_taken and not mispredicted:
-                    # Taken transfers cost one fetch bubble, as on the in-order core.
-                    fetch_cycle = max(fetch_cycle, fetched_at + 2)
-                    fetch_slots = 0
+            if control == CONTROL_TAKEN and taken == 1:
+                # Taken transfers cost one fetch bubble, as on the in-order
+                # core — but here an unconditional jump only if it was taken.
+                fetch_cycle = max(fetch_cycle, fetched_at + 2)
+                fetch_slots = 0
 
             # ---------------- dispatch ----------------
-            dispatch = max(fetched_at + depth, last_dispatch)
-            if index >= rob_size:
-                # ROB full: wait until the oldest occupant has committed.
-                dispatch = max(dispatch, commit_history[index % rob_size])
+            # ROB full: wait until the oldest occupant has committed.
+            dispatch = max(fetched_at + depth, last_dispatch,
+                           commit_history[ring])
             if dispatch == last_dispatch and dispatched_in_cycle >= width:
                 dispatch += 1
             if dispatch == last_dispatch:
@@ -135,21 +149,14 @@ class OutOfOrderPipeline:
                 dispatched_in_cycle = 1
 
             # ---------------- issue / execute (dataflow) ----------------
-            ready = dispatch
-            for source in instruction.src_regs():
-                if reg_ready[source] > ready:
-                    ready = reg_ready[source]
+            source1, source2, dest, kind, latency = table[slot]
+            ready = max(dispatch, reg_ready[source1], reg_ready[source2])
 
-            op_class = dyn.op_class
-            if op_class in (OpClass.INT_MUL, OpClass.INT_DIV):
-                finish = ready + machine.execute_latency(op_class)
-            elif op_class.is_memory:
-                data_outcome, dtlb_miss = hierarchy.access_data(
-                    dyn.mem_addr or 0, is_store=dyn.is_store
-                )
-                access_latency = hierarchy.latency_of(data_outcome, dtlb_miss)
+            if kind == KIND_LONG:
+                finish = ready + latency
+            elif kind == KIND_MEMORY:
                 start = ready
-                if access_latency > 1:
+                if data_latency > 1:
                     # Limited MSHRs: a new miss waits until a slot frees up.
                     outstanding_misses = [
                         done for done in outstanding_misses if done > start
@@ -159,16 +166,14 @@ class OutOfOrderPipeline:
                         outstanding_misses = [
                             done for done in outstanding_misses if done > start
                         ]
-                    outstanding_misses.append(start + access_latency)
-                finish = start + access_latency
+                    outstanding_misses.append(start + data_latency)
+                finish = start + data_latency
             else:
                 finish = ready + 1
 
-            for dest in instruction.dest_regs():
-                reg_ready[dest] = finish
+            reg_ready[dest] = finish
 
-            if mispredicted:
-                mispredictions += 1
+            if control == CONTROL_MISPREDICT:
                 redirect_at = finish + 1
 
             # ---------------- commit ----------------
@@ -180,13 +185,9 @@ class OutOfOrderPipeline:
             else:
                 last_commit = commit
                 committed_in_cycle = 1
-            commit_history[index % rob_size] = commit
+            commit_history[ring] = commit
+            ring += 1
+            if ring == rob_size:
+                ring = 0
 
-        total_cycles = commit + BACKEND_STAGES
-        return OutOfOrderResult(
-            machine=machine,
-            instructions=len(trace),
-            cycles=total_cycles,
-            mispredictions=mispredictions,
-            hierarchy_stats=hierarchy.stats,
-        )
+        return commit + BACKEND_STAGES

@@ -469,7 +469,9 @@ class StageTimings:
     ``attach`` (worker maps a segment or rebuilds a payload trace),
     ``profile`` (single-pass engine passes + program profiles), ``model``
     (mechanistic-model evaluation; scalar backends fold their profiling
-    in here) and ``collect`` (parent-side result reassembly).  Worker
+    in here) and ``collect`` (parent-side result reassembly), plus
+    ``simulate`` (the cycle-accurate simulator backend) for batches that
+    have simulator points — reported after the canonical five.  Worker
     timings travel back with each group's results and are merged here.
 
     A thin adapter over a :class:`~repro.obs.metrics.MetricsRegistry`

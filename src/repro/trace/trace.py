@@ -5,9 +5,10 @@ Storage is columnar (struct of arrays): a :class:`Trace` keeps one packed
 ``mem_addrs``, ``op_classes``, ``taken``, ``static_index``) plus the tuple of
 distinct static :class:`~repro.isa.instructions.Instruction` objects the
 ``static_index`` column points into.  The profilers and the design-space
-engine walk these arrays directly; the per-instruction
-:class:`DynamicInstruction` dataclass survives as a lazily materialized
-compatibility facade for the pipeline simulators and the tests.
+engine walk these arrays directly, and so do the pipeline simulators; the
+per-instruction :class:`DynamicInstruction` dataclass survives as a lazily
+materialized compatibility facade for the exact replay profiler and the
+tests.
 """
 
 from __future__ import annotations

@@ -131,6 +131,32 @@ class TestSpans:
         assert stage["dur"] == pytest.approx(250_000, rel=0.01)
         assert stage["ts"] < outer["ts"] + outer["dur"]
 
+    def test_simulators_and_simulate_stage_emit_spans(self, tmp_path):
+        from repro.pipeline import InOrderPipeline, OutOfOrderPipeline
+        from repro.workloads import get_workload
+
+        out = tmp_path / "spans.jsonl"
+        tracing.configure(str(out))
+        trace = get_workload("sha").trace()
+        InOrderPipeline(DEFAULT_MACHINE).run(trace)
+        OutOfOrderPipeline(DEFAULT_MACHINE).run(trace)
+        evaluate_many([
+            EvalRequest(workload=WorkloadSpec("sha"), backend="simulator",
+                        machine=MachineSpec.make(width=width))
+            for width in (1, 2)
+        ])
+        events = _events(out)
+        names = [event["name"] for event in events]
+        assert names.count("pipeline.inorder") == 3
+        assert names.count("pipeline.ooo") == 1
+        assert "planner.model" not in names
+        (simulate,) = [e for e in events if e["name"] == "planner.simulate"]
+        # The simulator's own span nests under the planner stage.
+        nested = [e for e in events if e["name"] == "pipeline.inorder"
+                  and e["args"].get("parent_id")
+                  == simulate["args"]["span_id"]]
+        assert len(nested) == 2
+
     def test_configure_from_env(self, tmp_path):
         out = tmp_path / "spans.jsonl"
         os.environ[tracing.TRACE_ENV] = str(out)

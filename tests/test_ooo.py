@@ -1,10 +1,13 @@
 """Tests for the out-of-order pipeline simulator and interval model."""
 
+import hashlib
+
 import pytest
 
 from repro.core import InOrderMechanisticModel, OutOfOrderIntervalModel
 from repro.core.cpi_stack import CPIComponent
 from repro.core.ooo import OutOfOrderModelConfig
+from repro.dse.space import reduced_design_space
 from repro.isa import ProgramBuilder
 from repro.machine import MachineConfig
 from repro.pipeline import InOrderPipeline, OutOfOrderPipeline
@@ -12,6 +15,7 @@ from repro.pipeline.ooo import OutOfOrderConfig
 from repro.profiler import profile_machine, profile_program
 from repro.trace import FunctionalSimulator
 from repro.workloads import get_workload
+from repro.workloads.registry import suite_names
 
 
 def fast_machine(**overrides) -> MachineConfig:
@@ -81,6 +85,21 @@ class TestOutOfOrderPipeline:
         assert result.mispredictions > 0
         assert result.cpi > 0
         assert result.ipc == pytest.approx(1.0 / result.cpi)
+
+    def test_pinned_cycle_digest(self):
+        """The column-driven core matches the object-replay one it replaced:
+        sha256 over ``"<workload> <machine> <cycles> <mispredictions>\\n"``
+        for the 19 MiBench workloads x every 6th reduced-space point."""
+        digest = hashlib.sha256()
+        machines = reduced_design_space().to_sweep(()).configurations()[::6]
+        for name in suite_names("mibench"):
+            trace = get_workload(name).trace()
+            for machine in machines:
+                result = OutOfOrderPipeline(machine).run(trace)
+                digest.update(f"{name} {machine.name} {result.cycles} "
+                              f"{result.mispredictions}\n".encode())
+        assert digest.hexdigest() == (
+            "a9c346c5694efc4b0b1fb7099869896f9ece561eee792881528e2c6fa041694b")
 
 
 class TestOutOfOrderIntervalModel:

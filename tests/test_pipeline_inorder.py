@@ -4,15 +4,30 @@ Absolute cycle counts include cold-cache effects, so most tests compare two
 runs that differ in exactly one property (dependencies, latencies, width,
 prediction) and check the difference against the microarchitectural
 expectation.
+
+The simulator is driven from the kernel backend's miss-event columns; the
+parity tests at the end hold it bit-identical to the object-replay oracle
+in ``inorder_oracle.py``, hold the two kernel backends' event columns
+equal, and pin a digest of its cycle counts over the reduced design space.
 """
 
-import pytest
+import hashlib
 
+import pytest
+from inorder_oracle import run_oracle
+
+from repro.accel import PythonKernels
+from repro.branch.predictors import PREDICTORS, BranchPredictor, predictor_names
+from repro.dse.space import reduced_design_space
 from repro.isa import ProgramBuilder
 from repro.machine import MachineConfig
 from repro.pipeline import InOrderPipeline
 from repro.profiler import profile_machine
 from repro.trace import FunctionalSimulator, MemoryImage
+from repro.trace.trace import Trace
+from repro.workloads import get_workload
+from repro.workloads.registry import suite_names
+from repro.workloads.synthetic import SyntheticWorkloadSpec, generate_synthetic_trace
 
 
 def run_trace(builder: ProgramBuilder, machine: MachineConfig,
@@ -229,3 +244,120 @@ class TestBranches:
         # 49 correctly predicted taken branches.
         assert result.taken_bubbles == 49
         assert result.mispredictions == 1
+
+
+# ----------------------------------------------------------------------
+# Bit identity: oracle, kernel backends, pinned digest.
+# ----------------------------------------------------------------------
+MIBENCH = suite_names("mibench")
+REDUCED_SPACE = tuple(reduced_design_space().to_sweep(()).configurations())
+
+#: Every 6th reduced-space point plus the default machine with each of the
+#: registered predictors.
+ORACLE_MACHINES = REDUCED_SPACE[::6] + tuple(
+    MachineConfig(branch_predictor=spec, name=spec) for spec in predictor_names()
+)
+
+#: Geometries and latencies the reduced space fixes, for the event columns.
+EVENT_MACHINES = (
+    MachineConfig(name="default"),
+    MachineConfig(name="tiny_l1", l1i_size=8 * 1024, l1i_associativity=2,
+                  l1d_size=8 * 1024, l1d_associativity=2,
+                  branch_predictor="always_not_taken"),
+    MachineConfig(name="narrow_lines", line_size=32, l2_size=256 * 1024,
+                  l1_hit_cycles=2, branch_predictor="hybrid_3.5kb"),
+    MachineConfig(name="tiny_tlb", tlb_entries=4, page_size=1024,
+                  branch_predictor="always_taken"),
+    MachineConfig(name="direct_mapped", l1i_associativity=1,
+                  l1d_associativity=1, l2_associativity=1,
+                  branch_predictor="bimodal"),
+)
+
+#: sha256 over ``"<workload> <machine> <cycles> <mispredictions>
+#: <taken_bubbles>\n"`` for the 19 MiBench workloads x the 24 reduced-space
+#: points, in that order — recorded from the object-replay simulator.
+PINNED_DIGEST = "243688a1d00593a4ce635393f70ad10205efceb4abc3c09cbfdec5c13acec04a"
+
+
+def _fields(result) -> tuple:
+    return (result.cycles, result.mispredictions, result.taken_bubbles,
+            result.hierarchy_stats)
+
+
+def _oracle_copy(trace: Trace) -> Trace:
+    """The oracle walks the per-instruction facade, which a trace keeps
+    once built: give it a copy, so the shared cached traces stay columnar."""
+    return Trace.from_columns(**trace.columns())
+
+
+@pytest.mark.parametrize("name", MIBENCH)
+def test_matches_object_replay_oracle(name):
+    trace = get_workload(name).trace()
+    oracle_trace = _oracle_copy(trace)
+    for machine in ORACLE_MACHINES:
+        assert _fields(InOrderPipeline(machine).run(trace)) == _fields(
+            run_oracle(machine, oracle_trace)), machine.name
+
+
+def test_matches_oracle_on_synthetic_traces():
+    for seed in (1, 2, 3):
+        trace = generate_synthetic_trace(
+            SyntheticWorkloadSpec(name=f"synthetic-{seed}", seed=seed,
+                                  instructions=4000))
+        for machine in EVENT_MACHINES:
+            assert _fields(InOrderPipeline(machine).run(trace)) == _fields(
+                run_oracle(machine, trace)), (seed, machine.name)
+
+
+def test_pinned_cycle_digest():
+    digest = hashlib.sha256()
+    for name in MIBENCH:
+        trace = get_workload(name).trace()
+        for machine in REDUCED_SPACE:
+            result = InOrderPipeline(machine).run(trace)
+            digest.update(
+                f"{name} {machine.name} {result.cycles} "
+                f"{result.mispredictions} {result.taken_bubbles}\n".encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+@pytest.mark.parametrize("name", MIBENCH)
+def test_numpy_events_match_python(name):
+    np_kernels = pytest.importorskip("repro.accel.np_kernels",
+                                     reason="NumPy backend not installed")
+    trace = get_workload(name).trace()
+    numpy_backend = np_kernels.NumpyKernels()
+    python_backend = PythonKernels()
+    for machine in EVENT_MACHINES:
+        assert numpy_backend.pipeline_events(trace, machine) == \
+            python_backend.pipeline_events(trace, machine), machine.name
+
+
+def test_third_party_predictor_events_and_oracle():
+    """A predictor without a vectorized state falls back to the
+    interpreted predictor for the control column only."""
+    np_kernels = pytest.importorskip("repro.accel.np_kernels",
+                                     reason="NumPy backend not installed")
+
+    @PREDICTORS.register("parity_coinflip")
+    class _Coinflip(BranchPredictor):
+        name = "parity_coinflip"
+
+        def __init__(self):
+            self._last = {}
+
+        def predict(self, pc):
+            return self._last.get(pc, (pc >> 2) & 1 == 0)
+
+        def update(self, pc, taken):
+            self._last[pc] = not taken
+
+    try:
+        trace = get_workload("dijkstra").trace()
+        machine = MachineConfig(name="plugin", branch_predictor="parity_coinflip")
+        events = np_kernels.NumpyKernels().pipeline_events(trace, machine)
+        assert events == PythonKernels().pipeline_events(trace, machine)
+        assert _fields(InOrderPipeline(machine).run(trace)) == _fields(
+            run_oracle(machine, _oracle_copy(trace)))
+    finally:
+        PREDICTORS.unregister("parity_coinflip")

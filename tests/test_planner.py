@@ -226,3 +226,23 @@ def test_with_power_requests_take_the_scalar_path():
     assert _serialized(results) == _serialized(
         evaluate_many(requests, plan=False)
     )
+
+
+def test_simulator_points_are_booked_to_the_simulate_stage():
+    from repro.api.planner import evaluate_group_timed
+
+    requests = [
+        EvalRequest(workload=WorkloadSpec("sha"), backend="simulator"),
+        EvalRequest(workload=WorkloadSpec("sha"), backend="analytical_exact"),
+    ]
+    session = Session()
+    (group,) = plan_requests(requests)
+    results, stages = evaluate_group_timed(session, group)
+    assert [result.backend for result in results] == [
+        "simulator", "analytical_exact"]
+    assert stages["simulate"] > 0.0
+    assert stages["model"] > 0.0
+    # Simulator-only batches book nothing to the model stage.
+    (group,) = plan_requests(requests[:1])
+    _, stages = evaluate_group_timed(session, group)
+    assert set(stages) == {"attach", "simulate"}
