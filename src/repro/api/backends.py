@@ -13,7 +13,8 @@ same call:
   stack-distance engine (fast path: one trace walk per cache geometry);
 * ``analytical_exact`` — the same model fed by a full trace replay
   through the cache hierarchy (the engine's cross-check fallback);
-* ``simulator`` — the cycle-accurate in-order pipeline.
+* ``simulator`` — the cycle-accurate in-order pipeline, memoized per
+  point by the session.
 
 Backends register with :func:`register_backend` and are addressable by
 string from :class:`~repro.api.spec.EvalRequest`, so third-party
@@ -186,10 +187,9 @@ class SimulatorBackend(EvalBackend):
     def evaluate(self, session: Session, workload: Workload,
                  machine: MachineConfig, *, with_power: bool = False,
                  mlp_window: int = 64) -> PointEvaluation:
-        from repro.pipeline.inorder import InOrderPipeline
         from repro.power.model import PowerModel
 
-        simulated = InOrderPipeline(machine).run(workload.trace())
+        (simulated,) = session.simulate_many(workload, [machine])
         energy = None
         if with_power:
             # Energy uses the same profile-driven activity counts as the

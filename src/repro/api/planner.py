@@ -195,7 +195,9 @@ def evaluate_group_timed(
     (miss profiles + program profiles through the single-pass engine),
     ``model`` (mechanistic-model evaluation; scalar backends fold their
     profiling in here) and ``simulate`` (the cycle-accurate simulator
-    backend).  This is the :meth:`Session.map` work unit the
+    backend, all of the group's points in one
+    :meth:`~repro.runtime.session.Session.simulate_many` batch).  This is
+    the :meth:`Session.map` work unit the
     batch layer dispatches, so stage timings ride back with each group's
     results and are merged into the parent session.  When tracing is
     enabled the group and its stages become spans — children of whatever
@@ -317,6 +319,13 @@ def _evaluate_group_body(
         # the simulator's run, the session's profiling — nest under it.
         with span(f"planner.{stage}", workload=group.workload,
                   points=len(positions)):
+            if stage == "simulate":
+                # One batch, so the points share event columns and timing
+                # loops; the backend then answers each from the session.
+                session.simulate_many(workload, [
+                    resolved(group.requests[position])[0]
+                    for position in positions
+                ])
             for position in positions:
                 request = group.requests[position]
                 machine, label = resolved(request)

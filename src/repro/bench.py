@@ -28,6 +28,10 @@ Times the paths every PR is expected to keep fast:
   the 24 reduced-space machines on sha and qsort, every simulation
   uncached (trace generation excluded), with the active kernel backend
   computing its miss-event columns; the entry names the simulator timed,
+* ``simulate_table2_space`` — ``simulate_many`` over all 192 Table-2
+  machines on sha and qsort, with no session memo: each distinct event
+  set and timing problem is computed once per trace (the per-point
+  reference for the same traces is ``simulate_table2``),
 * ``sharded_evaluate_many`` — all 19 MiBench workloads x 4 machine
   presets through ``evaluate_many`` sharded across a **persistent 4-worker
   pool**, four consecutive batches over parent-held traces on the active
@@ -345,6 +349,31 @@ def bench_simulate_table2() -> tuple[float, dict]:
         "simulator": f"InOrderPipeline ({get_kernels().name} events)",
         "points": len(traces) * len(machines),
         "instructions": sum(len(trace) for trace in traces) * len(machines),
+    }
+
+
+def bench_simulate_table2_space() -> tuple[float, dict]:
+    """``simulate_many`` over the 192 Table-2 machines x 2 traces.
+
+    The traces are built before the timed region; no session memo is in
+    play, so every distinct event set and timing loop is computed.
+    """
+    from repro.accel import get_kernels
+    from repro.dse.space import default_design_space
+    from repro.pipeline.inorder import SimulationWork, simulate_many
+
+    traces = [get_workload(name).trace() for name in SIMULATE_WORKLOADS]
+    machines = default_design_space().to_sweep(()).configurations()
+    work = SimulationWork()
+    start = time.perf_counter()
+    for trace in traces:
+        simulate_many(trace, machines, work)
+    elapsed = time.perf_counter() - start
+    return elapsed, {
+        "simulator": f"simulate_many ({get_kernels().name} events)",
+        "points": len(traces) * len(machines),
+        "event_sets": work.event_sets,
+        "timing_loops": work.timing_loops,
     }
 
 
@@ -781,6 +810,7 @@ BENCHES = {
     "sweep_table2": bench_sweep_table2,
     "accel_vs_python": bench_accel_vs_python,
     "simulate_table2": bench_simulate_table2,
+    "simulate_table2_space": bench_simulate_table2_space,
     "sharded_evaluate_many": bench_sharded_evaluate_many,
     "sharded_evaluate_many_payload": bench_sharded_evaluate_many_payload,
     "obs_overhead": bench_obs_overhead,

@@ -44,11 +44,17 @@ def default_design_space() -> SearchSpace:
 
 
 def reduced_design_space() -> SearchSpace:
-    """A 24-point subsample used where detailed simulation of all 192 points
-    would be too slow (e.g. the default benchmark harness settings).
+    """A 24-point subsample: the default for the simulator experiments.
 
-    The subsample keeps the extremes and the default of every dimension, so
-    error statistics computed on it are representative of the full space.
+    Detailed simulation of all 192 points is affordable but not free.
+    Measured on a 2-CPU host with the NumPy kernels: ``simulate_many``
+    answers the full space on sha and qsort in about 0.65 s (48 event sets
+    per trace; the ``simulate_table2_space`` bench), about what these 24
+    points cost simulated one at a time (``simulate_table2``), and
+    ``run figure5 --full --jobs 2`` (192 points x 19 workloads) takes
+    about 7 s.  The subsample keeps the extremes and the default of every
+    dimension, so error statistics computed on it are representative of
+    the full space.
     """
     return _table2_space(((5, 600), (9, 1000)), (1, 2, 4),
                          (128 * 1024, 512 * 1024), (8,),

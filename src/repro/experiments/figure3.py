@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from repro.core.model import InOrderMechanisticModel
 from repro.experiments.common import default_machine, ensure_session, mibench_names
 from repro.machine import MachineConfig
-from repro.pipeline.inorder import InOrderPipeline
 from repro.runtime import ExperimentResult, Session, experiment
 from repro.validation.compare import ValidationRow, ValidationSummary, summarize
 
@@ -30,7 +29,7 @@ def _validation_row(session: Session, item: tuple[str, MachineConfig]) -> Valida
     program = session.program_profile(workload)
     misses = session.miss_profile(workload, machine)
     model = InOrderMechanisticModel(machine).predict(program, misses)
-    simulated = InOrderPipeline(machine).run(workload.trace())
+    (simulated,) = session.simulate_many(workload, [machine])
     return ValidationRow(
         name=workload.name,
         configuration=machine.name or "default",

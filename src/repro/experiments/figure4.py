@@ -14,7 +14,6 @@ from repro.core.cpi_stack import CPIStack
 from repro.core.model import InOrderMechanisticModel
 from repro.experiments.common import FIGURE4_BENCHMARKS, default_machine, ensure_session
 from repro.machine import MachineConfig
-from repro.pipeline.inorder import InOrderPipeline
 from repro.runtime import ExperimentResult, Session, experiment
 
 
@@ -41,12 +40,14 @@ def _width_sweep(session: Session, item) -> list[WidthPoint]:
     name, widths, base_machine = item
     workload = session.workload(name)
     program = session.program_profile(workload)
+    machines = [base_machine.with_(width=width, name=f"W={width}")
+                for width in widths]
+    # One batch: the widths share one event set.
+    simulations = session.simulate_many(workload, machines)
     points = []
-    for width in widths:
-        configured = base_machine.with_(width=width, name=f"W={width}")
+    for width, configured, simulated in zip(widths, machines, simulations):
         misses = session.miss_profile(workload, configured)
         model = InOrderMechanisticModel(configured).predict(program, misses)
-        simulated = InOrderPipeline(configured).run(workload.trace())
         points.append(
             WidthPoint(
                 benchmark=name,

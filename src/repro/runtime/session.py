@@ -26,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import tempfile
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.machine import MachineConfig
@@ -70,6 +70,9 @@ SESSION_EVENTS = (
     "interval_cache_hits",
     "interval_profiles_built",
     "cache_corruptions",
+    "sim_event_sets_built",
+    "sim_timing_loops_run",
+    "simulations_reused",
 )
 
 
@@ -185,6 +188,8 @@ class Session:
         #: token -> (trace, profile); the trace reference pins id() stability.
         self._program_profiles: dict[object, tuple[Trace, ProgramProfile]] = {}
         self._miss_profiles: dict[tuple, tuple[Trace, MissProfile]] = {}
+        #: (token, machine) -> (trace, InOrderResult) of simulated points.
+        self._simulations: dict[tuple, tuple[Trace, object]] = {}
         #: In-memory interval-profile store used when no cache directory is
         #: configured (same content-addressed keys as the on-disk cache).
         self._interval_memory: dict[str, object] = {}
@@ -467,6 +472,42 @@ class Session:
                 )
         self._miss_profiles[memo_key] = (trace, profile)
         return profile
+
+    def simulate_many(self, workload: Workload,
+                      machines: Sequence[MachineConfig]) -> list:
+        """Cycle-accurate in-order results of ``workload`` on ``machines``.
+
+        Memoized per ``(trace, machine)`` in process: the points this
+        session has not simulated yet go to
+        :func:`~repro.pipeline.inorder.simulate_many` as one batch, so they
+        share event columns and timing loops.  Each returned result is the
+        caller's own copy and carries the caller's ``MachineConfig`` (its
+        label is not part of machine equality).  ``simulations_reused``
+        counts the points simulated here that shared another point's timing
+        loop; a memo hit, like a miss-profile memo hit, counts nothing (the
+        planner reads each of its points back through here).
+        """
+        from repro.pipeline.inorder import SimulationWork, simulate_many
+
+        trace = workload.trace()
+        token = self._token(trace)
+        fresh = [machine for machine in machines
+                 if (token, machine) not in self._simulations]
+        missing = list(dict.fromkeys(fresh))
+        work = SimulationWork()
+        for machine, result in zip(missing,
+                                   simulate_many(trace, missing, work)):
+            self._simulations[(token, machine)] = (trace, result)
+        self.stats.sim_event_sets_built += work.event_sets
+        self.stats.sim_timing_loops_run += work.timing_loops
+        self.stats.simulations_reused += len(fresh) - work.timing_loops
+        results = []
+        for machine in machines:
+            result = self._simulations[(token, machine)][1]
+            results.append(replace(
+                result, machine=machine,
+                hierarchy_stats=replace(result.hierarchy_stats)))
+        return results
 
     def sample_evaluate(self, chunked, machine: MachineConfig, *, rate: int,
                         warmup: int = 4, warming: int = 1,

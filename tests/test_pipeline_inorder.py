@@ -9,20 +9,26 @@ The simulator is driven from the kernel backend's miss-event columns; the
 parity tests at the end hold it bit-identical to the object-replay oracle
 in ``inorder_oracle.py``, hold the two kernel backends' event columns
 equal, and pin a digest of its cycle counts over the reduced design space.
+The batch tests hold ``simulate_many`` equal to per-point ``run``, check
+that its event and timing keys miss no machine parameter, and pin the work
+a Table-2 sweep, a warm Figure 3 rerun and ``speedup`` cost.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 from inorder_oracle import run_oracle
 
-from repro.accel import PythonKernels
+from repro.accel import PythonKernels, get_kernels
 from repro.branch.predictors import PREDICTORS, BranchPredictor, predictor_names
-from repro.dse.space import reduced_design_space
+from repro.dse.space import default_design_space, reduced_design_space
 from repro.isa import ProgramBuilder
 from repro.machine import MachineConfig
-from repro.pipeline import InOrderPipeline
+from repro.pipeline import InOrderPipeline, inorder, simulate_many
 from repro.profiler import profile_machine
+from repro.runtime import registry
+from repro.runtime.session import Session
 from repro.trace import FunctionalSimulator, MemoryImage
 from repro.trace.trace import Trace
 from repro.workloads import get_workload
@@ -361,3 +367,142 @@ def test_third_party_predictor_events_and_oracle():
             run_oracle(machine, _oracle_copy(trace)))
     finally:
         PREDICTORS.unregister("parity_coinflip")
+
+
+# ----------------------------------------------------------------------
+# Batch simulation: parity, key completeness, shared results, work counts.
+# ----------------------------------------------------------------------
+TABLE2_SPACE = tuple(default_design_space().to_sweep(()).configurations())
+
+
+@pytest.mark.parametrize("name", ("sha", "qsort", "dijkstra", "susan_c"))
+def test_simulate_many_matches_per_point_run(name):
+    trace = get_workload(name).trace()
+    batch = simulate_many(trace, TABLE2_SPACE)
+    assert [result.machine.name for result in batch] == \
+        [machine.name for machine in TABLE2_SPACE]
+    for machine, result in zip(TABLE2_SPACE, batch):
+        assert _fields(result) == _fields(InOrderPipeline(machine).run(trace)), \
+            machine.name
+
+
+#: One machine parameter changed at a time, each of which the event key
+#: (hierarchy geometry) or the timing key (unit latencies) must see.
+KEY_VARIANTS = (
+    ("mul_latency", 9),
+    ("div_latency", 41),
+    ("line_size", 32),
+    ("page_size", 1024),
+    ("tlb_entries", 4),
+)
+
+
+@pytest.mark.parametrize("field, value", KEY_VARIANTS)
+def test_simulate_many_keys_see_every_parameter(field, value):
+    base = MachineConfig(name="base")
+    variant = base.with_(**{field: value}, name=field)
+    for seed in (4, 5):
+        trace = generate_synthetic_trace(SyntheticWorkloadSpec(
+            name=f"muldiv-{seed}", seed=seed, instructions=4000,
+            multiply_fraction=0.06, divide_fraction=0.03,
+            data_footprint_bytes=256 * 1024, static_code_size=4000))
+        expected = [InOrderPipeline(machine).run(trace)
+                    for machine in (base, variant)]
+        # The parameter matters on this trace, so a key without it fails.
+        assert expected[0].cycles != expected[1].cycles, (field, seed)
+        for machines, want in (((base, variant), expected),
+                               ((variant, base), expected[::-1])):
+            got = simulate_many(trace, machines)
+            assert [_fields(result) for result in got] == \
+                [_fields(result) for result in want], (field, seed)
+
+
+def _sha_session():
+    """A fresh session holding the cached sha trace, and its workload."""
+    session = Session()
+    return session, session.adopt_trace("sha", "O3",
+                                         get_workload("sha").trace())
+
+
+def test_shared_results_are_private_and_carry_the_callers_machine():
+    session, sha = _sha_session()
+    default = MachineConfig(name="default")
+    relabelled = MachineConfig(name="W=4")          # equal: names do not compare
+    narrow = MachineConfig(width=2, name="W=2")      # same event set
+    first, second, third = session.simulate_many(sha, [default, relabelled,
+                                                         narrow])
+    assert [first.machine.name, second.machine.name, third.machine.name] == \
+        ["default", "W=4", "W=2"]
+    # Two timing loops; the relabelled duplicate shared the default's.
+    assert (session.stats.sim_event_sets_built,
+            session.stats.sim_timing_loops_run,
+            session.stats.simulations_reused) == (1, 2, 1)
+    (hit,) = session.simulate_many(sha, [relabelled])
+    assert hit.machine.name == "W=4"
+    assert session.stats.sim_timing_loops_run == 2
+
+    # Every result owns its hierarchy counts: mutating one leaks nowhere.
+    reference = InOrderPipeline(default).run(get_workload("sha").trace())
+    first.hierarchy_stats.l1i_misses += 1000
+    for result in (second, third, hit, *session.simulate_many(sha, [default])):
+        assert result.hierarchy_stats == reference.hierarchy_stats
+    one, two = simulate_many(get_workload("sha").trace(), [default, narrow])
+    one.hierarchy_stats.dl2_misses += 1000
+    assert two.hierarchy_stats == reference.hierarchy_stats
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts ``pipeline_events`` calls and timing loops of the simulator."""
+    counts = Counter()
+
+    class CountingKernels(type(get_kernels())):
+        def pipeline_events(self, trace, machine):
+            counts["events"] += 1
+            return super().pipeline_events(trace, machine)
+
+    kernels = CountingKernels()
+    simulate = inorder._simulate
+
+    def counting_simulate(machine, trace, events):
+        counts["loops"] += 1
+        return simulate(machine, trace, events)
+
+    monkeypatch.setattr(inorder, "get_kernels", lambda: kernels)
+    monkeypatch.setattr(inorder, "_simulate", counting_simulate)
+    return counts
+
+
+def test_table2_space_on_sha_costs_48_event_sets_and_12_timing_loops(counted):
+    session, sha = _sha_session()
+    results = session.simulate_many(sha, TABLE2_SPACE)
+    assert len(results) == 192
+    assert dict(counted) == {"events": 48, "loops": 12}
+    assert (session.stats.sim_event_sets_built,
+            session.stats.sim_timing_loops_run,
+            session.stats.simulations_reused) == (48, 12, 180)
+    # A memo hit computes nothing and counts nothing.
+    session.simulate_many(sha, TABLE2_SPACE)
+    assert dict(counted) == {"events": 48, "loops": 12}
+    assert (session.stats.sim_event_sets_built,
+            session.stats.sim_timing_loops_run,
+            session.stats.simulations_reused) == (48, 12, 180)
+
+
+def test_warm_figure3_rerun_simulates_nothing(counted):
+    session, _ = _sha_session()
+    overrides = {"benchmarks": ("sha",)}
+    cold = registry.run_experiment(session, "figure3", overrides=overrides)
+    assert dict(counted) == {"events": 1, "loops": 1}
+    counted.clear()
+    warm = registry.run_experiment(session, "figure3", overrides=overrides)
+    assert not counted
+    assert warm.to_dict() == cold.to_dict()
+
+
+def test_speedup_simulates_every_configuration_in_full(counted):
+    from repro.experiments import speedup
+
+    session, _ = _sha_session()
+    speedup.run("sha", configurations=4, session=session)
+    assert dict(counted) == {"events": 4, "loops": 4}
