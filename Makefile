@@ -11,21 +11,22 @@ lint:
 	python tools/check_print.py
 
 bench:
-	$(PY) benchmarks/run_bench.py
+	$(PY) -m repro.cli bench
 
 # Single-repetition bench pass writing to a scratch file: a CI smoke check
 # that every benchmark still runs, without touching BENCH_core.json.
 bench-smoke:
-	$(PY) benchmarks/run_bench.py --repeat 1 --output /tmp/BENCH_smoke.json
+	$(PY) -m repro.cli bench --repeat 1 --output /tmp/BENCH_smoke.json
 
 # Regression gate against the committed reference numbers.  CI hardware
 # differs wildly from the machine that recorded BENCH_core.json, so the
 # smoke tolerance is deliberately loose — it catches order-of-magnitude
 # regressions and proves the comparison machinery works; tighten locally
-# with `repro-bench --compare BENCH_core.json --tolerance 25`.  Three
-# repetitions so the compared median is a warm run, not process cold-start.
+# with `repro-experiments bench --compare BENCH_core.json --tolerance 25`.
+# Three repetitions so the compared median is a warm run, not process
+# cold-start.
 bench-compare:
-	$(PY) benchmarks/run_bench.py --repeat 3 --output /tmp/BENCH_compare.json \
+	$(PY) -m repro.cli bench --repeat 3 --output /tmp/BENCH_compare.json \
 		--compare BENCH_core.json --tolerance 400 --stage-tolerance-ms 50
 
 # Start an evaluation server, answer one request through ServiceClient,

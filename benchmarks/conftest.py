@@ -1,10 +1,9 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-bound checks under ``benchmarks/``.
 
-Every benchmark regenerates one of the paper's tables or figures (see the
-module docstring of ``test_bench_figures.py`` and the README's
-"Reproducing the paper" section).  Workload traces are built once per
-session so the timings measure the experiment itself, not the one-off
-functional simulation.
+Each module here reruns experiments or subsystems on inputs larger than the
+unit tests use and asserts the headline property the paper reports for them
+(see the module docstring of ``test_bench_figures.py``).  The timed
+benchmarks live in ``repro.bench`` (``repro-experiments bench``).
 """
 
 from __future__ import annotations
@@ -12,20 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.machine import MachineConfig
-from repro.workloads import get_workload, mibench_suite, spec_suite
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="session")
 def default_machine() -> MachineConfig:
     return MachineConfig(name="default")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def prebuilt_traces():
-    """Materialise all workload traces once, before any timing starts."""
-    for workload in mibench_suite() + spec_suite():
-        workload.trace()
-    return True
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the model's design choices.
+"""Ablation checks for the model's design choices.
 
 Each ablation disables one ingredient of the model and measures how much the
 prediction error against detailed simulation degrades, quantifying how much
@@ -39,44 +39,23 @@ def full_model_error(default_machine):
     return _average_error(default_machine)
 
 
-def test_full_model_error(benchmark, default_machine):
-    error = benchmark.pedantic(
-        _average_error, args=(default_machine,), rounds=1, iterations=1
-    )
-    assert error < 0.08
+def test_full_model_error(full_model_error):
+    assert full_model_error < 0.08
 
 
-def test_ablation_without_dependency_penalty(benchmark, default_machine, full_model_error):
-    error = benchmark.pedantic(
-        _average_error,
-        args=(default_machine,),
-        kwargs={"include_dependency_penalty": False},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_without_dependency_penalty(default_machine, full_model_error):
+    error = _average_error(default_machine, include_dependency_penalty=False)
     # Dropping the dependency model is catastrophic for in-order prediction.
     assert error > full_model_error * 2
 
 
-def test_ablation_without_taken_branch_penalty(benchmark, default_machine, full_model_error):
-    error = benchmark.pedantic(
-        _average_error,
-        args=(default_machine,),
-        kwargs={"include_taken_branch_penalty": False},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_without_taken_branch_penalty(default_machine, full_model_error):
+    error = _average_error(default_machine, include_taken_branch_penalty=False)
     # The taken-branch bubble is a second-order ingredient: removing it moves
     # the error by a few percentage points at most.
     assert error < full_model_error + 0.10
 
 
-def test_ablation_without_slot_correction(benchmark, default_machine, full_model_error):
-    error = benchmark.pedantic(
-        _average_error,
-        args=(default_machine,),
-        kwargs={"include_slot_correction": False},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_without_slot_correction(default_machine, full_model_error):
+    error = _average_error(default_machine, include_slot_correction=False)
     assert error < full_model_error + 0.10

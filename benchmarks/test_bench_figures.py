@@ -1,18 +1,19 @@
-"""Benchmark harness: regenerate every table and figure of the paper.
+"""Regenerate every table and figure of the paper and check its shape.
 
-Each benchmark times one experiment driver and asserts the headline property
-the paper reports for that artefact, so ``pytest benchmarks/ --benchmark-only``
-both regenerates the results and sanity-checks their shape:
+Each test runs one experiment driver on inputs larger than
+``tests/test_experiments.py`` uses and asserts the headline property the
+paper reports for that artefact:
 
 * Table 2  — the 192-point design space enumerates correctly.
 * Figure 3 — model vs detailed simulation on the 19 MiBench-like kernels.
 * Figure 4 — CPI stacks vs width; sha scales, dijkstra saturates.
-* Figure 5 — error CDF over the (reduced) design space.
 * Figure 6 — SPEC-like memory-intensive validation.
 * Figure 7 — in-order vs out-of-order CPI stacks.
 * Figure 8 — compiler optimization cycle stacks.
 * Figure 9 — EDP design-space exploration.
 * Section 5 — model vs detailed-simulation speedup.
+
+Figure 5's error-CDF bounds live in ``tests/test_experiments.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from repro.experiments import (
     figure3,
     figure4,
-    figure5,
     figure6,
     figure7,
     figure8,
@@ -29,77 +29,50 @@ from repro.experiments import (
     table2,
 )
 
-#: Reduced benchmark selections keep one harness run to a few minutes while
-#: still exercising every experiment end to end.  The CLI (``repro-experiments
+#: Reduced benchmark selections keep this module to seconds while still
+#: exercising every experiment end to end.  The CLI (``repro-experiments
 #: --full``) runs the complete versions.
-FIGURE5_BENCHMARKS = ("sha", "dijkstra", "tiff2bw")
 FIGURE7_BENCHMARKS = ("dijkstra", "patricia", "tiff2bw", "tiff2rgba")
 FIGURE9_BENCHMARKS = ("adpcm_d", "gsm_c")
 
 
-def test_table2_design_space(benchmark):
-    result = benchmark(table2.run)
+def test_table2_design_space():
+    result = table2.run()
     assert result.design_points == 192
 
 
-def test_figure3_mibench_validation(benchmark, default_machine):
-    result = benchmark.pedantic(
-        figure3.run, kwargs={"machine": default_machine}, rounds=1, iterations=1
-    )
+def test_figure3_mibench_validation(default_machine):
+    result = figure3.run(machine=default_machine)
     assert len(result.rows) == 19
     # Paper: 3.1% average, 8.4% max on the default configuration.
     assert result.summary.average_absolute_error < 0.08
     assert result.summary.maximum_absolute_error < 0.20
 
 
-def test_figure4_width_scaling(benchmark, default_machine):
-    result = benchmark.pedantic(
-        figure4.run, kwargs={"machine": default_machine}, rounds=1, iterations=1
-    )
+def test_figure4_width_scaling(default_machine):
+    result = figure4.run(machine=default_machine)
     sha = {p.width: p.stack.cpi for p in result.for_benchmark("sha")}
     dijkstra = {p.width: p.stack.cpi for p in result.for_benchmark("dijkstra")}
     # sha benefits the most from superscalar processing, dijkstra the least.
     assert sha[1] / sha[4] > dijkstra[1] / dijkstra[4]
 
 
-def test_figure5_design_space_error_cdf(benchmark):
-    result = benchmark.pedantic(
-        figure5.run,
-        kwargs={"full": False, "benchmarks": FIGURE5_BENCHMARKS},
-        rounds=1,
-        iterations=1,
-    )
-    # Paper: 2.5% average, 9.6% max, 90% of points below 6%.
-    assert result.summary.average_absolute_error < 0.08
-    assert result.summary.maximum_absolute_error < 0.20
-    assert result.fraction_below_6_percent > 0.5
-
-
-def test_figure6_spec_validation(benchmark, default_machine):
-    result = benchmark.pedantic(
-        figure6.run, kwargs={"machine": default_machine}, rounds=1, iterations=1
-    )
+def test_figure6_spec_validation(default_machine):
+    result = figure6.run(machine=default_machine)
     # Paper: 4.1% average, 10.7% max; SPEC CPIs are much higher than MiBench.
     assert result.summary.average_absolute_error < 0.10
     assert max(row.simulated_cpi for row in result.rows) > 2.0
 
 
-def test_figure7_inorder_vs_ooo(benchmark, default_machine):
-    result = benchmark.pedantic(
-        figure7.run,
-        kwargs={"benchmarks": FIGURE7_BENCHMARKS, "machine": default_machine},
-        rounds=1,
-        iterations=1,
-    )
+def test_figure7_inorder_vs_ooo(default_machine):
+    result = figure7.run(benchmarks=FIGURE7_BENCHMARKS, machine=default_machine)
     for row in result.rows:
         assert row.out_of_order.cpi < row.in_order.cpi
         assert row.in_order.grouped().get("dependencies", 0.0) > 0.0
 
 
-def test_figure8_compiler_optimizations(benchmark, default_machine):
-    result = benchmark.pedantic(
-        figure8.run, kwargs={"machine": default_machine}, rounds=1, iterations=1
-    )
+def test_figure8_compiler_optimizations(default_machine):
+    result = figure8.run(machine=default_machine)
     # Scheduling never hurts on these kernels and unrolling reduces N for
     # at least one of them (the paper's main observations).
     for name in ("sha", "tiffdither", "gsm_c"):
@@ -114,21 +87,14 @@ def test_figure8_compiler_optimizations(benchmark, default_machine):
     )
 
 
-def test_figure9_edp_exploration(benchmark):
-    result = benchmark.pedantic(
-        figure9.run,
-        kwargs={"benchmarks": FIGURE9_BENCHMARKS, "full": False},
-        rounds=1,
-        iterations=1,
-    )
+def test_figure9_edp_exploration():
+    result = figure9.run(benchmarks=FIGURE9_BENCHMARKS, full=False)
     # Paper: the model's pick is the true optimum or within a few percent EDP.
     for row in result.rows:
         assert row.edp_gap < 0.05
 
 
-def test_speedup_model_vs_simulation(benchmark):
-    result = benchmark.pedantic(
-        speedup.run, kwargs={"benchmark": "sha"}, rounds=1, iterations=1
-    )
+def test_speedup_model_vs_simulation():
+    result = speedup.run(benchmark="sha")
     # Paper: three orders of magnitude once profiling is amortised.
     assert result.speedup_model_only > 100

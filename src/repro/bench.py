@@ -71,19 +71,19 @@ Times the paths every PR is expected to keep fast:
 Each benchmark runs ``--repeat`` times with the garbage collector paused
 around the timed region (collector pauses otherwise dominate the variance
 of sub-second runs) and the *median* is reported.  The output schema
-(``schema_version`` 7) records the Python version, job count, active
+(``schema_version`` 8) records the Python version, job count, active
 kernel backend, resolved data plane and the per-stage gate floor
 (``stage_tolerance_ms``) next to the results; benchmarks with a stage
 breakdown carry it (from the median run) in their entry:
 
 .. code-block:: json
 
-    {"schema_version": 5, "python_version": "3.11.7", "jobs": 1,
+    {"schema_version": 8, "python_version": "3.11.7", "jobs": 1,
      "repeats": 3, "accel_backend": "numpy", "accel_speedup": 5.3,
      "dataplane": "shm", "stage_tolerance_ms": 50.0,
      "results": {"trace_generation": {"median": ..., "runs": [...]},
                  "long_workload_sampled": {"median": ..., "runs": [...],
-                                           "sampling_rate": 32,
+                                           "sampling_rate": 64,
                                            "est_error": ...,
                                            "peak_rss_mb": ...},
                  "sharded_evaluate_many": {"median": ..., "runs": [...],
@@ -104,13 +104,12 @@ observability overhead: ``obs_overhead``'s ``overhead_pct`` exceeding its
 recorded ``overhead_limit_pct`` while being worse than the reference
 fails the gate.
 
-Run via ``make bench``, ``PYTHONPATH=src python benchmarks/run_bench.py``,
-``repro-bench`` or ``repro-experiments bench``.
+Run via ``repro-experiments bench`` (``make bench``); :func:`run` and
+:func:`gate` are its library half.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import platform
@@ -967,9 +966,9 @@ def gate(payload: dict, reference_path: Path, tolerance: float,
          stage_tolerance_ms: float = DEFAULT_STAGE_TOLERANCE_MS) -> int:
     """Load a reference file, report regressions, return the exit code.
 
-    The shared tail of both bench entry points (``repro-bench`` and
-    ``repro-experiments bench``): clean :class:`SystemExit` on unreadable
-    references, one line per regression, 1 when anything regressed.
+    The tail of ``repro-experiments bench --compare``: clean
+    :class:`SystemExit` on unreadable references, one line per
+    regression, 1 when anything regressed.
     """
     try:
         reference = json.loads(reference_path.read_text())
@@ -986,81 +985,3 @@ def gate(payload: dict, reference_path: Path, tolerance: float,
           f"stage floor {stage_tolerance_ms:g}ms)")
     return 0
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path.cwd() / "BENCH_core.json",
-        help="where to write the results (default: ./BENCH_core.json)",
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=3,
-        help="timed repetitions per benchmark; the median is reported",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the job-aware benchmarks "
-             "(session_cached_rerun warm-up); recorded in the output",
-    )
-    parser.add_argument(
-        "--compare", type=Path, default=None, metavar="REFERENCE",
-        help="reference BENCH json; exit non-zero when any shared "
-             "benchmark's median regresses beyond --tolerance",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=25.0, metavar="PCT",
-        help="allowed regression vs --compare, in percent (default: 25)",
-    )
-    parser.add_argument(
-        "--stage-tolerance-ms", type=float,
-        default=DEFAULT_STAGE_TOLERANCE_MS, metavar="MS",
-        help="per-stage gate floor: stages whose reference time is below "
-             "this many milliseconds are not gated (default: 50)",
-    )
-    parser.add_argument(
-        "--accel", choices=("auto", "numpy", "python"), default=None,
-        help="kernel backend for this run (default: REPRO_ACCEL or auto)",
-    )
-    parser.add_argument(
-        "--dataplane", choices=("auto", "shm", "payload"), default=None,
-        help="trace transport for sharded benches "
-             "(default: REPRO_DATAPLANE or auto)",
-    )
-    args = parser.parse_args(argv)
-    if args.tolerance < 0:
-        raise SystemExit("--tolerance must be non-negative")
-    if args.stage_tolerance_ms < 0:
-        raise SystemExit("--stage-tolerance-ms must be non-negative")
-    if args.accel:
-        import os
-
-        from repro.accel import ACCEL_ENV, set_backend
-
-        try:
-            set_backend(args.accel)
-        except ValueError as exc:
-            raise SystemExit(f"--accel: {exc}") from exc
-        # Exported so --jobs worker processes resolve the same backend.
-        os.environ[ACCEL_ENV] = args.accel
-    if args.dataplane:
-        import os
-
-        from repro.runtime.dataplane import DATAPLANE_ENV, set_mode
-
-        try:
-            set_mode(args.dataplane)
-        except ValueError as exc:
-            raise SystemExit(f"--dataplane: {exc}") from exc
-        os.environ[DATAPLANE_ENV] = args.dataplane
-    payload = run(args.output, repeat=args.repeat, jobs=args.jobs,
-                  stage_tolerance_ms=args.stage_tolerance_ms)
-    if args.compare is not None:
-        return gate(payload, args.compare, args.tolerance,
-                    args.stage_tolerance_ms)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -465,10 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "percent (default: 25)")
     bench_parser.add_argument("--stage-tolerance-ms", type=float, default=50.0,
                               metavar="MS",
-                              help="absolute slack added to --compare's "
-                                   "per-benchmark gate, in milliseconds: "
-                                   "sub-tolerance regressions smaller than "
-                                   "this never fail the gate (default: 50)")
+                              help="per-stage floor for --compare's gate, in "
+                                   "milliseconds: a stage whose reference "
+                                   "time is below this is not gated "
+                                   "(default: 50)")
     bench_parser.add_argument(
         "--accel", choices=("auto", "numpy", "python"), default=None,
         metavar="BACKEND",

@@ -172,6 +172,7 @@ def test_obs_overhead_absent_on_current_passes_vacuously():
 def test_cli_gate_exit_codes(tmp_path, monkeypatch):
     """End-to-end: the bench subcommand compares and gates on exit code."""
     from repro import bench
+    from repro.cli import main
 
     reference_file = tmp_path / "ref.json"
     reference_file.write_text(json.dumps(_payload(fake=1.0)))
@@ -183,22 +184,23 @@ def test_cli_gate_exit_codes(tmp_path, monkeypatch):
         return payload
 
     monkeypatch.setattr(bench, "run", fake_run)
-    out = tmp_path / "out.json"
-    assert bench.main(["--output", str(out), "--repeat", "1",
-                       "--compare", str(reference_file)]) == 1
-    loose = bench.main(["--output", str(out), "--repeat", "1",
-                        "--compare", str(reference_file),
-                        "--tolerance", "1000"])
-    assert loose == 0
+    args = ["bench", "--output", str(tmp_path / "out.json"), "--repeat", "1",
+            "--compare", str(reference_file)]
+    assert main(args) == 1
+    assert main(args + ["--tolerance", "1000"]) == 0
+    for flag in ("--tolerance", "--stage-tolerance-ms"):
+        with pytest.raises(SystemExit, match="non-negative"):
+            main(args + [flag, "-1"])
 
 
 def test_cli_gate_missing_reference(tmp_path, monkeypatch):
     from repro import bench
+    from repro.cli import main
 
     monkeypatch.setattr(
         bench, "run",
         lambda output, repeat=3, jobs=1, stage_tolerance_ms=50.0: _payload(fake=1.0),
     )
     with pytest.raises(SystemExit):
-        bench.main(["--output", str(tmp_path / "o.json"),
-                    "--compare", str(tmp_path / "missing.json")])
+        main(["bench", "--output", str(tmp_path / "o.json"),
+              "--compare", str(tmp_path / "missing.json")])

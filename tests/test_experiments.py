@@ -1,8 +1,10 @@
 """Integration tests for the experiment drivers.
 
 Each experiment is exercised on a reduced benchmark set so the whole suite
-remains fast; the full runs are available through the benchmark harness and
-the command line interface (whose smoke suite lives in ``test_cli.py``).
+remains fast.  ``benchmarks/test_bench_figures.py`` checks each figure's
+headline paper bound on larger inputs, and full runs go through the command
+line (``repro-experiments run all``, or ``run all --smoke`` for the
+registered fast subsets; the CLI smoke suite lives in ``test_cli.py``).
 """
 
 import hashlib
@@ -85,6 +87,13 @@ class TestFigure5:
         assert "Figure 5" in figure5.format_result(result)
         assert result_digest(figure5, result) == (
             "7e3db1ec9b460c3c1ca451e71dead888d9ec5129ffb4abd36091f58546d550d3")
+
+    def test_error_cdf_within_paper_bounds(self):
+        result = figure5.run(full=False, benchmarks=("sha", "dijkstra", "tiff2bw"))
+        # Paper: 2.5% average, 9.6% max, 90% of points below 6%.
+        assert result.summary.average_absolute_error < 0.08
+        assert result.summary.maximum_absolute_error < 0.20
+        assert result.fraction_below_6_percent > 0.5
 
 
 class TestFigure6:

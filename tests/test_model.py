@@ -1,5 +1,7 @@
 """Tests for the mechanistic in-order model: components, accuracy, ablations."""
 
+import time
+
 import pytest
 
 from repro.core import CPIComponent, InOrderMechanisticModel, predict_workload
@@ -63,6 +65,18 @@ class TestModelStructure:
         misses = profile_machine(sha_trace, machine)
         result = InOrderMechanisticModel(machine).predict(program, misses)
         assert result.stack.component(CPIComponent.L1_HIT_EXTRA) > 0
+
+    def test_predict_takes_under_10ms(self, sha_trace, default_machine):
+        """The paper's key speed claim: evaluating the formulas is instantaneous."""
+        program = profile_program(sha_trace)
+        misses = profile_machine(sha_trace, default_machine)
+        model = InOrderMechanisticModel(default_machine)
+        calls = 50
+        start = time.perf_counter()
+        for _ in range(calls):
+            result = model.predict(program, misses)
+        assert (time.perf_counter() - start) / calls < 0.01
+        assert result.cpi > 0
 
     def test_predict_trace_convenience(self, sha_trace, default_machine):
         direct = InOrderMechanisticModel(default_machine).predict_trace(sha_trace)
