@@ -101,12 +101,13 @@ class PipelineEvents(NamedTuple):
     hit or memory, plus the page walk of an ITLB miss); ``data`` the
     latency of its load or store the same way through the L1D, the unified
     L2 and the DTLB (``0`` for non-memory instructions); ``control`` its
-    ``CONTROL_*`` code.  ``stats`` are the hierarchy's miss counts.
+    ``CONTROL_*`` code.  The three columns are packed ``array('q')``s.
+    ``stats`` are the hierarchy's miss counts.
     """
 
-    fetch: list
-    data: list
-    control: list
+    fetch: array
+    data: array
+    control: array
     stats: HierarchyStats
 
 
@@ -135,13 +136,19 @@ class Kernels(abc.ABC):
         """
         return None
 
-    def pipeline_events(self, trace: Trace, machine) -> PipelineEvents:
+    def pipeline_events(self, trace: Trace, machine,
+                        shared: dict | None = None) -> PipelineEvents:
         """Per-instruction miss-event columns of ``trace`` on ``machine``.
 
         The reference replays a fresh :class:`CacheHierarchy` and branch
         predictor in trace order, each instruction's fetch before its data
         access — the one place the simulators' object replay lives.
         Backends override it with a bit-identical computation.
+
+        ``shared`` is a dict a caller passes to every call it makes on one
+        trace (and on no other), so a backend can compute work that event
+        sets have in common — stack distances, control columns — once; it
+        lives as long as the caller keeps it.  The reference ignores it.
         """
         hierarchy = CacheHierarchy(machine.memory_hierarchy_config())
         predictor = make_predictor(machine.branch_predictor)
@@ -177,7 +184,8 @@ class Kernels(abc.ABC):
                 control.append(CONTROL_TAKEN)
             else:
                 control.append(CONTROL_NONE)
-        return PipelineEvents(fetch, data, control, hierarchy.stats)
+        return PipelineEvents(array("q", fetch), array("q", data),
+                              array("q", control), hierarchy.stats)
 
     # ------------------------------------------------------------------
     # Chunk-resumable streams: the implementation of every pass.  Each

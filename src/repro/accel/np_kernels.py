@@ -50,7 +50,10 @@ from the same stack distances: an access hits an ``a``-way LRU structure
 iff its distance ``d < a`` (Mattson et al. 1970), so the L1I, L1D and TLB
 outcomes are one comparison per access, the unified L2 runs over the
 interleaved L1-miss stream, and the mispredict flags come from the
-vectorized predictor states.
+vectorized predictor states.  Across the event sets of one trace (a
+``shared`` memo), each structure's distances, each L1 pair's miss stream,
+each L2 geometry's misses and each predictor's control column are
+computed once.
 
 **Batched model evaluation.**  ``predict_batch`` evaluates the
 mechanistic model for a whole configuration list at once: per-machine
@@ -121,6 +124,13 @@ def _as_i64(column) -> np.ndarray:
         # Shared-memory attached trace: the view maps the segment directly.
         return np.frombuffer(column, dtype=np.int64)
     return np.asarray(column, dtype=np.int64)
+
+
+def _packed(values: np.ndarray) -> array:
+    """An int64 array as a packed ``array('q')`` column (one copy)."""
+    column = array("q")
+    column.frombytes(values.astype(np.int64, copy=False).tobytes())
+    return column
 
 
 def _as_i8(column) -> np.ndarray:
@@ -1052,36 +1062,64 @@ class NumpyKernels(Kernels):
         factory, predictor_name = entry
         return _NpBranchStream(factory(), predictor_name)
 
-    def pipeline_events(self, trace: Trace, machine) -> PipelineEvents:
-        config = machine.memory_hierarchy_config()
+    def pipeline_events(self, trace: Trace, machine,
+                        shared: dict | None = None) -> PipelineEvents:
+        # ``shared`` memoizes, for one trace, everything an event set
+        # computes that depends on less than the whole event key: the
+        # trace's columns, each structure's stack distances and misses,
+        # the L1-miss stream each L1 pair feeds the L2, and each
+        # predictor's control column.  What is left per set is the L2
+        # lookup of its geometry and the latency assembly.
+        if shared is None:
+            shared = {}
+
+        def memo(key, compute):
+            value = shared.get(key)
+            if value is None:
+                value = shared[key] = compute()
+            return value
+
         n = len(trace)
-        pcs = _as_i64(trace.pcs)
-        op_classes = _as_i8(trace.op_classes)
-        memory_at = np.flatnonzero(
-            (op_classes == _LOAD_ID) | (op_classes == _STORE_ID)
-        )
-        data_addrs = _as_i64(trace.mem_addrs)[memory_at]
 
-        def lookup(sets, block, ways, addrs):
-            """Stack distances in one LRU structure, and its misses."""
-            distances = _NpStackState(sets, block).distances(addrs)
-            return distances, (distances < 0) | (distances >= ways)
+        def columns():
+            op_classes = _as_i8(trace.op_classes)
+            memory_at = np.flatnonzero(
+                (op_classes == _LOAD_ID) | (op_classes == _STORE_ID)
+            )
+            return (_as_i64(trace.pcs), op_classes, memory_at,
+                    _as_i64(trace.mem_addrs)[memory_at])
 
+        pcs, op_classes, memory_at, data_addrs = memo("columns", columns)
+
+        def lookup(stream, addrs, sets, block, ways):
+            """Stack distances in one LRU structure, and its misses.
+
+            ``stream`` names ``addrs`` in the memo."""
+            distances = memo((stream, sets, block), lambda: _NpStackState(
+                sets, block).distances(addrs))
+            misses = memo((stream, sets, block, ways), lambda: (
+                (distances < 0) | (distances >= ways)))
+            return distances, misses
+
+        config = machine.memory_hierarchy_config()
         l1i, l1d, l2 = config.l1i, config.l1d, config.l2
-        i_distances, l1i_miss = lookup(l1i.sets, l1i.line_size,
-                                       l1i.associativity, pcs)
-        d_distances, l1d_miss = lookup(l1d.sets, l1d.line_size,
-                                       l1d.associativity, data_addrs)
-        _, itlb_miss = lookup(1, config.itlb.page_size, config.itlb.entries,
-                              pcs)
-        _, dtlb_miss = lookup(1, config.dtlb.page_size, config.dtlb.entries,
-                              data_addrs)
+        i_key = (l1i.sets, l1i.line_size, l1i.associativity)
+        d_key = (l1d.sets, l1d.line_size, l1d.associativity)
+        i_distances, l1i_miss = lookup("fetch", pcs, *i_key)
+        d_distances, l1d_miss = lookup("data", data_addrs, *d_key)
+        _, itlb_miss = lookup("fetch", pcs, 1, config.itlb.page_size,
+                              config.itlb.entries)
+        _, dtlb_miss = lookup("data", data_addrs, 1, config.dtlb.page_size,
+                              config.dtlb.entries)
         # The unified L2 sees the L1 misses in trace order, fetch first.
-        l2_addrs, sides, positions = _interleave_l2_stream(
-            pcs, np.arange(n, dtype=np.int64), memory_at, data_addrs,
-            i_distances, d_distances, l1i.associativity, l1d.associativity,
-        )
-        _, l2_miss = lookup(l2.sets, l2.line_size, l2.associativity, l2_addrs)
+        l2_stream = ("l2", i_key, d_key)
+        l2_addrs, sides, positions = memo(l2_stream, lambda: (
+            _interleave_l2_stream(
+                pcs, np.arange(n, dtype=np.int64), memory_at, data_addrs,
+                i_distances, d_distances, l1i.associativity,
+                l1d.associativity)))
+        _, l2_miss = lookup(l2_stream, l2_addrs, l2.sets, l2.line_size,
+                            l2.associativity)
         instruction_side = sides == INSTRUCTION_SIDE
         data_side = ~instruction_side
         beyond_l1 = np.where(l2_miss, config.l2_hit_cycles + config.memory_cycles,
@@ -1094,15 +1132,18 @@ class NumpyKernels(Kernels):
         data[memory_at] = config.l1_hit_cycles + walk * dtlb_miss
         data[positions[data_side]] += beyond_l1[data_side]
 
-        control = np.where(op_classes == _JUMP_ID, CONTROL_TAKEN, CONTROL_NONE)
-        branch_at = np.flatnonzero(op_classes == _BRANCH_ID)
-        taken = _as_i8(trace.taken)[branch_at] == 1
-        mispredicted = _mispredictions(machine.branch_predictor,
-                                       pcs[branch_at], taken)
-        control[branch_at] = np.where(
-            mispredicted, CONTROL_MISPREDICT,
-            np.where(taken, CONTROL_TAKEN, CONTROL_NONE),
-        )
+        def control():
+            codes = np.where(op_classes == _JUMP_ID, CONTROL_TAKEN,
+                             CONTROL_NONE)
+            branch_at = np.flatnonzero(op_classes == _BRANCH_ID)
+            taken = _as_i8(trace.taken)[branch_at] == 1
+            mispredicted = _mispredictions(machine.branch_predictor,
+                                           pcs[branch_at], taken)
+            codes[branch_at] = np.where(
+                mispredicted, CONTROL_MISPREDICT,
+                np.where(taken, CONTROL_TAKEN, CONTROL_NONE),
+            )
+            return _packed(codes)
 
         stats = HierarchyStats(
             instruction_accesses=n,
@@ -1114,8 +1155,9 @@ class NumpyKernels(Kernels):
             itlb_misses=int(np.count_nonzero(itlb_miss)),
             dtlb_misses=int(np.count_nonzero(dtlb_miss)),
         )
-        return PipelineEvents(fetch.tolist(), data.tolist(), control.tolist(),
-                              stats)
+        return PipelineEvents(
+            _packed(fetch), _packed(data),
+            memo(("control", machine.branch_predictor), control), stats)
 
     def dependency_stream(self, statics, max_distance: int):
         table = _dependency_static_table(statics)

@@ -35,11 +35,17 @@ instruction's operands.
 for each distinct problem once.  The event columns depend only on the
 *event key* — the memory hierarchy (geometry and latencies in cycles) and
 the branch predictor — so machines sharing it share one
-:meth:`~repro.accel.Kernels.pipeline_events` call.  The timing loop is a
-pure function of the *timing key* — width, front-end depth, multiply and
-divide latency, and a content digest of the three event columns — so
-machines whose hierarchies differ without changing a single event (on the
-MiBench traces, every Table-2 L2 size and associativity) share one loop.
+:meth:`~repro.accel.Kernels.pipeline_events` call.  Event sets also share
+the work they have in common: every call passes one per-call ``shared``
+memo, in which a backend keeps what depends on less than the event key —
+the L1 and TLB stack distances of each geometry, each predictor's control
+column — so on a Table-2 sweep an event set costs little more than its
+L2 lookup and latency assembly.  The timing loop is a pure function of
+the *timing key* — width, front-end depth, multiply and divide latency,
+and a content digest of the three packed event columns — so machines
+whose hierarchies differ without changing a single event (on the MiBench
+traces, every Table-2 L2 size and associativity) share one loop, and the
+per-static operand table is built once per multiply and divide latency.
 The 192 Table-2 machines on ``sha`` cost 48 event computations and 12
 timing loops.  :meth:`InOrderPipeline.run` is the one-machine case.
 """
@@ -47,7 +53,6 @@ timing loops.  :meth:`InOrderPipeline.run` is the one-machine case.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -143,10 +148,10 @@ def simulate_many(trace: Trace, machines: Sequence[MachineConfig],
     """Simulate ``trace`` on every machine; results in ``machines`` order.
 
     Each event key's columns are computed once, and each timing key's loop
-    run once (see the module docstring).  Only one event set's columns are
-    alive at a time.  Every result carries its own machine and its own
-    copy of the hierarchy counts.  ``work``, when given, accumulates what
-    was computed.
+    run once (see the module docstring).  Only one event set's latency
+    columns are alive at a time; the ``shared`` memo lives for the call.
+    Every result carries its own machine and its own copy of the hierarchy
+    counts.  ``work``, when given, accumulates what was computed.
     """
     if work is None:
         work = SimulationWork()
@@ -157,25 +162,41 @@ def simulate_many(trace: Trace, machines: Sequence[MachineConfig],
         by_events.setdefault(key, []).append(position)
     results: list[InOrderResult | None] = [None] * len(machines)
     cycles_of: dict[tuple, int] = {}
+    # Per-call memos: the kernels' work common to event sets, each
+    # predictor's control counts, each (mul, div) latency pair's table.
+    shared: dict = {}
+    control_counts: dict[str, tuple[int, int]] = {}
+    tables: dict[tuple[int, int], list[tuple]] = {}
     for positions in by_events.values():
+        first = machines[positions[0]]
         with span("pipeline.events", workload=trace.name,
                   instructions=len(trace)):
-            events = kernels.pipeline_events(trace, machines[positions[0]])
+            events = kernels.pipeline_events(trace, first, shared)
         work.event_sets += 1
         # Within one event set the columns are the same by construction;
         # only across sets does a timing key need their content.
         digest = _events_digest(events) if len(by_events) > 1 else None
-        mispredictions = events.control.count(CONTROL_MISPREDICT)
-        taken_bubbles = events.control.count(CONTROL_TAKEN)
+        # The control column depends on the trace and the predictor alone.
+        counts = control_counts.get(first.branch_predictor)
+        if counts is None:
+            counts = control_counts[first.branch_predictor] = (
+                events.control.count(CONTROL_MISPREDICT),
+                events.control.count(CONTROL_TAKEN))
+        mispredictions, taken_bubbles = counts
         for position in positions:
             machine = machines[position]
             timing_key = (machine.width, machine.frontend_depth,
                           machine.mul_latency, machine.div_latency, digest)
             cycles = cycles_of.get(timing_key)
             if cycles is None:
+                latencies = (machine.mul_latency, machine.div_latency)
+                table = tables.get(latencies)
+                if table is None:
+                    table = tables[latencies] = static_table(trace.statics,
+                                                             machine)
                 with span("pipeline.inorder", workload=trace.name,
                           instructions=len(trace)):
-                    cycles = _simulate(machine, trace, events)
+                    cycles = _simulate(machine, trace, events, table)
                 work.timing_loops += 1
                 cycles_of[timing_key] = cycles
             results[position] = InOrderResult(
@@ -192,21 +213,23 @@ def simulate_many(trace: Trace, machines: Sequence[MachineConfig],
 
 
 def _events_digest(events) -> bytes:
-    """sha256 of the pickled fetch, data and control columns.
+    """sha256 of the packed fetch, data and control columns."""
+    digest = hashlib.sha256(events.fetch)
+    digest.update(events.data)
+    digest.update(events.control)
+    return digest.digest()
 
-    Pickle writes an int by value, never as a memo reference, so equal
-    columns give equal bytes whatever objects hold them.
+
+def _simulate(machine: MachineConfig, trace: Trace, events,
+              table: list[tuple]) -> int:
+    """The timing recurrence over the event columns; returns total cycles.
+
+    ``table`` is :func:`static_table` of the trace's statics on a machine
+    with ``machine``'s multiply and divide latencies.
     """
-    return hashlib.sha256(pickle.dumps(
-        (events.fetch, events.data, events.control), protocol=5)).digest()
-
-
-def _simulate(machine: MachineConfig, trace: Trace, events) -> int:
-    """The timing recurrence over the event columns; returns total cycles."""
     width = machine.width
     depth = machine.frontend_depth
     capacity = max(1, depth * width)
-    table = static_table(trace.statics, machine)
 
     # Earliest cycle at which a consumer of each register may enter
     # execute, plus the NO_DEST and NO_SOURCE slots.

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.obs.tracing import span
 from repro.runtime.result import ExperimentResult
 from repro.runtime.session import Session
 
@@ -102,7 +103,8 @@ def run_experiment(session: Session, name: str, *, full: bool = False,
                 f"(declared: {spec.options or '()'})"
             )
         kwargs[option] = value
-    result = spec.runner(session, **kwargs)
+    with span(f"experiment.{spec.name}"):
+        result = spec.runner(session, **kwargs)
     result.deterministic = spec.deterministic
     return result
 

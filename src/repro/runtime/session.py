@@ -247,8 +247,12 @@ class Session:
             trace = workload.trace()
         else:
             with span("session.trace_generate", workload=name, flags=flags):
-                workload = self._compile(name, flags)
-                trace = workload.trace()
+                with span("workload.compile", workload=name, flags=flags):
+                    workload = self._compile(name, flags)
+                with span("trace.functional", workload=name,
+                          flags=flags) as functional:
+                    trace = workload.trace()
+                    functional.set(instructions=len(trace))
             self.stats.traces_generated += 1
             self.cache.store(trace.columns(), "trace", **fields)
 

@@ -5,10 +5,20 @@ concrete data and produces the dynamic instruction trace used everywhere
 else.  It plays the role of M5's functional simulator in the paper's
 profiling flow (Figure 2).
 
-The interpreter is a dispatch table: every static instruction is compiled
-once into a closure with its operands, branch target and register/memory
-cells pre-bound, and the run loop just calls ``handlers[pc_index]`` and
-appends to the packed trace columns.  No per-instruction objects are
+The interpreter dispatches per basic block, the translation caching of
+Shade (Cmelik & Keppel, SIGMETRICS 1994) without code generation.  A block
+runs from an entry index up to and including the first branch, jump or
+``HALT``, or to the end of the program.  It is built once, on first entry,
+and keyed by its entry index, so a ``JR`` target or a label inside
+straight-line code gets a block of its own.  Every straight-line
+instruction is a closure with its operands and register/memory cells
+pre-bound that returns only its memory address (``NO_VALUE`` when it has
+none); the block's terminator returns the next entry index together with
+the block's ``taken`` and ``next_pcs`` rows for that outcome, prebuilt.
+The run loop therefore pays per block, not per instruction: it calls the
+body closures, extends the memory column with their addresses and the
+static-index, PC and op-class columns with the block's prebuilt arrays,
+and checks the instruction budget once.  No per-instruction objects are
 allocated while executing; the :class:`~repro.trace.trace.Trace` facade
 materializes :class:`~repro.trace.trace.DynamicInstruction` records lazily.
 
@@ -111,13 +121,32 @@ class MemoryImage:
         return len(self._words)
 
 
-#: A compiled instruction: () -> (next static index, mem_addr, taken), with
-#: ``NO_VALUE`` standing in for "not a memory access" / "not control flow".
-_Handler = Callable[[], tuple[int, int, int]]
+#: A straight-line instruction: () -> its memory address, or ``NO_VALUE``.
+_Body = Callable[[], int]
+#: A block terminator: () -> (next entry index, the block's ``taken`` row,
+#: the block's ``next_pcs`` row) for the outcome it took.
+_Terminator = Callable[[], tuple[int, array, array]]
+
+#: Opcodes that end a basic block.
+_TERMINATORS = frozenset((
+    Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
+    Opcode.J, Opcode.JR, Opcode.HALT,
+))
+
+
+def _no_access() -> int:
+    """An instruction with no memory access and no effect (a terminator's
+    slot in the body, a NOP, a discarded result)."""
+    return NO_VALUE
 
 
 class FunctionalSimulator:
-    """Executes a program and records the dynamic instruction stream."""
+    """Executes a program and records the dynamic instruction stream.
+
+    :meth:`run` raises :class:`SimulationLimitError` when the trace would
+    exceed ``max_instructions``; register and memory state after that
+    error is unspecified.
+    """
 
     def __init__(self, program: Program, memory: MemoryImage | None = None,
                  max_instructions: int = 2_000_000):
@@ -128,37 +157,21 @@ class FunctionalSimulator:
         self.registers = [0] * NUM_INT_REGS
 
     # ------------------------------------------------------------------
-    # Instruction compilation (one closure per static instruction).
+    # Block compilation: body closures and one terminator per block.
     # ------------------------------------------------------------------
-    def _compile(self, index: int, instruction) -> _Handler:
+    def _compile(self, instruction) -> _Body:
+        """The closure of a straight-line (non-terminator) instruction."""
         opcode = instruction.opcode
         regs = self.registers
-        nxt = index + 1
         d = instruction.dest
         s1 = instruction.src1 if instruction.src1 is not None else ZERO_REG
         s2 = instruction.src2 if instruction.src2 is not None else ZERO_REG
         imm = instruction.imm
         writes = d is not None and d != ZERO_REG
-        N = NO_VALUE
         M, S, W = _WORD_MASK, _SIGN_BIT, _WRAP
 
-        # --- control flow -------------------------------------------------
-        if opcode is Opcode.HALT or opcode is Opcode.NOP:
-            return lambda: (nxt, N, N)
-        if opcode is Opcode.J:
-            tgt = self.program.label_address(instruction.target)
-            return lambda: (tgt, N, 1)
-        if opcode is Opcode.JR:
-            return lambda: (regs[s1] // INSTR_BYTES, N, 1)
-        if opcode in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-            tgt = self.program.label_address(instruction.target)
-            if opcode is Opcode.BEQ:
-                return lambda: (tgt, N, 1) if regs[s1] == regs[s2] else (nxt, N, 0)
-            if opcode is Opcode.BNE:
-                return lambda: (tgt, N, 1) if regs[s1] != regs[s2] else (nxt, N, 0)
-            if opcode is Opcode.BLT:
-                return lambda: (tgt, N, 1) if regs[s1] < regs[s2] else (nxt, N, 0)
-            return lambda: (tgt, N, 1) if regs[s1] >= regs[s2] else (nxt, N, 0)
+        if opcode is Opcode.NOP:
+            return _no_access
 
         # --- memory -------------------------------------------------------
         # The word store is inlined for speed: the sparse dict and the word
@@ -169,154 +182,229 @@ class FunctionalSimulator:
         word_bytes = self.memory.WORD_BYTES
         if opcode is Opcode.LW:
             if writes:
-                def lw() -> tuple[int, int, int]:
+                def lw() -> int:
                     addr = regs[s1] + imm
                     regs[d] = words.get(addr // word_bytes, 0)
-                    return (nxt, addr, N)
+                    return addr
                 return lw
-            return lambda: (nxt, regs[s1] + imm, N)
+            return lambda: regs[s1] + imm
         if opcode is Opcode.SW:
-            def sw() -> tuple[int, int, int]:
+            def sw() -> int:
                 addr = regs[s1] + imm
                 words[addr // word_bytes] = regs[s2]
-                return (nxt, addr, N)
+                return addr
             return sw
         if opcode is Opcode.LB:
             load_byte = self.memory.load_byte
             if writes:
-                def lb() -> tuple[int, int, int]:
+                def lb() -> int:
                     addr = regs[s1] + imm
                     regs[d] = load_byte(addr)
-                    return (nxt, addr, N)
+                    return addr
                 return lb
-            return lambda: (nxt, regs[s1] + imm, N)
+            return lambda: regs[s1] + imm
         if opcode is Opcode.SB:
             store_byte = self.memory.store_byte
-            def sb() -> tuple[int, int, int]:
+            def sb() -> int:
                 addr = regs[s1] + imm
                 store_byte(addr, regs[s2])
-                return (nxt, addr, N)
+                return addr
             return sb
 
         # --- arithmetic / logic -------------------------------------------
         # Results are wrapped to 64-bit signed exactly like ``_to_signed``.
+        N = NO_VALUE
         if not writes:
             # The destination is r0 (or absent): the result is discarded and
             # there are no side effects, so the instruction degenerates.
-            return lambda: (nxt, N, N)
+            return _no_access
         if opcode is Opcode.ADD:
             def h():
                 v = (regs[s1] + regs[s2]) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.SUB:
             def h():
                 v = (regs[s1] - regs[s2]) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.AND:
             def h():
                 regs[d] = regs[s1] & regs[s2]
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.OR:
             def h():
                 regs[d] = regs[s1] | regs[s2]
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.XOR:
             def h():
                 regs[d] = regs[s1] ^ regs[s2]
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.SLL:
             def h():
                 v = (regs[s1] << (regs[s2] & 63)) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.SRL:
             def h():
                 v = (regs[s1] & M) >> (regs[s2] & 63)
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.SLT:
             def h():
                 regs[d] = 1 if regs[s1] < regs[s2] else 0
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.ADDI:
             def h():
                 v = (regs[s1] + imm) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.ANDI:
             def h():
                 v = (regs[s1] & imm) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.ORI:
             def h():
                 v = (regs[s1] | imm) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.XORI:
             def h():
                 v = (regs[s1] ^ imm) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.SLLI:
             shift = imm & 63
             def h():
                 v = (regs[s1] << shift) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.SRLI:
             shift = imm & 63
             def h():
                 v = (regs[s1] & M) >> shift
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.SLTI:
             def h():
                 regs[d] = 1 if regs[s1] < imm else 0
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.LI:
             value = _to_signed(imm)
             def h():
                 regs[d] = value
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.MOV:
             def h():
                 regs[d] = regs[s1]
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.MUL:
             def h():
                 v = (regs[s1] * regs[s2]) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.MULI:
             def h():
                 v = (regs[s1] * imm) & M
                 regs[d] = v - W if v & S else v
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.DIV:
             def h():
                 b = regs[s2]
                 regs[d] = 0 if b == 0 else _to_signed(int(regs[s1] / b))
-                return (nxt, N, N)
+                return N
         elif opcode is Opcode.DIVI:
             if imm == 0:
                 def h():
                     regs[d] = 0
-                    return (nxt, N, N)
+                    return N
             else:
                 def h():
                     regs[d] = _to_signed(int(regs[s1] / imm))
-                    return (nxt, N, N)
+                    return N
         elif opcode is Opcode.REM:
             def h():
                 a, b = regs[s1], regs[s2]
                 regs[d] = 0 if b == 0 else _to_signed(a - int(a / b) * b)
-                return (nxt, N, N)
+                return N
         else:  # pragma: no cover - defensive
             raise NotImplementedError(f"unhandled opcode {opcode}")
         return h
+
+    def _terminator(self, index: int, instruction, taken: list,
+                    next_pcs: list) -> _Terminator:
+        """The closure ending a block at ``index``.
+
+        ``taken`` and ``next_pcs`` are the rows of the block's body; each
+        outcome's closure returns them with the terminator's row appended.
+        """
+        opcode = instruction.opcode
+        regs = self.registers
+        s1 = instruction.src1 if instruction.src1 is not None else ZERO_REG
+        s2 = instruction.src2 if instruction.src2 is not None else ZERO_REG
+
+        def outcome(next_index: int, took: int, next_pc: int) -> tuple:
+            return (next_index, array("b", taken + [took]),
+                    array("q", next_pcs + [next_pc]))
+
+        if opcode is Opcode.HALT:
+            # HALT records itself as its successor; index -1 ends the run.
+            halted = outcome(-1, NO_VALUE, index * INSTR_BYTES)
+            return lambda: halted
+        if opcode is Opcode.JR:
+            taken_row = array("b", taken + [1])
+            body_next = array("q", next_pcs)
+
+            def jr():
+                target = regs[s1] // INSTR_BYTES
+                return (target, taken_row,
+                        body_next + array("q", (target * INSTR_BYTES,)))
+            return jr
+        tgt = self.program.label_address(instruction.target)
+        T = outcome(tgt, 1, tgt * INSTR_BYTES)
+        if opcode is Opcode.J:
+            return lambda: T
+        F = outcome(index + 1, 0, (index + 1) * INSTR_BYTES)
+        if opcode is Opcode.BEQ:
+            return lambda: T if regs[s1] == regs[s2] else F
+        if opcode is Opcode.BNE:
+            return lambda: T if regs[s1] != regs[s2] else F
+        if opcode is Opcode.BLT:
+            return lambda: T if regs[s1] < regs[s2] else F
+        return lambda: T if regs[s1] >= regs[s2] else F
+
+    def _block(self, entry: int, class_ids: bytes) -> tuple:
+        """The basic block entered at static index ``entry``.
+
+        Returns ``(body closures, terminator, instruction count, static
+        indices, pcs, op-class ids)``; the last three are the block's
+        prebuilt rows of those columns.
+        """
+        statics = self.program.instructions
+        n_static = len(statics)
+        body = []
+        index = entry
+        while index < n_static and statics[index].opcode not in _TERMINATORS:
+            body.append(self._compile(statics[index]))
+            index += 1
+        taken = [NO_VALUE] * len(body)
+        next_pcs = [(k + 1) * INSTR_BYTES for k in range(entry, index)]
+        if index < n_static:
+            terminator = self._terminator(index, statics[index], taken,
+                                          next_pcs)
+            body.append(_no_access)
+            index += 1
+        else:
+            # The block runs off the end of the program, ending the run.
+            fell_off = (n_static, array("b", taken), array("q", next_pcs))
+
+            def terminator():
+                return fell_off
+        indices = range(entry, index)
+        return (body, terminator, len(indices), array("q", indices),
+                array("q", [k * INSTR_BYTES for k in indices]),
+                array("b", class_ids[entry:index]))
 
     # ------------------------------------------------------------------
     def run(self) -> Trace:
@@ -324,9 +412,8 @@ class FunctionalSimulator:
         program = self.program
         statics = program.instructions
         n_static = len(statics)
-        handlers = [self._compile(i, ins) for i, ins in enumerate(statics)]
-        halts = [ins.opcode is Opcode.HALT for ins in statics]
         class_ids = bytes(OP_CLASS_IDS[ins.op_class] for ins in statics)
+        blocks: list[tuple | None] = [None] * n_static
 
         pcs = array("q")
         next_pcs = array("q")
@@ -334,34 +421,36 @@ class FunctionalSimulator:
         op_classes = array("b")
         taken = array("b")
         static_index = array("q")
-        append_pc = pcs.append
-        append_next = next_pcs.append
-        append_mem = mem_addrs.append
-        append_op = op_classes.append
-        append_taken = taken.append
-        append_static = static_index.append
+        extend_pcs = pcs.extend
+        extend_next = next_pcs.extend
+        extend_mem = mem_addrs.extend
+        extend_ops = op_classes.extend
+        extend_taken = taken.extend
+        extend_static = static_index.extend
 
         pc_index = 0
         executed = 0
         limit = self.max_instructions
         while 0 <= pc_index < n_static:
-            if executed >= limit:
+            block = blocks[pc_index]
+            if block is None:
+                block = blocks[pc_index] = self._block(pc_index, class_ids)
+            body, terminator, count, block_static, block_pcs, block_ops = block
+            # A block always runs to its end, so this is exactly "the trace
+            # would exceed the budget".
+            executed += count
+            if executed > limit:
                 raise SimulationLimitError(
                     f"{program.name}: exceeded {self.max_instructions} dynamic "
                     "instructions; likely an infinite loop"
                 )
-            nxt, mem, tk = handlers[pc_index]()
-            append_pc(pc_index * INSTR_BYTES)
-            append_static(pc_index)
-            append_op(class_ids[pc_index])
-            append_mem(mem)
-            append_taken(tk)
-            if halts[pc_index]:
-                append_next(pc_index * INSTR_BYTES)
-                break
-            append_next(nxt * INSTR_BYTES)
-            executed += 1
-            pc_index = nxt
+            extend_mem([h() for h in body])
+            pc_index, block_taken, block_next = terminator()
+            extend_static(block_static)
+            extend_pcs(block_pcs)
+            extend_ops(block_ops)
+            extend_taken(block_taken)
+            extend_next(block_next)
 
         return Trace.from_columns(
             statics=statics,

@@ -157,6 +157,36 @@ class TestSpans:
                   == simulate["args"]["span_id"]]
         assert len(nested) == 2
 
+    def test_experiment_and_trace_generation_spans(self, tmp_path):
+        from repro.runtime import registry
+        from repro.runtime.session import Session
+        from repro.workloads import get_workload
+
+        out = tmp_path / "spans.jsonl"
+        tracing.configure(str(out))
+        registry.run_experiment(Session(cache_dir=None), "figure3",
+                                overrides={"benchmarks": ("sha",)})
+        events = _events(out)
+
+        def only(name):
+            (event,) = [e for e in events if e["name"] == name]
+            return event
+
+        def parent(event):
+            return event["args"].get("parent_id")
+
+        experiment = only("experiment.figure3")
+        generate = only("session.trace_generate")
+        compile_, functional = only("workload.compile"), only("trace.functional")
+        # The interpreter's share is its own child of trace generation.
+        assert parent(generate) == experiment["args"]["span_id"]
+        assert parent(compile_) == parent(functional) == \
+            generate["args"]["span_id"]
+        assert functional["args"]["workload"] == "sha"
+        assert functional["args"]["instructions"] == \
+            len(get_workload("sha").trace())
+        assert compile_["dur"] + functional["dur"] <= generate["dur"]
+
     def test_configure_from_env(self, tmp_path):
         out = tmp_path / "spans.jsonl"
         os.environ[tracing.TRACE_ENV] = str(out)

@@ -9,8 +9,10 @@ The simulator is driven from the kernel backend's miss-event columns; the
 parity tests at the end hold it bit-identical to the object-replay oracle
 in ``inorder_oracle.py``, hold the two kernel backends' event columns
 equal, and pin a digest of its cycle counts over the reduced design space.
-The batch tests hold ``simulate_many`` equal to per-point ``run``, check
-that its event and timing keys miss no machine parameter, and pin the work
+The batch tests hold ``simulate_many`` equal to per-point ``run``, hold
+the events a backend computes with one ``shared`` memo across a Table-2
+sweep equal to the reference's, check that the event and timing keys miss
+no machine parameter, and pin the work
 a Table-2 sweep, a warm Figure 3 rerun and ``speedup`` cost.
 """
 
@@ -386,6 +388,24 @@ def test_simulate_many_matches_per_point_run(name):
             machine.name
 
 
+@pytest.mark.parametrize("name", ("sha", "qsort"))
+def test_shared_events_match_reference_on_table2_space(name):
+    """One ``shared`` memo across a call's event sets changes no event."""
+    trace = get_workload(name).trace()
+    kernels = get_kernels()
+    reference = PythonKernels()
+    shared: dict = {}
+    event_keys = set()
+    for machine in TABLE2_SPACE:
+        key = (machine.memory_hierarchy_config(), machine.branch_predictor)
+        if key in event_keys:
+            continue
+        event_keys.add(key)
+        assert kernels.pipeline_events(trace, machine, shared) == \
+            reference.pipeline_events(trace, machine), machine.name
+    assert len(event_keys) == 48
+
+
 #: One machine parameter changed at a time, each of which the event key
 #: (hierarchy geometry) or the timing key (unit latencies) must see.
 KEY_VARIANTS = (
@@ -457,16 +477,16 @@ def counted(monkeypatch):
     counts = Counter()
 
     class CountingKernels(type(get_kernels())):
-        def pipeline_events(self, trace, machine):
+        def pipeline_events(self, trace, machine, shared=None):
             counts["events"] += 1
-            return super().pipeline_events(trace, machine)
+            return super().pipeline_events(trace, machine, shared)
 
     kernels = CountingKernels()
     simulate = inorder._simulate
 
-    def counting_simulate(machine, trace, events):
+    def counting_simulate(machine, trace, events, table):
         counts["loops"] += 1
-        return simulate(machine, trace, events)
+        return simulate(machine, trace, events, table)
 
     monkeypatch.setattr(inorder, "get_kernels", lambda: kernels)
     monkeypatch.setattr(inorder, "_simulate", counting_simulate)
