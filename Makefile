@@ -9,6 +9,7 @@ lint:
 	ruff check .
 	python tools/check_process_pools.py
 	python tools/check_print.py
+	python tools/check_env_knobs.py
 
 bench:
 	$(PY) -m repro.cli bench

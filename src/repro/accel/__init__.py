@@ -11,12 +11,11 @@ Both are guaranteed **bit-identical**: every pass, histogram, branch count
 and dependency profile a backend produces equals the reference exactly, so
 switching backends never changes a result — only how fast it arrives.
 
-Selection (first match wins):
-
-1. an explicit :func:`set_backend` call (the CLI's ``--accel`` flag);
-2. the ``REPRO_ACCEL`` environment variable (``numpy`` | ``python`` |
-   ``auto``); naming ``numpy`` explicitly raises if NumPy is missing;
-3. ``auto`` — NumPy when importable, silent stdlib fallback otherwise.
+Selection: NumPy when ``numpy>=2`` imports, the stdlib reference
+otherwise.  The ``REPRO_ACCEL`` environment variable (``numpy`` |
+``python`` | ``auto``) is the one override, read on first use; naming
+``numpy`` explicitly raises if NumPy is missing.  :func:`set_backend`
+switches in process, for benchmarks that time both backends.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def set_backend(choice: str) -> Kernels:
 
     Returns the activated :class:`Kernels` instance.  Engines capture the
     active backend when they are created, so switch before profiling work
-    starts (the CLI applies ``--accel`` before anything else runs).
+    starts.
     """
     global _ACTIVE
     _ACTIVE = _resolve(choice)

@@ -164,16 +164,16 @@ def validate_requests(requests: Sequence[EvalRequest], *,
 
 def evaluate_many(requests: Iterable["EvalRequest | Mapping"], *,
                   session: Session | None = None, jobs: int | None = None,
-                  cache_dir=None, plan: bool = True) -> list[EvalResult]:
+                  cache_dir=None) -> list[EvalResult]:
     """Answer a batch of requests, optionally sharded across processes.
 
     The batch runs through the sweep planner (:mod:`repro.api.planner`):
     requests are grouped by workload and ordered by pass signature, so
     each profiling pass is computed exactly once per trace across the
     whole batch — also under sharding, where each group goes to one worker
-    and traces the parent already holds ship as raw column bytes.
-    ``plan=False`` falls back to request-by-request sharding (same
-    results, byte for byte — planning only changes *where* work happens).
+    and traces the parent already holds ship through the data plane.
+    Planning only changes *where* work happens: the results equal
+    request-by-request :func:`evaluate`, byte for byte.
 
     With ``jobs > 1`` the batch is distributed over a process pool whose
     workers share the session's artifact-cache directory (a run-scoped
@@ -193,20 +193,20 @@ def evaluate_many(requests: Iterable["EvalRequest | Mapping"], *,
                 "pass either an existing session or jobs/cache_dir, not both "
                 "(the session already fixes its job count and cache directory)"
             )
-        return _run_batch(session, parsed, machines, plan)
+        return _run_batch(session, parsed, machines)
     with pooled_session(cache_dir, jobs if jobs is not None else 1) as pooled:
-        return _run_batch(pooled, parsed, machines, plan)
+        return _run_batch(pooled, parsed, machines)
 
 
 def _run_batch(session: Session, parsed: list[EvalRequest],
-               machines: dict, plan: bool) -> list[EvalResult]:
+               machines: dict) -> list[EvalResult]:
     import time
 
     from repro.api.planner import evaluate_group_timed, plan_requests
     from repro.obs.tracing import emit_span, span
     from repro.resilience.containment import UnitFailure
 
-    if not plan or len(parsed) <= 1:
+    if len(parsed) <= 1:
         return session.map(_evaluate_one, parsed)
     with span("planner.plan", requests=len(parsed)) as plan_span:
         groups = plan_requests(parsed, jobs=session.jobs, machines=machines)

@@ -126,19 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke", action="store_true",
         help="apply each experiment's registered fast-subset preset",
     )
-    run_parser.add_argument(
-        "--accel", choices=("auto", "numpy", "python"), default=None,
-        metavar="BACKEND",
-        help="profiling-kernel backend: numpy, python, or auto "
-             "(default: the REPRO_ACCEL environment variable, then auto)",
-    )
-    run_parser.add_argument(
-        "--dataplane", choices=("auto", "shm", "payload"), default=None,
-        metavar="PLANE",
-        help="trace transport for --jobs workers: shm (zero-copy shared "
-             "memory), payload (column bytes), or auto (default: the "
-             "REPRO_DATAPLANE environment variable, then auto)",
-    )
     _add_trace_out(run_parser)
 
     eval_parser = subparsers.add_parser(
@@ -168,18 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the backend capability matrix, machine presets and "
              "kernel backends, then exit",
     )
-    eval_parser.add_argument(
-        "--accel", choices=("auto", "numpy", "python"), default=None,
-        metavar="BACKEND",
-        help="profiling-kernel backend: numpy, python, or auto "
-             "(default: the REPRO_ACCEL environment variable, then auto)",
-    )
-    eval_parser.add_argument(
-        "--dataplane", choices=("auto", "shm", "payload"), default=None,
-        metavar="PLANE",
-        help="trace transport for --jobs workers: shm, payload, or auto "
-             "(default: the REPRO_DATAPLANE environment variable, then auto)",
-    )
     _add_trace_out(eval_parser)
 
     optimize_parser = subparsers.add_parser(
@@ -206,18 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="artifact cache directory shared with 'run'/'eval' "
              "(default: none)",
-    )
-    optimize_parser.add_argument(
-        "--accel", choices=("auto", "numpy", "python"), default=None,
-        metavar="BACKEND",
-        help="profiling-kernel backend: numpy, python, or auto "
-             "(default: the REPRO_ACCEL environment variable, then auto)",
-    )
-    optimize_parser.add_argument(
-        "--dataplane", choices=("auto", "shm", "payload"), default=None,
-        metavar="PLANE",
-        help="trace transport for --jobs workers: shm, payload, or auto "
-             "(default: the REPRO_DATAPLANE environment variable, then auto)",
     )
     _add_trace_out(optimize_parser)
 
@@ -261,20 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--cache-max-bytes", default="64MB", metavar="SIZE",
         help="result-cache byte budget, e.g. '64MB' (default: 64MB)",
-    )
-    serve_parser.add_argument(
-        "--accel", choices=("auto", "numpy", "python"), default=None,
-        metavar="BACKEND",
-        help="profiling-kernel backend: numpy, python, or auto "
-             "(default: the REPRO_ACCEL environment variable, then auto); "
-             "published in GET /v1/metrics",
-    )
-    serve_parser.add_argument(
-        "--dataplane", choices=("auto", "shm", "payload"), default=None,
-        metavar="PLANE",
-        help="trace transport for --jobs workers: shm, payload, or auto "
-             "(default: the REPRO_DATAPLANE environment variable, then "
-             "auto); published in GET /v1/metrics",
     )
     serve_parser.add_argument(
         "--request-timeout", type=float, default=None, metavar="SECONDS",
@@ -329,11 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument(
         "--json", action="store_true",
         help="emit the full report as JSON instead of text",
-    )
-    chaos_parser.add_argument(
-        "--accel", choices=("auto", "numpy", "python"), default=None,
-        metavar="BACKEND",
-        help="profiling-kernel backend (default: REPRO_ACCEL, then auto)",
     )
 
     cache_parser = subparsers.add_parser(
@@ -438,11 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "invocations and sampling rates")
     trace_sample.add_argument("--json", action="store_true",
                               help="emit the full result as JSON")
-    trace_sample.add_argument(
-        "--accel", choices=("auto", "numpy", "python"), default=None,
-        metavar="BACKEND",
-        help="profiling-kernel backend (default: REPRO_ACCEL, then auto)",
-    )
 
     bench_parser = subparsers.add_parser(
         "bench", help="run the core hot-path benchmark (writes BENCH_core.json)"
@@ -469,19 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "milliseconds: a stage whose reference "
                                    "time is below this is not gated "
                                    "(default: 50)")
-    bench_parser.add_argument(
-        "--accel", choices=("auto", "numpy", "python"), default=None,
-        metavar="BACKEND",
-        help="profiling-kernel backend: numpy, python, or auto "
-             "(default: the REPRO_ACCEL environment variable, then auto)",
-    )
-    bench_parser.add_argument(
-        "--dataplane", choices=("auto", "shm", "payload"), default=None,
-        metavar="PLANE",
-        help="trace transport for --jobs workers: shm, payload, or auto "
-             "(default: the REPRO_DATAPLANE environment variable, then "
-             "auto); recorded in the output",
-    )
     _add_trace_out(bench_parser)
 
     obs_parser = subparsers.add_parser(
@@ -506,46 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_chrome.add_argument("--output", default=None, metavar="PATH",
                             help="destination JSON file (default: stdout)")
     return parser
-
-
-def _apply_accel(args: argparse.Namespace) -> None:
-    """Select the kernel backend before any profiling work starts.
-
-    Also exported through ``REPRO_ACCEL`` so ``--jobs`` worker processes
-    (which resolve their backend independently) inherit the choice.
-    """
-    choice = getattr(args, "accel", None)
-    if choice is None:
-        return
-    import os
-
-    from repro.accel import ACCEL_ENV, set_backend
-
-    try:
-        set_backend(choice)
-    except ValueError as exc:
-        raise SystemExit(f"--accel: {exc}") from exc
-    os.environ[ACCEL_ENV] = choice
-
-
-def _apply_dataplane(args: argparse.Namespace) -> None:
-    """Select the trace transport before any sharded work starts.
-
-    Also exported through ``REPRO_DATAPLANE`` so worker processes (which
-    resolve the plane independently) inherit the choice.
-    """
-    choice = getattr(args, "dataplane", None)
-    if choice is None:
-        return
-    import os
-
-    from repro.runtime.dataplane import DATAPLANE_ENV, set_mode
-
-    try:
-        set_mode(choice)
-    except ValueError as exc:
-        raise SystemExit(f"--dataplane: {exc}") from exc
-    os.environ[DATAPLANE_ENV] = choice
 
 
 def _apply_obs(args: argparse.Namespace) -> None:
@@ -1102,8 +988,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_accel(args)
-    _apply_dataplane(args)
     _apply_obs(args)
     _apply_faults(args)
     try:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.machine import DEFAULT_MACHINE, MachineConfig
-from repro.runtime.reporters import format_table  # noqa: F401  (re-export)
 from repro.runtime.session import Session
 
 #: Benchmarks highlighted in Figure 4 (width scaling behaviour).

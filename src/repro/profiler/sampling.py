@@ -201,10 +201,10 @@ def interval_cache_key(chunked: ChunkedTrace, index: int,
 class _StreamSet:
     """One machine's chunk-resumable streams plus cumulative snapshots."""
 
-    def __init__(self, machine: MachineConfig, mlp_window: int, kernels):
+    def __init__(self, machine: MachineConfig, mlp_window: int):
         self.machine = machine
         self.mlp_window = mlp_window
-        self.kernels = kernels if kernels is not None else get_kernels()
+        self.kernels = get_kernels()
         geometry, (_, sets, line) = pass_keys(machine)
         self.base = self.kernels.base_stream(geometry)
         self.l2 = self.kernels.l2_stream(
@@ -233,14 +233,14 @@ class _StreamSet:
         return counts, cold, profile.dl2_miss_runs
 
 
-def _chunk_program(chunk, kernels) -> ProgramProfile:
-    """Chunk-local program profile through the given kernel backend.
+def _chunk_program(chunk) -> ProgramProfile:
+    """Chunk-local program profile through the active kernel backend.
 
     Value-identical to :func:`profile_program` on the chunk; per-chunk
     program profiling is the only per-interval work that is not a miss
     stream.
     """
-    kernels = kernels if kernels is not None else get_kernels()
+    kernels = get_kernels()
     return ProgramProfile(
         name=chunk.name,
         instructions=len(chunk),
@@ -251,14 +251,14 @@ def _chunk_program(chunk, kernels) -> ProgramProfile:
 
 def profile_interval(chunked: ChunkedTrace, index: int,
                      machine: MachineConfig, mlp_window: int = 64,
-                     kernels=None, warming: int = 1) -> IntervalRecord:
+                     warming: int = 1) -> IntervalRecord:
     """Profile chunk ``index`` after warming on its predecessors.
 
     The ``warming`` chunks before ``index`` (clipped at the trace start)
     are streamed through the kernels for state only; the measured chunk's
     counts are the difference of cumulative snapshots around it.
     """
-    streams = _StreamSet(machine, mlp_window, kernels)
+    streams = _StreamSet(machine, mlp_window)
     for position in range(max(0, index - warming), index):
         streams.update(chunked.chunk(position))
     before_counts, before_cold, before_runs = streams.snapshot()
@@ -273,7 +273,7 @@ def profile_interval(chunked: ChunkedTrace, index: int,
         source: after_cold[source] - before_cold[source]
         for source in after_cold
     }
-    program = _chunk_program(chunk, kernels)
+    program = _chunk_program(chunk)
     misses = MissProfile(
         machine=machine,
         instructions=len(chunk),
@@ -292,8 +292,8 @@ def profile_interval(chunked: ChunkedTrace, index: int,
 
 
 def _census_counts(chunked: ChunkedTrace, plan: SamplingPlan,
-                   machine: MachineConfig, mlp_window: int,
-                   kernels) -> list[tuple[dict[str, int], int]]:
+                   machine: MachineConfig,
+                   mlp_window: int) -> list[tuple[dict[str, int], int]]:
     """Exact per-chunk (metric counts, dl2 miss runs) for ``plan.census``.
 
     One pass of the chunk-resumable streams over the warmup prefix only;
@@ -301,7 +301,7 @@ def _census_counts(chunked: ChunkedTrace, plan: SamplingPlan,
     """
     if not plan.census:
         return []
-    streams = _StreamSet(machine, mlp_window, kernels)
+    streams = _StreamSet(machine, mlp_window)
     per_chunk: list[tuple[dict[str, int], int]] = []
     previous: dict[str, int] = {metric: 0 for metric in MISS_METRICS}
     previous_runs = 0
@@ -546,8 +546,7 @@ class SampledEvaluation:
 
 def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
                     rate: int, warmup: int = 4, warming: int = 1,
-                    mlp_window: int = 64, kernels=None,
-                    cache=None) -> SampledEvaluation:
+                    mlp_window: int = 64, cache=None) -> SampledEvaluation:
     """Estimate the model's prediction for ``chunked`` from a sample.
 
     ``warmup`` chunks are streamed exactly and double as the calibration
@@ -578,15 +577,14 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
         if record is None:
             misses_count += 1
             record = profile_interval(chunked, index, machine, mlp_window,
-                                      kernels, warming)
+                                      warming)
             if cache is not None:
                 cache[key] = record
         else:
             hits += 1
         return record
 
-    census_counts = _census_counts(chunked, plan, machine, mlp_window,
-                                   kernels)
+    census_counts = _census_counts(chunked, plan, machine, mlp_window)
     census_records = {
         position: interval_record(index)
         for position, index in enumerate(plan.census)
@@ -644,7 +642,7 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
     # ``profile_interval``); only position 0 needs a fresh pass.
     census_programs = [
         census_records[position].program if position in census_records
-        else _chunk_program(chunked.chunk(index), kernels)
+        else _chunk_program(chunked.chunk(index))
         for position, index in enumerate(plan.census)
     ]
     weighted_programs = [

@@ -25,12 +25,12 @@ shared memory instead:
   (:func:`start_parent_watch`): an orphaned worker detaches its segments
   and exits instead of holding the mappings (and the CPU) forever.
 
-Mode selection (:func:`set_mode` / ``REPRO_DATAPLANE`` / ``--dataplane``)
-mirrors :mod:`repro.accel`: ``shm`` | ``payload`` | ``auto``, where
-``auto`` probes the platform and silently falls back to the existing
-payload shipping when POSIX shared memory is unavailable.  Both planes
-produce byte-identical results — only transport cost differs — and the
-selected plane is reported in ``/v1/metrics`` and ``repro bench``.
+The plane is chosen by probing the platform: ``shm`` when POSIX shared
+memory works, the existing payload shipping otherwise (and, per session,
+whenever publishing a segment fails mid-run).  Both planes produce
+byte-identical results — only transport cost differs — and the plane in
+use is reported in ``/v1/metrics`` and ``repro bench``.  :func:`set_mode`
+pins a plane for the benchmarks and parity tests that compare the two.
 
 :class:`StageTimings` is the data plane's instrumentation surface: the
 batch layer accounts every sharded evaluation into the five stages
@@ -58,9 +58,6 @@ from repro.trace.trace_schema import (
     TRACE_SCHEMA_VERSION,
     column_typecode as _column_typecode,
 )
-
-#: Environment variable naming the data plane (``auto`` if unset).
-DATAPLANE_ENV = "REPRO_DATAPLANE"
 
 DATAPLANE_CHOICES = ("auto", "shm", "payload")
 
@@ -121,9 +118,8 @@ def _resolve(choice: str) -> str:
 def set_mode(choice: str) -> str:
     """Select the data plane (``auto`` | ``shm`` | ``payload``).
 
-    Returns the resolved mode (``"shm"`` or ``"payload"``).  Like the
-    kernel backend, pick the plane before sharded work starts: a
-    persistent worker pool captures the mode when it spawns.
+    Returns the resolved mode (``"shm"`` or ``"payload"``).  Only the
+    parent's plane matters: it alone ships traces to pool workers.
     """
     global _MODE
     _MODE = _resolve(choice)
@@ -131,10 +127,10 @@ def set_mode(choice: str) -> str:
 
 
 def active_mode() -> str:
-    """The resolved data plane (from ``REPRO_DATAPLANE`` on first use)."""
+    """The resolved data plane (``auto`` on first use)."""
     global _MODE
     if _MODE is None:
-        _MODE = _resolve(os.environ.get(DATAPLANE_ENV, "auto"))
+        _MODE = _resolve("auto")
     return _MODE
 
 

@@ -44,18 +44,18 @@ from repro.resilience.containment import resilient_map, unit_label
 _WORKER_SESSION = None
 
 
-def _worker_init(spec, parent_pid: int, dataplane_mode: str,
-                 obs_config=None, faults_config=None) -> None:
+def _worker_init(spec, parent_pid: int, obs_config=None,
+                 faults_config=None) -> None:
     global _WORKER_SESSION
     from repro.runtime import dataplane
 
-    # Workers run their shard inline: nested pools would oversubscribe.
+    # Workers run their shard inline (nested pools would oversubscribe),
+    # so they never ship a trace and need no data plane of their own.
     _WORKER_SESSION = spec.create(jobs=1)
-    # Pin the data plane, span sink and fault plan the parent resolved
-    # (spawned workers cannot rely on inherited module state) and watch
-    # for the parent disappearing — an orphaned worker detaches its
-    # segments and exits.
-    dataplane.set_mode(dataplane_mode)
+    # Pin the span sink and fault plan the parent resolved (spawned
+    # workers cannot rely on inherited module state) and watch for the
+    # parent disappearing — an orphaned worker detaches its segments and
+    # exits.
     tracing.apply_worker_config(obs_config)
     faults.apply_worker_config(faults_config)
     dataplane.start_parent_watch(parent_pid)
@@ -74,9 +74,9 @@ class WorkerPool:
     """A long-lived process pool bound to one session spec.
 
     Wraps the sole ``ProcessPoolExecutor`` of the tree.  Workers are
-    initialized once with their own session and the parent's data-plane
-    mode, then reused across every batch until :meth:`close` — the
-    "pre-warmed" half of the data plane refactor.
+    initialized once with their own session, then reused across every
+    batch until :meth:`close` — the "pre-warmed" half of the data plane
+    refactor.
     """
 
     #: Pools constructed process-wide (the pool-churn regression tests
@@ -84,8 +84,6 @@ class WorkerPool:
     created_total = 0
 
     def __init__(self, spec, jobs: int):
-        from repro.runtime.dataplane import active_mode
-
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         type(self).created_total += 1
@@ -93,8 +91,8 @@ class WorkerPool:
         self.jobs = jobs
         self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=jobs, initializer=_worker_init,
-            initargs=(spec, os.getpid(), active_mode(),
-                      tracing.worker_config(), faults.worker_config()),
+            initargs=(spec, os.getpid(), tracing.worker_config(),
+                      faults.worker_config()),
         )
 
     @property

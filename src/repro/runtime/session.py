@@ -373,8 +373,8 @@ class Session:
     def dataplane_mode(self) -> str:
         """The data plane this session actually uses (``shm``/``payload``).
 
-        Reported in ``/v1/metrics`` and ``repro bench``: differs from the
-        configured mode when shared memory turned out to be unavailable.
+        Reported in ``/v1/metrics`` and ``repro bench``: ``payload`` once
+        publishing a shared-memory segment has failed in this session.
         """
         from repro.runtime.dataplane import active_mode
 

@@ -25,14 +25,10 @@ import time
 
 from repro.obs.metrics import MetricsRegistry, percentile
 
-#: Observations retained per endpoint for the percentile report (the
-#: registry histogram window; re-exported for the tests that assert it).
-from repro.obs.metrics import HISTOGRAM_WINDOW as LATENCY_WINDOW  # noqa: F401
-
 #: Percentiles reported for every endpoint.
 PERCENTILES = (50, 90, 99)
 
-__all__ = ["LATENCY_WINDOW", "PERCENTILES", "ServiceMetrics", "percentile"]
+__all__ = ["PERCENTILES", "ServiceMetrics", "percentile"]
 
 
 class ServiceMetrics:

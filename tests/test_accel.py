@@ -336,17 +336,6 @@ def test_cli_backends_lists_kernel_backends(capsys):
     assert "python" in out and "numpy" in out
 
 
-def test_cli_accel_flag_selects_backend_and_env(capsys, monkeypatch):
-    import os
-
-    from repro.cli import main as cli_main
-
-    monkeypatch.delenv(accel.ACCEL_ENV, raising=False)
-    assert cli_main(["eval", "--backends", "--accel", "python"]) == 0
-    assert accel.active_backend() == "python"
-    assert os.environ[accel.ACCEL_ENV] == "python"
-
-
 def test_cli_accel_flag_rejects_unknown(capsys):
     from repro.cli import main as cli_main
 

@@ -71,6 +71,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_no_subcommand_selects_an_implementation(self):
+        # Kernel backend and trace transport are byte-identical choices the
+        # code makes itself; no subcommand may offer them as a flag.
+        import argparse
+
+        def walk(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for child in action.choices.values():
+                        yield from walk(child)
+
+        parsers = list(walk(build_parser()))
+        assert {"run", "eval", "serve", "bench"} <= {
+            parser.prog.split()[-1] for parser in parsers
+        }
+        for parser in parsers:
+            flags = {option for action in parser._actions
+                     for option in action.option_strings}
+            assert not flags & {"--accel", "--dataplane"}, parser.prog
+
 
 class TestVersionFlag:
     def test_version_prints_and_exits_cleanly(self, capsys):

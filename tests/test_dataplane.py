@@ -74,11 +74,6 @@ class TestModeSelection:
         with pytest.raises(ValueError, match="unknown dataplane"):
             dataplane.set_mode("rdma")
 
-    def test_environment_variable_selects_the_plane(self, monkeypatch):
-        monkeypatch.setenv(dataplane.DATAPLANE_ENV, "payload")
-        dataplane._MODE = None
-        assert dataplane.active_mode() == "payload"
-
     def test_shm_request_fails_loudly_when_unavailable(self, monkeypatch):
         monkeypatch.setattr(dataplane, "_AVAILABLE", False)
         with pytest.raises(ValueError, match="unavailable"):

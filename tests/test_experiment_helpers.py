@@ -6,13 +6,14 @@ import pytest
 from repro.experiments import common
 from repro.experiments.speedup import SpeedupResult
 from repro.profiler import collect_dependencies
+from repro.runtime.reporters import format_table
 from repro.workloads import get_workload, mibench_suite
 from repro.workloads.registry import MIBENCH_BUILDERS
 
 
 class TestFormatTable:
     def test_alignment_and_floats(self):
-        text = common.format_table(
+        text = format_table(
             ("name", "value"),
             [("alpha", 1.23456), ("b", 2.0)],
         )
@@ -25,11 +26,11 @@ class TestFormatTable:
         assert len(set(len(line.rstrip()) for line in lines[:2])) <= 2
 
     def test_custom_float_format(self):
-        text = common.format_table(("x",), [(0.123456,)], float_format="{:.1f}")
+        text = format_table(("x",), [(0.123456,)], float_format="{:.1f}")
         assert "0.1" in text
 
     def test_non_float_cells_passed_through(self):
-        text = common.format_table(("a", "b"), [(1, "yes")])
+        text = format_table(("a", "b"), [(1, "yes")])
         assert "1" in text and "yes" in text
 
 

@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CPIComponent, InOrderMechanisticModel, predict_workload
 from repro.machine import MachineConfig
@@ -119,6 +121,45 @@ class TestModelAblations:
         ).predict(program, misses)
         assert full.cycles > no_deps.cycles
         assert no_deps.stack.component(CPIComponent.DEP_UNIT) == 0.0
+
+
+#: Machine latencies every model term charges as count x max(0, latency - c).
+_LATENCY_FIELDS = {
+    "mul_latency": st.integers(1, 64),
+    "div_latency": st.integers(1, 64),
+    "l1_hit_cycles": st.integers(1, 16),
+    "l2_ns": st.floats(0.0, 200.0),
+    "memory_ns": st.floats(0.0, 800.0),
+    "tlb_miss_ns": st.floats(0.0, 400.0),
+}
+
+
+@pytest.fixture(scope="module")
+def sha_profiles(sha_trace, default_machine):
+    return (profile_program(sha_trace),
+            profile_machine(sha_trace, default_machine))
+
+
+class TestModelMonotonicity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.fixed_dictionaries(_LATENCY_FIELDS),
+        field=st.sampled_from(sorted(_LATENCY_FIELDS)),
+        raise_by=st.floats(0.0, 100.0),
+    )
+    def test_raising_a_latency_never_lowers_cycles_or_a_component(
+            self, sha_profiles, base, field, raise_by):
+        program, misses = sha_profiles
+        if isinstance(base[field], int):
+            raise_by = round(raise_by)
+        machine = MachineConfig(**base)
+        slower = machine.with_(**{field: base[field] + raise_by})
+        before = InOrderMechanisticModel(machine).predict(program, misses)
+        after = InOrderMechanisticModel(slower).predict(program, misses)
+        assert after.cycles >= before.cycles
+        for component in CPIComponent:
+            assert (after.stack.component(component)
+                    >= before.stack.component(component)), component
 
 
 class TestModelAccuracy:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api import evaluate_many
+from repro.api import evaluate, evaluate_many
 from repro.api.planner import plan_requests, evaluate_group
 from repro.api.spec import EvalRequest, MachineSpec, WorkloadSpec
 from repro.dse.space import reduced_design_space
@@ -22,6 +22,13 @@ def _sweep_requests():
 
 def _serialized(results) -> str:
     return json.dumps([result.to_dict() for result in results])
+
+
+def _unplanned(requests) -> str:
+    """Request-by-request answers on a fresh session: the planner's oracle."""
+    session = Session()
+    return _serialized([evaluate(request, session=session)
+                        for request in requests])
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +200,7 @@ def test_segment_handle_schema_mismatch_rejected():
 def test_planned_output_identical_to_unplanned():
     requests = _sweep_requests()
     planned = _serialized(evaluate_many(requests))
-    unplanned = _serialized(evaluate_many(requests, plan=False))
-    assert planned == unplanned
+    assert planned == _unplanned(requests)
 
 
 def test_parallel_planned_output_identical_to_serial():
@@ -211,8 +217,7 @@ def test_mixed_backend_batches_still_plan_correctly():
         EvalRequest(workload=WorkloadSpec("sha"), backend="analytical_exact"),
     ]
     planned = _serialized(evaluate_many(requests))
-    unplanned = _serialized(evaluate_many(requests, plan=False))
-    assert planned == unplanned
+    assert planned == _unplanned(requests)
 
 
 def test_with_power_requests_take_the_scalar_path():
@@ -223,9 +228,7 @@ def test_with_power_requests_take_the_scalar_path():
     results = evaluate_many(requests)
     assert results[0].energy_joules is not None
     assert results[1].energy_joules is None
-    assert _serialized(results) == _serialized(
-        evaluate_many(requests, plan=False)
-    )
+    assert _serialized(results) == _unplanned(requests)
 
 
 def test_simulator_points_are_booked_to_the_simulate_stage():
