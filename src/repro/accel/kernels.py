@@ -125,16 +125,19 @@ class Kernels(abc.ABC):
         """Number of miss runs in a miss stream (see :class:`MissProfile`)."""
         return count_miss_runs(seqs, distances, associativity, mlp_window)
 
+    @final
     def predict_batch(self, program, profiles, machines):
-        """Batched mechanistic-model evaluation, or ``None`` to fall back.
+        """The mechanistic model for one program on many machines.
 
         Given one program profile and parallel lists of miss profiles and
         machine configurations, returns ``[(cycles, cpi_stack), ...]``
-        bit-identical to scalar
-        :meth:`~repro.core.model.InOrderMechanisticModel.predict` calls —
-        or ``None`` when the backend has no vectorized model path.
+        through :func:`~repro.core.model.predict_many`: the model is the
+        same code on every backend.  The method exists so profilers can
+        time the model stage under one name.
         """
-        return None
+        from repro.core.model import predict_many
+
+        return predict_many(program, profiles, machines)
 
     def pipeline_events(self, trace: Trace, machine,
                         shared: dict | None = None) -> PipelineEvents:

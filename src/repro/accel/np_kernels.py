@@ -3,7 +3,9 @@
 Every kernel reproduces the pure-Python reference
 (:class:`~repro.accel.kernels.PythonKernels`) exactly — all counts are
 integers computed by exact algorithms, so there is no floating-point
-tolerance anywhere, only equality.
+tolerance anywhere, only equality.  The mechanistic model that consumes
+the counts is not a kernel: it is one piece of pure-Python code
+(:func:`~repro.core.model.predict_many`) on every backend.
 
 Every pass is implemented once, as a chunk-resumable stream
 (``base_stream``, ``l2_stream``, ``branch_stream``, ``dependency_stream``,
@@ -54,19 +56,11 @@ vectorized predictor states.  Across the event sets of one trace (a
 ``shared`` memo), each structure's distances, each L1 pair's miss stream,
 each L2 geometry's misses and each predictor's control column are
 computed once.
-
-**Batched model evaluation.**  ``predict_batch`` evaluates the
-mechanistic model for a whole configuration list at once: per-machine
-penalty scalars come from the exact scalar code (Python floats), and only
-the per-configuration products and the ordered component sum are
-vectorized — the same IEEE-754 operations in the same order, so cycles
-and CPI stacks match the scalar model bit for bit.
 """
 
 from __future__ import annotations
 
 from array import array
-from operator import attrgetter
 
 import numpy as np
 
@@ -101,13 +95,6 @@ _LOAD_ID = OP_CLASS_IDS[OpClass.LOAD]
 _STORE_ID = OP_CLASS_IDS[OpClass.STORE]
 _BRANCH_ID = OP_CLASS_IDS[OpClass.BRANCH]
 _JUMP_ID = OP_CLASS_IDS[OpClass.JUMP]
-
-#: Miss-profile counter fields consumed by the batched model evaluation.
-_MISS_FIELDS = attrgetter(
-    "l1d_misses", "l1i_misses", "il2_misses", "dl2_misses",
-    "itlb_misses", "dtlb_misses", "mispredictions", "taken_bubbles",
-)
-
 
 # ----------------------------------------------------------------------
 # Column views.
@@ -891,15 +878,6 @@ class NumpyKernels(Kernels):
 
     name = "numpy"
 
-    #: Bound on the per-machine penalty memo: a long-lived server answering
-    #: arbitrary override combinations must not grow it without limit.
-    _FACTOR_MEMO_LIMIT = 4096
-
-    def __init__(self):
-        #: Per-machine penalty scalars (pure functions of the config) reused
-        #: across every batch the backend answers.
-        self._machine_factors: dict = {}
-
     def control_stream(self, trace: Trace) -> ControlStream:
         op_classes = _as_i8(trace.op_classes)
         control = np.flatnonzero(
@@ -921,132 +899,6 @@ class NumpyKernels(Kernels):
         if miss_seqs.size == 0:
             return 0
         return 1 + int((np.diff(miss_seqs) > mlp_window).sum())
-
-    def predict_batch(self, program, profiles, machines):
-        """Vectorized mechanistic-model evaluation (bit-identical).
-
-        Per-machine penalty scalars and dependency totals are computed with
-        the exact scalar code (:mod:`repro.core.penalties`) — Python floats
-        — and only the per-configuration products and the ordered component
-        sum are vectorized.  Every float operation happens in the same
-        order, on the same IEEE-754 doubles, as a scalar
-        :meth:`~repro.core.model.InOrderMechanisticModel.predict` call, so
-        cycles and CPI stacks match bit for bit (excluded components
-        contribute an exact ``+0.0``, which is an identity on the positive
-        partial sums).
-        """
-        from repro.core import penalties
-        from repro.core.cpi_stack import CPIComponent
-
-        count = len(machines)
-        if count == 0:
-            return []
-        dependencies = program.dependencies
-        dependency_totals = {
-            width: (
-                penalties.unit_dependency_total(dependencies.unit, width),
-                penalties.long_dependency_total(dependencies.long, width),
-                penalties.load_dependency_total(dependencies.load, width),
-            )
-            for width in {machine.width for machine in machines}
-        }
-
-        data_accesses = program.loads + program.stores
-        factor_memo = self._machine_factors
-        if len(factor_memo) > self._FACTOR_MEMO_LIMIT:
-            factor_memo.clear()  # recomputing a row is cheap; leaking is not
-        base = []
-        rows = []
-        dep_unit, dep_long, dep_load = [], [], []
-        for machine in machines:
-            base.append(program.instructions / machine.width)
-            row = factor_memo.get(machine)
-            if row is None:
-                correction = penalties.slot_correction(machine.width)
-
-                def miss(latency, correction=correction):
-                    return max(0.0, latency - correction)
-
-                def long_latency(latency, correction=correction):
-                    return max(0.0, (latency - 1.0) - correction)
-
-                memory = miss(machine.memory_cycles)
-                row = (
-                    long_latency(machine.mul_latency),
-                    long_latency(machine.div_latency),
-                    long_latency(machine.l1_hit_cycles)
-                    if machine.l1_hit_cycles > 1 else 0.0,
-                    long_latency(machine.l1_hit_cycles
-                                 + machine.l2_hit_cycles),
-                    miss(machine.l2_hit_cycles),
-                    memory,
-                    memory,
-                    miss(machine.tlb_miss_cycles),
-                    machine.frontend_depth + correction,
-                )
-                factor_memo[machine] = row
-            rows.append(row)
-            unit, long_, load = dependency_totals[machine.width]
-            dep_unit.append(unit)
-            dep_long.append(long_)
-            dep_load.append(load)
-
-        count_rows = np.array([
-            _MISS_FIELDS(profile) for profile in profiles
-        ], dtype=np.int64)
-        count_columns = dict(zip(
-            ("l1d_misses", "l1i_misses", "il2_misses", "dl2_misses",
-             "itlb_misses", "dtlb_misses", "mispredictions",
-             "taken_bubbles"),
-            count_rows.T,
-        ))
-
-        def counts(field):
-            return count_columns[field]
-
-        factor_table = np.array(rows)
-        factors = {
-            key: factor_table[:, column]
-            for column, key in enumerate(
-                ("mul", "div", "l1_extra", "dl1", "il1", "il2", "dl2",
-                 "tlb", "bpred")
-            )
-        }
-        taken_penalty = penalties.taken_branch_penalty()
-        columns = [
-            (CPIComponent.BASE, np.array(base)),
-            (CPIComponent.MUL, program.multiplies * factors["mul"]),
-            (CPIComponent.DIV, program.divides * factors["div"]),
-            (CPIComponent.L1_HIT_EXTRA, data_accesses * factors["l1_extra"]),
-            (CPIComponent.DL1_MISS, counts("l1d_misses") * factors["dl1"]),
-            (CPIComponent.IL1_MISS, counts("l1i_misses") * factors["il1"]),
-            (CPIComponent.IL2_MISS, counts("il2_misses") * factors["il2"]),
-            (CPIComponent.DL2_MISS, counts("dl2_misses") * factors["dl2"]),
-            (CPIComponent.ITLB_MISS, counts("itlb_misses") * factors["tlb"]),
-            (CPIComponent.DTLB_MISS, counts("dtlb_misses") * factors["tlb"]),
-            (CPIComponent.BPRED_MISS, counts("mispredictions") * factors["bpred"]),
-            (CPIComponent.BPRED_TAKEN,
-             counts("taken_bubbles") * taken_penalty),
-            (CPIComponent.DEP_UNIT, np.array(dep_unit)),
-            (CPIComponent.DEP_LONG, np.array(dep_long)),
-            (CPIComponent.DEP_LOAD, np.array(dep_load)),
-        ]
-        total = np.zeros(count, dtype=np.float64)
-        for _, values in columns:
-            total = total + np.where(values > 0.0, values, 0.0)
-
-        names = [component.value for component, _ in columns]
-        value_lists = [values.tolist() for _, values in columns]
-        cycle_list = total.tolist()
-        results = []
-        for index in range(count):
-            stack = {}
-            for name, values in zip(names, value_lists):
-                value = values[index]
-                if value > 0:
-                    stack[name] = value
-            results.append((cycle_list[index], stack))
-        return results
 
     def base_stream(self, geometry: BaseGeometry):
         return _NpBaseStream(geometry)

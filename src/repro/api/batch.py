@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping, Sequence
 
-from repro.api.backends import BACKENDS, get_backend
+from repro.api.backends import BACKENDS, PointEvaluation, get_backend
 from repro.api.spec import EvalRequest, EvalResult
 from repro.api.sweep import SweepRequest
 from repro.runtime.session import Session
@@ -68,6 +68,22 @@ def _failed_result(request: EvalRequest, machines: dict,
     )
 
 
+def _point_result(request: EvalRequest, workload, label: str,
+                  point: PointEvaluation) -> EvalResult:
+    """The served form of one backend answer to ``request``."""
+    return EvalResult(
+        request=request,
+        backend=BACKENDS.canonical(request.backend),
+        workload=workload.name,
+        machine=label,
+        instructions=point.instructions,
+        cycles=point.cycles,
+        seconds=point.execution_time_seconds,
+        cpi_stack=point.cpi_stack,
+        energy_joules=point.energy_joules,
+    )
+
+
 def _evaluate_one(session: Session, request: EvalRequest) -> EvalResult:
     """One request through its backend (module-level: process-pool unit)."""
     backend = get_backend(request.backend)
@@ -77,17 +93,8 @@ def _evaluate_one(session: Session, request: EvalRequest) -> EvalResult:
         session, workload, machine,
         with_power=request.with_power, mlp_window=request.mlp_window,
     )
-    return EvalResult(
-        request=request,
-        backend=BACKENDS.canonical(request.backend),
-        workload=workload.name,
-        machine=_machine_label(request, machine),
-        instructions=point.instructions,
-        cycles=point.cycles,
-        seconds=point.execution_time_seconds,
-        cpi_stack=point.cpi_stack,
-        energy_joules=point.energy_joules,
-    )
+    return _point_result(request, workload, _machine_label(request, machine),
+                         point)
 
 
 def evaluate(request: "EvalRequest | Mapping", *,

@@ -20,10 +20,11 @@ pass four times.  The planner regroups the batch before any work starts:
   built by the owning worker, keeping cold batches as parallel as before;
 * machines are resolved and labelled **once per unique spec** per group
   instead of once per request;
-* for plain ``analytical`` requests the group is answered through the
-  active :mod:`repro.accel` kernel backend's batched model evaluation
-  when it offers one (the NumPy kernels do), falling back to the scalar
-  backend call otherwise — both produce byte-identical results.
+* plain ``analytical`` requests share one miss profile per memory and
+  predictor side, and the group's points are answered by one batched
+  model evaluation (:func:`~repro.core.model.predict_many`, the same
+  code on every kernel backend), byte-identical to per-point backend
+  calls.
 
 Groups larger than a fair share are split along pass-signature boundaries
 when the batch has fewer groups than workers, so a single-workload sweep
@@ -211,7 +212,7 @@ def evaluate_group_timed(
 def _evaluate_group_body(
     session, group: PlannedGroup
 ) -> tuple[list[EvalResult], dict[str, float]]:
-    from repro.api.batch import _machine_label
+    from repro.api.batch import _machine_label, _point_result
 
     stages: dict[str, float] = {}
     started = time.perf_counter()
@@ -238,8 +239,8 @@ def _evaluate_group_body(
             labels[request.machine] = label
         return machine, label
 
-    # Fast path: plain analytical requests answered through the kernel
-    # backend's batched model evaluation (when it provides one).
+    # Fast path: plain analytical requests share their miss profiles and
+    # are answered by one batched model evaluation.
     batched: list[int] = []
     for position, request in enumerate(group.requests):
         try:
@@ -282,24 +283,19 @@ def _evaluate_group_body(
         predictions = get_kernels().predict_batch(
             program, profiles, [machine for machine, _ in pairs]
         )
-        if predictions is None:
-            batched = []
-        else:
-            for position, (machine, label), (cycles, cpi_stack) in zip(
-                batched, pairs, predictions
-            ):
-                request = group.requests[position]
-                results[position] = EvalResult(
-                    request=request,
-                    backend="analytical",
-                    workload=workload.name,
-                    machine=label,
-                    instructions=program.instructions,
-                    cycles=cycles,
-                    seconds=cycles * machine.cycle_ns * 1e-9,
-                    cpi_stack=cpi_stack,
-                    energy_joules=None,
-                )
+        for position, (machine, label), (cycles, cpi_stack) in zip(
+            batched, pairs, predictions
+        ):
+            results[position] = EvalResult(
+                request=group.requests[position],
+                backend="analytical",
+                workload=workload.name,
+                machine=label,
+                instructions=program.instructions,
+                cycles=cycles,
+                seconds=cycles * machine.cycle_ns * 1e-9,
+                cpi_stack=cpi_stack,
+            )
         stages["model"] = time.perf_counter() - started
         emit_span("planner.model", stages["model"],
                   workload=group.workload, points=len(batched))
@@ -334,16 +330,7 @@ def _evaluate_group_body(
                     with_power=request.with_power,
                     mlp_window=request.mlp_window,
                 )
-                results[position] = EvalResult(
-                    request=request,
-                    backend=BACKENDS.canonical(request.backend),
-                    workload=workload.name,
-                    machine=label,
-                    instructions=point.instructions,
-                    cycles=point.cycles,
-                    seconds=point.execution_time_seconds,
-                    cpi_stack=point.cpi_stack,
-                    energy_joules=point.energy_joules,
-                )
+                results[position] = _point_result(request, workload, label,
+                                                  point)
         stages[stage] = stages.get(stage, 0.0) + time.perf_counter() - started
     return results, stages

@@ -72,6 +72,13 @@ class MachineConfig:
             raise ValueError("frequency must be positive")
         if self.mul_latency < 1 or self.div_latency < 1:
             raise ValueError("functional-unit latencies must be at least 1 cycle")
+        if self.l1_hit_cycles < 1:
+            raise ValueError("l1_hit_cycles must be at least 1 cycle")
+        if self.tlb_entries < 1:
+            raise ValueError("tlb_entries must be at least 1")
+        for name in ("l2_ns", "memory_ns", "tlb_miss_ns"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
 
     # ------------------------------------------------------------------
     # Derived quantities.

@@ -53,7 +53,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 from repro.accel import get_kernels
-from repro.core import penalties
 from repro.core.model import InOrderMechanisticModel, ModelResult
 from repro.machine import MachineConfig
 from repro.profiler.dependences import MAX_DISTANCE, DependencyProfile
@@ -437,24 +436,6 @@ class _Calibration:
         return self.half.get(metric, 0.0) * self._window(record, metric)
 
 
-def _model_penalties(machine: MachineConfig) -> dict[str, float]:
-    """Cycles the model charges per event of each miss metric."""
-    model = InOrderMechanisticModel(machine)
-    return {
-        "l1i_misses": model._miss_penalty(machine.l2_hit_cycles),
-        "il2_misses": model._miss_penalty(machine.memory_cycles),
-        "dl2_misses": model._miss_penalty(machine.memory_cycles),
-        "itlb_misses": model._miss_penalty(machine.tlb_miss_cycles),
-        "dtlb_misses": model._miss_penalty(machine.tlb_miss_cycles),
-        "l1d_misses": model._long_latency_penalty(
-            machine.l1_hit_cycles + machine.l2_hit_cycles
-        ),
-        "mispredictions": machine.frontend_depth + model._correction(),
-        "taken_bubbles": penalties.taken_branch_penalty(),
-        "conditional_branches": 0.0,
-    }
-
-
 # ----------------------------------------------------------------------
 # The estimator.
 # ----------------------------------------------------------------------
@@ -678,7 +659,10 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
     # Error estimation: calibration allowance (weighted halfwidths) plus
     # sampling variance across selected intervals.
     # ------------------------------------------------------------------
-    penalty = _model_penalties(machine)
+    # Cycles the model charges per event of each metric; conditional
+    # branches carry no charge of their own.
+    row = InOrderMechanisticModel(machine).penalty_row
+    penalty = {metric: getattr(row, metric, 0.0) for metric in MISS_METRICS}
 
     def corrected_cycles(record: IntervalRecord) -> float:
         delta = sum(

@@ -225,6 +225,21 @@ class TestBatch:
             api.validate_requests([api.EvalRequest.parse(
                 {"workload": {"name": "sha", "flags": "O9"}})])
 
+    @pytest.mark.parametrize("override", [{"l1_hit_cycles": -3},
+                                          {"tlb_entries": 0}])
+    def test_out_of_range_machines_fail_alike_on_every_backend(self, override):
+        messages = []
+        for backend in ("analytical", "simulator"):
+            request = api.EvalRequest.parse({
+                "workload": "sha", "backend": backend,
+                "machine": {"preset": "default", **override},
+            })
+            with pytest.raises(ValueError) as caught:
+                api.validate_requests([request])
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert next(iter(override)) in messages[0]
+
     def test_validation_errors_name_the_failing_batch_entry(self):
         requests = [
             api.EvalRequest.parse({"workload": "sha"}),

@@ -76,6 +76,20 @@ class TestMachineConfig:
         with pytest.raises(ValueError):
             MachineConfig(mul_latency=0)
 
+    def test_l1_hit_cycles_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="l1_hit_cycles"):
+            MachineConfig(l1_hit_cycles=0)
+
+    def test_tlb_entries_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="tlb_entries"):
+            MachineConfig(tlb_entries=0)
+
+    @pytest.mark.parametrize("field", ["l2_ns", "memory_ns", "tlb_miss_ns"])
+    def test_latency_in_ns_must_not_be_negative(self, field):
+        with pytest.raises(ValueError, match=field):
+            MachineConfig(**{field: -0.5})
+        assert getattr(MachineConfig(**{field: 0.0}), field) == 0.0
+
     def test_backend_stages_constant(self):
         assert BACKEND_STAGES == 3
 

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accel.kernels import PythonKernels
 from repro.core import CPIComponent, InOrderMechanisticModel, predict_workload
+from repro.core.model import predict_many
+from repro.dse import default_design_space
 from repro.machine import MachineConfig
 from repro.pipeline import InOrderPipeline
 from repro.profiler import profile_machine, profile_program
-from repro.workloads import get_workload
+from repro.runtime.session import Session
+from repro.workloads import get_workload, mibench_suite
 
 
 class TestModelStructure:
@@ -121,6 +125,146 @@ class TestModelAblations:
         ).predict(program, misses)
         assert full.cycles > no_deps.cycles
         assert no_deps.stack.component(CPIComponent.DEP_UNIT) == 0.0
+
+
+#: MiBench traces of the Table-2 ablation checks.
+ABLATION_BENCHMARKS = ["sha", "dijkstra", "qsort", "tiffdither", "gsm_c", "tiff2bw"]
+
+
+@pytest.fixture(scope="module")
+def ablation_points(default_machine):
+    """(program, misses, simulated CPI) of each ablation trace."""
+    points = []
+    for workload in mibench_suite(ABLATION_BENCHMARKS):
+        trace = workload.trace()
+        points.append((profile_program(trace),
+                       profile_machine(trace, default_machine),
+                       InOrderPipeline(default_machine).run(trace).cpi))
+    return points
+
+
+def _average_error(points, machine, **model_flags) -> float:
+    model = InOrderMechanisticModel(machine, **model_flags)
+    errors = [abs(model.predict(program, misses).cpi - simulated) / simulated
+              for program, misses, simulated in points]
+    return sum(errors) / len(errors)
+
+
+class TestAblationErrors:
+    """Each ablation disables one ingredient of the model and measures how
+    much the error against the simulator degrades on six MiBench traces:
+    the taken-branch hit penalty (Section 3.3), the (W-1)/2W
+    uniform-placement correction (Eqs. 3, 4, 6) and the inter-instruction
+    dependency penalties (Section 3.5)."""
+
+    @pytest.fixture(scope="class")
+    def full_model_error(self, ablation_points, default_machine):
+        return _average_error(ablation_points, default_machine)
+
+    def test_full_model_average_error_under_8_percent(self, full_model_error):
+        assert full_model_error < 0.08
+
+    def test_without_dependencies_error_more_than_doubles(
+            self, ablation_points, default_machine, full_model_error):
+        error = _average_error(ablation_points, default_machine,
+                               include_dependency_penalty=False)
+        # Dropping the dependency model is catastrophic for in-order prediction.
+        assert error > full_model_error * 2
+
+    def test_without_taken_bubble_error_grows_under_10_points(
+            self, ablation_points, default_machine, full_model_error):
+        error = _average_error(ablation_points, default_machine,
+                               include_taken_branch_penalty=False)
+        # The taken-branch bubble is a second-order ingredient: removing it
+        # moves the error by a few percentage points at most.
+        assert error < full_model_error + 0.10
+
+    def test_without_slot_correction_error_grows_under_10_points(
+            self, ablation_points, default_machine, full_model_error):
+        error = _average_error(ablation_points, default_machine,
+                               include_slot_correction=False)
+        assert error < full_model_error + 0.10
+
+
+#: MiBench traces of the batched-model parity checks.
+PARITY_WORKLOADS = ["sha", "dijkstra", "tiff2bw"]
+
+
+@pytest.fixture(scope="module")
+def table2_points():
+    """name -> (program, miss profiles, machines) on the 192 Table-2 machines."""
+    session = Session()
+    machines = default_design_space().to_sweep(()).configurations()
+    points = {}
+    for name in PARITY_WORKLOADS:
+        workload = session.workload(name)
+        points[name] = (
+            session.program_profile(workload),
+            [session.miss_profile(workload, machine) for machine in machines],
+            machines,
+        )
+    return points
+
+
+def _bits(cycles, stack):
+    """Cycles and an ordered stack, with floats as exact bit patterns."""
+    return cycles.hex(), [(name, value.hex()) for name, value in stack.items()]
+
+
+def _assert_matches_predict(program, profiles, machines):
+    batched = predict_many(program, profiles, machines)
+    assert len(batched) == len(machines)
+    for (cycles, stack), misses, machine in zip(batched, profiles, machines):
+        scalar = InOrderMechanisticModel(machine).predict(program, misses)
+        assert _bits(cycles, stack) == _bits(scalar.cycles, {
+            component.value: value
+            for component, value in scalar.stack.cycles.items()
+        }), machine
+
+
+class TestPredictMany:
+    """``predict_many`` is ``predict`` point by point, bit for bit."""
+
+    @pytest.mark.parametrize("name", PARITY_WORKLOADS)
+    def test_table2_machines(self, table2_points, name):
+        _assert_matches_predict(*table2_points[name])
+
+    @settings(max_examples=40, deadline=None)
+    @given(machines=st.lists(st.builds(
+        MachineConfig,
+        width=st.integers(1, 8),
+        pipeline_stages=st.integers(5, 14),
+        frequency_mhz=st.integers(100, 4000),
+        mul_latency=st.integers(1, 64),
+        div_latency=st.integers(1, 64),
+        l1_hit_cycles=st.integers(1, 16),
+        l2_ns=st.floats(0.0, 200.0),
+        memory_ns=st.floats(0.0, 800.0),
+        tlb_miss_ns=st.floats(0.0, 400.0),
+    ), min_size=1, max_size=8))
+    def test_drawn_machines(self, sha_profiles, machines):
+        # The model reads counts, not geometry: one profile serves every
+        # drawn timing.
+        program, misses = sha_profiles
+        _assert_matches_predict(program, [misses] * len(machines), machines)
+
+    def test_numpy_backend_has_no_model_copy(self):
+        numpy_kernels = pytest.importorskip(
+            "repro.accel.np_kernels", reason="NumPy backend not installed"
+        )
+        assert "predict_batch" not in vars(numpy_kernels.NumpyKernels)
+
+    def test_predict_batch_is_the_same_on_both_backends(self, table2_points):
+        numpy_kernels = pytest.importorskip(
+            "repro.accel.np_kernels", reason="NumPy backend not installed"
+        )
+        program, profiles, machines = table2_points["sha"]
+        reference = PythonKernels().predict_batch(program, profiles, machines)
+        vectorized = numpy_kernels.NumpyKernels().predict_batch(
+            program, profiles, machines
+        )
+        assert ([_bits(*result) for result in reference]
+                == [_bits(*result) for result in vectorized])
 
 
 #: Machine latencies every model term charges as count x max(0, latency - c).
