@@ -1,20 +1,22 @@
 """Pluggable evaluation backends behind one protocol.
 
-A backend answers "how long does workload W take on machine M" from
-already-resolved objects (a :class:`~repro.workloads.base.Workload` and a
-:class:`~repro.machine.MachineConfig`), drawing every profile through the
-shared :class:`~repro.runtime.session.Session` so repeated questions hit
-the memoized (and, with a cache directory, persisted) state.
+A backend answers "how long does workload W take on each of these
+machines" from already-resolved objects (a
+:class:`~repro.workloads.base.Workload` and a list of
+:class:`~repro.machine.MachineConfig`), one :class:`PointEvaluation` per
+machine in order, drawing every profile through the shared
+:class:`~repro.runtime.session.Session`.  A list is the unit because the
+paper's amortization lives there: the planner hands a backend all of a
+group's machines at once, and a single request is a one-machine list.
 
-Three estimators ship by default, unified for the first time behind the
-same call:
+Three estimators ship by default:
 
 * ``analytical`` — the mechanistic model fed by the single-pass
-  stack-distance engine (fast path: one trace walk per cache geometry);
+  stack-distance engine;
 * ``analytical_exact`` — the same model fed by a full trace replay
   through the cache hierarchy (the engine's cross-check fallback);
-* ``simulator`` — the cycle-accurate in-order pipeline, memoized per
-  point by the session.
+* ``simulator`` — the cycle-accurate in-order pipeline, one
+  :meth:`~repro.runtime.session.Session.simulate_many` batch per call.
 
 Backends register with :func:`register_backend` and are addressable by
 string from :class:`~repro.api.spec.EvalRequest`, so third-party
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.machine import MachineConfig
 from repro.registry import Registry
@@ -55,7 +58,7 @@ class BackendCapabilities:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class PointEvaluation:
     """In-process outcome of one backend call (pre-serialization).
 
@@ -126,9 +129,22 @@ class EvalBackend(abc.ABC):
 
     @abc.abstractmethod
     def evaluate(self, session: Session, workload: Workload,
-                 machine: MachineConfig, *, with_power: bool = False,
-                 mlp_window: int = 64) -> PointEvaluation:
-        """Answer one (workload, machine) question through the session."""
+                 machines: Sequence[MachineConfig], *,
+                 with_power: bool = False,
+                 mlp_window: int = 64) -> list[PointEvaluation]:
+        """Answer ``workload`` on each of ``machines`` through the session,
+        one :class:`PointEvaluation` per machine, in order."""
+
+
+def _with_energy(points: list[PointEvaluation], program,
+                 profiles) -> list[PointEvaluation]:
+    """Attach the power model's energy at each point's cycle count."""
+    from repro.power.model import PowerModel
+
+    for point, misses in zip(points, profiles, strict=True):
+        point.energy_joules = PowerModel(point.machine).energy(
+            program, misses, point.cycles).total
+    return points
 
 
 class _MechanisticBackend(EvalBackend):
@@ -137,26 +153,21 @@ class _MechanisticBackend(EvalBackend):
     exact = False
 
     def evaluate(self, session: Session, workload: Workload,
-                 machine: MachineConfig, *, with_power: bool = False,
-                 mlp_window: int = 64) -> PointEvaluation:
-        from repro.core.model import InOrderMechanisticModel
-        from repro.power.model import PowerModel
+                 machines: Sequence[MachineConfig], *,
+                 with_power: bool = False,
+                 mlp_window: int = 64) -> list[PointEvaluation]:
+        from repro.accel import get_kernels
 
         program = session.program_profile(workload)
-        misses = session.miss_profile(workload, machine,
-                                      mlp_window=mlp_window, exact=self.exact)
-        model = InOrderMechanisticModel(machine).predict(program, misses)
-        energy = None
-        if with_power:
-            energy = PowerModel(machine).energy(program, misses, model.cycles).total
-        return PointEvaluation(
-            machine=machine,
-            instructions=model.instructions,
-            cycles=model.cycles,
-            cpi_stack={component.value: cycles
-                       for component, cycles in model.stack.cycles.items()},
-            energy_joules=energy,
-        )
+        profiles = session.miss_profiles(workload, machines,
+                                         mlp_window=mlp_window,
+                                         exact=self.exact)
+        predictions = get_kernels().predict_batch(program, profiles, machines)
+        points = [PointEvaluation(machine, program.instructions, cycles,
+                                  cpi_stack)
+                  for machine, (cycles, cpi_stack) in zip(machines,
+                                                          predictions)]
+        return _with_energy(points, program, profiles) if with_power else points
 
 
 @register_backend("analytical", aliases=("model",))
@@ -185,23 +196,18 @@ class SimulatorBackend(EvalBackend):
     capabilities = BackendCapabilities(cycle_accurate=True, exact_miss_events=True)
 
     def evaluate(self, session: Session, workload: Workload,
-                 machine: MachineConfig, *, with_power: bool = False,
-                 mlp_window: int = 64) -> PointEvaluation:
-        from repro.power.model import PowerModel
-
-        (simulated,) = session.simulate_many(workload, [machine])
-        energy = None
-        if with_power:
-            # Energy uses the same profile-driven activity counts as the
-            # analytical estimate, scaled by the simulated cycle count —
-            # identical to the paper's detailed-EDP procedure.
-            program = session.program_profile(workload)
-            misses = session.miss_profile(workload, machine, mlp_window=mlp_window)
-            energy = PowerModel(machine).energy(program, misses, simulated.cycles).total
-        return PointEvaluation(
-            machine=machine,
-            instructions=simulated.instructions,
-            cycles=float(simulated.cycles),
-            cpi_stack=None,
-            energy_joules=energy,
-        )
+                 machines: Sequence[MachineConfig], *,
+                 with_power: bool = False,
+                 mlp_window: int = 64) -> list[PointEvaluation]:
+        points = [PointEvaluation(machine, simulated.instructions,
+                                  float(simulated.cycles))
+                  for machine, simulated in zip(
+                      machines, session.simulate_many(workload, machines))]
+        if not with_power:
+            return points
+        # Energy uses the same profile-driven activity counts as the
+        # analytical estimate, scaled by the simulated cycle count —
+        # identical to the paper's detailed-EDP procedure.
+        return _with_energy(points, session.program_profile(workload),
+                            session.miss_profiles(workload, machines,
+                                                  mlp_window=mlp_window))

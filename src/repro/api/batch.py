@@ -89,8 +89,8 @@ def _evaluate_one(session: Session, request: EvalRequest) -> EvalResult:
     backend = get_backend(request.backend)
     workload = request.workload.resolve(session)
     machine = request.machine.resolve()
-    point = backend.evaluate(
-        session, workload, machine,
+    (point,) = backend.evaluate(
+        session, workload, [machine],
         with_power=request.with_power, mlp_window=request.mlp_window,
     )
     return _point_result(request, workload, _machine_label(request, machine),

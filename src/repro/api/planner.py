@@ -20,11 +20,13 @@ pass four times.  The planner regroups the batch before any work starts:
   built by the owning worker, keeping cold batches as parallel as before;
 * machines are resolved and labelled **once per unique spec** per group
   instead of once per request;
-* plain ``analytical`` requests share one miss profile per memory and
-  predictor side, and the group's points are answered by one batched
-  model evaluation (:func:`~repro.core.model.predict_many`, the same
-  code on every kernel backend), byte-identical to per-point backend
-  calls.
+* a group is answered by one
+  :meth:`~repro.api.backends.EvalBackend.evaluate` call per ``(backend,
+  with_power, mlp_window)`` slice, with the slice's machines as a list:
+  the analytical backends share one miss profile per memory hierarchy
+  and predictor and evaluate the model once for the list, the simulator
+  shares event columns and timing loops — byte-identical to one call
+  per request.
 
 Groups larger than a fair share are split along pass-signature boundaries
 when the batch has fewer groups than workers, so a single-workload sweep
@@ -76,7 +78,7 @@ class PlannedGroup:
     requests: tuple[EvalRequest, ...]
     #: Machines resolved and labelled at planning time — (spec, config,
     #: label) triples — so workers do neither per group.
-    machines: tuple = ()
+    machines: tuple
     #: Trace transport: a shared-memory ``SegmentHandle``, a column-bytes
     #: payload dict, or ``None`` (the worker builds/loads the trace).
     payload: "SegmentHandle | dict | None" = None
@@ -193,12 +195,10 @@ def evaluate_group_timed(
 
     The returned mapping accounts the group's wall time to the data-plane
     stages ``attach`` (trace transport into this session), ``profile``
-    (miss profiles + program profiles through the single-pass engine),
-    ``model`` (mechanistic-model evaluation; scalar backends fold their
-    profiling in here) and ``simulate`` (the cycle-accurate simulator
-    backend, all of the group's points in one
-    :meth:`~repro.runtime.session.Session.simulate_many` batch).  This is
-    the :meth:`Session.map` work unit the
+    (the program and miss profiles any backend call built, read off
+    :attr:`Session.profile_seconds`), ``simulate`` (the rest of the calls
+    to cycle-accurate backends) and ``model`` (the rest of every other
+    backend call).  This is the :meth:`Session.map` work unit the
     batch layer dispatches, so stage timings ride back with each group's
     results and are merged into the parent session.  When tracing is
     enabled the group and its stages become spans — children of whatever
@@ -212,7 +212,7 @@ def evaluate_group_timed(
 def _evaluate_group_body(
     session, group: PlannedGroup
 ) -> tuple[list[EvalResult], dict[str, float]]:
-    from repro.api.batch import _machine_label, _point_result
+    from repro.api.batch import _point_result
 
     stages: dict[str, float] = {}
     started = time.perf_counter()
@@ -221,116 +221,39 @@ def _evaluate_group_body(
     stages["attach"] = time.perf_counter() - started
     emit_span("planner.attach", stages["attach"], workload=group.workload)
 
-    machines: dict[MachineSpec, MachineConfig] = {}
-    labels: dict[MachineSpec, str] = {}
-    for spec, machine, label in group.machines:
-        machines[spec] = machine
-        labels[spec] = label
-    results: list[EvalResult | None] = [None] * len(group.requests)
-
-    def resolved(request: EvalRequest) -> tuple[MachineConfig, str]:
-        machine = machines.get(request.machine)
-        if machine is None:
-            machine = request.machine.resolve()
-            machines[request.machine] = machine
-        label = labels.get(request.machine)
-        if label is None:
-            label = _machine_label(request, machine)
-            labels[request.machine] = label
-        return machine, label
-
-    # Fast path: plain analytical requests share their miss profiles and
-    # are answered by one batched model evaluation.
-    batched: list[int] = []
+    resolved = {spec: (machine, label)
+                for spec, machine, label in group.machines}
+    slices: dict[tuple, list[int]] = {}
     for position, request in enumerate(group.requests):
-        try:
-            canonical = BACKENDS.canonical(request.backend)
-        except KeyError:
-            canonical = None
-        if canonical == "analytical" and not request.with_power:
-            batched.append(position)
+        key = (BACKENDS.canonical(request.backend), request.with_power,
+               request.mlp_window)
+        slices.setdefault(key, []).append(position)
 
-    if batched:
-        from repro.accel import get_kernels
-
+    results: list[EvalResult | None] = [None] * len(group.requests)
+    for (name, with_power, mlp_window), positions in slices.items():
+        backend = get_backend(name)
+        stage = ("simulate" if backend.capabilities.cycle_accurate
+                 else "model")
+        pairs = [resolved[group.requests[position].machine]
+                 for position in positions]
+        profiled_before = session.profile_seconds
         started = time.perf_counter()
-        program = session.program_profile(workload)
-        pairs = [resolved(group.requests[position]) for position in batched]
-        # Miss counts only depend on the memory/predictor side of the
-        # configuration — width/depth/frequency variants share one
-        # assembled profile, so a 192-point sweep assembles ~16.
-        shared: dict[tuple, object] = {}
-        profiles = []
-        for (machine, _), position in zip(pairs, batched):
-            mlp_window = group.requests[position].mlp_window
-            key = (
-                machine.l1i_size, machine.l1i_associativity,
-                machine.l1d_size, machine.l1d_associativity,
-                machine.line_size, machine.page_size, machine.tlb_entries,
-                machine.l2_size, machine.l2_associativity,
-                machine.branch_predictor, mlp_window,
-            )
-            profile = shared.get(key)
-            if profile is None:
-                profile = session.miss_profile(workload, machine,
-                                               mlp_window=mlp_window)
-                shared[key] = profile
-            profiles.append(profile)
-        stages["profile"] = time.perf_counter() - started
-        emit_span("planner.profile", stages["profile"],
-                  workload=group.workload, profiles=len(shared))
-        started = time.perf_counter()
-        predictions = get_kernels().predict_batch(
-            program, profiles, [machine for machine, _ in pairs]
-        )
-        for position, (machine, label), (cycles, cpi_stack) in zip(
-            batched, pairs, predictions
-        ):
-            results[position] = EvalResult(
-                request=group.requests[position],
-                backend="analytical",
-                workload=workload.name,
-                machine=label,
-                instructions=program.instructions,
-                cycles=cycles,
-                seconds=cycles * machine.cycle_ns * 1e-9,
-                cpi_stack=cpi_stack,
-            )
-        stages["model"] = time.perf_counter() - started
-        emit_span("planner.model", stages["model"],
-                  workload=group.workload, points=len(batched))
-
-    # Scalar backends interleave profiling with the model: their whole
-    # time is booked to the model stage rather than guessing a split —
-    # except the cycle-accurate simulator's, which is the simulate stage.
-    by_stage: dict[str, list[int]] = {}
-    for position in range(len(group.requests)):
-        if results[position] is None:
-            canonical = BACKENDS.canonical(group.requests[position].backend)
-            stage = "simulate" if canonical == "simulator" else "model"
-            by_stage.setdefault(stage, []).append(position)
-    for stage, positions in by_stage.items():
-        started = time.perf_counter()
-        # A live span (not a back-dated one): the backend's own spans —
-        # the simulator's run, the session's profiling — nest under it.
+        # A live span: the backend's own spans — the simulator's timing
+        # loops, the session's profiling — nest under it.
         with span(f"planner.{stage}", workload=group.workload,
                   points=len(positions)):
-            if stage == "simulate":
-                # One batch, so the points share event columns and timing
-                # loops; the backend then answers each from the session.
-                session.simulate_many(workload, [
-                    resolved(group.requests[position])[0]
-                    for position in positions
-                ])
-            for position in positions:
-                request = group.requests[position]
-                machine, label = resolved(request)
-                point = get_backend(request.backend).evaluate(
-                    session, workload, machine,
-                    with_power=request.with_power,
-                    mlp_window=request.mlp_window,
-                )
-                results[position] = _point_result(request, workload, label,
-                                                  point)
-        stages[stage] = stages.get(stage, 0.0) + time.perf_counter() - started
+            points = backend.evaluate(
+                session, workload, [machine for machine, _ in pairs],
+                with_power=with_power, mlp_window=mlp_window,
+            )
+        elapsed = time.perf_counter() - started
+        profiled = session.profile_seconds - profiled_before
+        if profiled:
+            stages["profile"] = stages.get("profile", 0.0) + profiled
+            emit_span("planner.profile", profiled, workload=group.workload)
+        stages[stage] = stages.get(stage, 0.0) + elapsed - profiled
+        for position, (_, label), point in zip(positions, pairs, points,
+                                               strict=True):
+            results[position] = _point_result(group.requests[position],
+                                              workload, label, point)
     return results, stages

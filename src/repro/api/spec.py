@@ -38,6 +38,25 @@ def _reject_unknown_keys(payload: Mapping, allowed: set[str], what: str) -> None
         raise ValueError(f"unknown {what} keys {unknown}; allowed: {sorted(allowed)}")
 
 
+def power_and_window(payload: Mapping, *,
+                     power_default: bool | None = False) -> tuple:
+    """The ``with_power`` and ``mlp_window`` of a request payload, checked.
+
+    No coercion (``bool("false")`` is true): ``with_power`` is a JSON
+    boolean, or ``null`` where that is the default; ``mlp_window`` an
+    integer of at least 1.
+    """
+    with_power = payload.get("with_power", power_default)
+    if not (isinstance(with_power, bool)
+            or with_power is None and power_default is None):
+        raise ValueError(f"with_power must be a boolean, got {with_power!r}")
+    window = payload.get("mlp_window", 64)
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise ValueError(
+            f"mlp_window must be an integer of at least 1, got {window!r}")
+    return with_power, window
+
+
 # ----------------------------------------------------------------------
 # Workload specification.
 # ----------------------------------------------------------------------
@@ -183,12 +202,13 @@ class EvalRequest:
         )
         if "workload" not in payload:
             raise ValueError("evaluation request needs a 'workload' entry")
+        with_power, mlp_window = power_and_window(payload)
         return cls(
             workload=WorkloadSpec.parse(payload["workload"]),
             machine=MachineSpec.parse(payload.get("machine", {})),
             backend=payload.get("backend", "analytical"),
-            with_power=bool(payload.get("with_power", False)),
-            mlp_window=int(payload.get("mlp_window", 64)),
+            with_power=with_power,
+            mlp_window=mlp_window,
             tag=payload.get("tag", ""),
         )
 

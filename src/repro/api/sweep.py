@@ -28,7 +28,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.api.spec import API_SCHEMA_VERSION, EvalRequest, MachineSpec, WorkloadSpec
+from repro.api.spec import (API_SCHEMA_VERSION, EvalRequest, MachineSpec,
+                             WorkloadSpec, power_and_window)
 from repro.machine import MachineConfig
 
 
@@ -155,14 +156,15 @@ class SweepRequest:
             raise ValueError(f"unknown sweep keys {unknown}; allowed: {sorted(allowed)}")
         if "workloads" not in payload:
             raise ValueError("sweep request needs a 'workloads' list")
+        with_power, mlp_window = power_and_window(payload)
         return cls.make(
             payload["workloads"],
             base=payload.get("machine", {}),
             axes=payload.get("axes"),
             machines=payload.get("machines", ()),
             backends=tuple(payload.get("backends", ("analytical",))),
-            with_power=bool(payload.get("with_power", False)),
-            mlp_window=int(payload.get("mlp_window", 64)),
+            with_power=with_power,
+            mlp_window=mlp_window,
         )
 
     def to_json(self, indent: int | None = 2) -> str:

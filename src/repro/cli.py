@@ -850,6 +850,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.rate < 1:
         raise SystemExit("--rate must be at least 1")
+    if args.mlp_window < 1:
+        raise SystemExit("--mlp-window must be at least 1")
     try:
         machine = machine_from_spec(args.preset)
     except KeyError as exc:

@@ -73,6 +73,18 @@ def pass_keys(machine: MachineConfig) -> tuple[BaseGeometry, tuple]:
                   line)
 
 
+def miss_key(machine: MachineConfig) -> tuple:
+    """The fields of ``machine`` that decide its miss events: machines with
+    equal keys have equal :class:`MissProfile` counts on a trace."""
+    return (
+        machine.l1i_size, machine.l1i_associativity,
+        machine.l1d_size, machine.l1d_associativity,
+        machine.line_size, machine.page_size, machine.tlb_entries,
+        machine.l2_size, machine.l2_associativity,
+        machine.branch_predictor,
+    )
+
+
 def branch_stream(kernels: Kernels, predictor_spec: str):
     """The backend's branch stream, or an interpreted replay of any
     registered predictor (e.g. a third-party registration)."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import tempfile
+import time
 import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -33,7 +34,11 @@ from repro.machine import MachineConfig
 from repro.obs.tracing import span
 from repro.profiler.machine_stats import MissProfile
 from repro.profiler.program import ProgramProfile, profile_program
-from repro.profiler.single_pass_engine import ENGINE_SCHEMA_VERSION, SinglePassEngine
+from repro.profiler.single_pass_engine import (
+    ENGINE_SCHEMA_VERSION,
+    SinglePassEngine,
+    miss_key,
+)
 from repro.resilience.faults import InjectedFault
 from repro.runtime.artifacts import MISSING, ArtifactCache
 from repro.trace.trace import Trace
@@ -162,6 +167,9 @@ class Session:
         #: Per-stage (ship/attach/profile/model/collect) wall time of every
         #: batch this session evaluated; surfaced in /v1/metrics and bench.
         self.stages = StageTimings(self.metrics)
+        #: Seconds spent building program and miss profiles (memo misses
+        #: only); callers difference it around a call to book ``profile``.
+        self.profile_seconds = 0.0
         #: Crash accounting, circuit-breaker state and the quarantine list
         #: for this session's pooled maps (``resilience_events_total``).
         self.health = PoolHealth(self.metrics)
@@ -397,6 +405,7 @@ class Session:
         memo = self._program_profiles.get(token)
         if memo is not None:
             return memo[1]
+        started = time.perf_counter()
         if isinstance(token, tuple):
             name, flags = token
             profile, _ = self.cache.load_or_build(
@@ -407,6 +416,7 @@ class Session:
         else:
             profile = profile_program(trace)
         self._program_profiles[token] = (trace, profile)
+        self.profile_seconds += time.perf_counter() - started
         return profile
 
     def engine(self, name: str, flags: str = "O3") -> SinglePassEngine:
@@ -459,6 +469,7 @@ class Session:
             return memo[1]
 
         self.stats.miss_profiles_built += 1
+        started = time.perf_counter()
         with span("session.miss_profile", workload=workload.name,
                   exact=exact):
             if exact:
@@ -475,7 +486,23 @@ class Session:
                     machine, mlp_window
                 )
         self._miss_profiles[memo_key] = (trace, profile)
+        self.profile_seconds += time.perf_counter() - started
         return profile
+
+    def miss_profiles(self, workload: Workload,
+                      machines: Sequence[MachineConfig], *,
+                      mlp_window: int = 64,
+                      exact: bool = False) -> list[MissProfile]:
+        """:meth:`miss_profile` of each of ``machines``, in order; machines
+        with equal :func:`~repro.profiler.single_pass_engine.miss_key` share
+        the profile of the first of them."""
+        keys = [miss_key(machine) for machine in machines]
+        shared: dict[tuple, MissProfile] = {}
+        for key, machine in zip(keys, machines):
+            if key not in shared:
+                shared[key] = self.miss_profile(
+                    workload, machine, mlp_window=mlp_window, exact=exact)
+        return [shared[key] for key in keys]
 
     def simulate_many(self, workload: Workload,
                       machines: Sequence[MachineConfig]) -> list:
@@ -488,8 +515,7 @@ class Session:
         caller's own copy and carries the caller's ``MachineConfig`` (its
         label is not part of machine equality).  ``simulations_reused``
         counts the points simulated here that shared another point's timing
-        loop; a memo hit, like a miss-profile memo hit, counts nothing (the
-        planner reads each of its points back through here).
+        loop; a memo hit, like a miss-profile memo hit, counts nothing.
         """
         from repro.pipeline.inorder import SimulationWork, simulate_many
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Mapping, Sequence
 
-from repro.api.spec import WorkloadSpec
+from repro.api.spec import WorkloadSpec, power_and_window
 from repro.machine import MachineConfig
 from repro.search.objectives import (
     Constraint,
@@ -113,7 +113,7 @@ class OptimizeRequest:
         objectives = payload["objectives"]
         if isinstance(objectives, (str, Mapping)):
             objectives = [objectives]
-        with_power = payload.get("with_power")
+        with_power, mlp_window = power_and_window(payload, power_default=None)
         return cls(
             space=space,
             workload=WorkloadSpec.parse(payload["workload"]),
@@ -126,8 +126,8 @@ class OptimizeRequest:
             batch=int(payload.get("batch", 8)),
             seed=int(payload.get("seed", 0)),
             backend=payload.get("backend", "analytical"),
-            with_power=None if with_power is None else bool(with_power),
-            mlp_window=int(payload.get("mlp_window", 64)),
+            with_power=with_power,
+            mlp_window=mlp_window,
             tag=payload.get("tag", ""),
         )
 

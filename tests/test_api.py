@@ -92,6 +92,46 @@ class TestRequestRoundTrip:
         with pytest.raises(ValueError, match="unknown evaluation request keys"):
             api.EvalRequest.from_dict({"workload": "sha", "wierd": 1})
 
+    @pytest.mark.parametrize("field, value", [
+        ("with_power", "false"), ("with_power", "no"), ("with_power", 1),
+        ("with_power", 0), ("mlp_window", -5), ("mlp_window", 0),
+        ("mlp_window", 64.7), ("mlp_window", "64"), ("mlp_window", True),
+    ])
+    @pytest.mark.parametrize("kind", ["eval", "sweep", "optimize"])
+    def test_power_and_window_are_checked_not_coerced(self, kind, field,
+                                                       value):
+        from repro.search.optimize import OptimizeRequest
+
+        payload = {
+            "eval": {"workload": "sha"},
+            "sweep": {"workloads": ["sha"]},
+            "optimize": {"space": {"axes": [{"axis": "width",
+                                             "values": [1]}]},
+                         "workload": "sha", "objectives": ["cpi"]},
+        }[kind]
+        parse = {"eval": api.EvalRequest.from_dict,
+                 "sweep": api.SweepRequest.from_dict,
+                 "optimize": OptimizeRequest.from_dict}[kind]
+        with pytest.raises(ValueError, match=field):
+            parse({**payload, field: value})
+
+    def test_with_power_false_string_no_longer_turns_power_on(self):
+        with pytest.raises(ValueError, match="with_power"):
+            api.evaluate({"workload": "sha", "with_power": "false"})
+        assert api.evaluate({"workload": "sha", "with_power": False,
+                             "mlp_window": 1}).energy_joules is None
+
+    def test_optimize_request_keeps_null_with_power(self):
+        from repro.search.optimize import OptimizeRequest
+
+        request = OptimizeRequest.from_dict({
+            "space": {"axes": [{"axis": "width", "values": [1]}]},
+            "workload": "sha", "objectives": ["edp"], "with_power": None,
+        })
+        assert request.with_power is None and request.effective_with_power
+        with pytest.raises(ValueError, match="with_power"):
+            api.EvalRequest.from_dict({"workload": "sha", "with_power": None})
+
     def test_eval_result_json_round_trip_with_none_fields(self, session):
         result = api.evaluate(_request(backend="simulator"), session=session)
         assert result.cpi_stack is None and result.energy_joules is None
@@ -159,12 +199,13 @@ class TestBackends:
             name = "constant_cpi"
             capabilities = BackendCapabilities(power=False)
 
-            def evaluate(self, session, workload, machine, *,
+            def evaluate(self, session, workload, machines, *,
                          with_power=False, mlp_window=64):
                 instructions = len(workload.trace())
-                return PointEvaluation(machine=machine,
-                                       instructions=instructions,
-                                       cycles=2.0 * instructions)
+                return [PointEvaluation(machine=machine,
+                                        instructions=instructions,
+                                        cycles=2.0 * instructions)
+                        for machine in machines]
 
         try:
             result = api.evaluate(_request(backend="constant_cpi"),

@@ -264,6 +264,12 @@ class TestFastSubsetPipeline:
 
 
 class TestTraceSample:
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_mlp_window_below_one_is_rejected(self, tmp_path, window):
+        with pytest.raises(SystemExit, match="--mlp-window"):
+            cli_main(["trace", "sample", str(tmp_path / "store"),
+                      "--mlp-window", window])
+
     def test_exact_rate_streams_the_store_once(self, tmp_path, monkeypatch,
                                                capsys):
         """``--rate 1`` walks every chunk once: one walk builds the miss

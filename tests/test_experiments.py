@@ -41,6 +41,9 @@ def result_digest(module, result) -> str:
 
 
 class TestTable2:
+    def test_space_has_192_points(self):
+        assert table2.run().design_points == 192
+
     def test_run_and_format(self):
         result = table2.run()
         assert result.design_points == 192
@@ -134,6 +137,14 @@ class TestFigure8:
 
 
 class TestFigure9:
+    def test_edp_gap_under_5_percent_on_adpcm_d_and_gsm_c(self):
+        result = figure9.run(benchmarks=("adpcm_d", "gsm_c"), full=False)
+        assert len(result.rows) == 2
+        # Paper: the model's pick is the true optimum or within a few
+        # percent EDP.
+        for row in result.rows:
+            assert row.edp_gap < 0.05
+
     def test_edp_exploration(self):
         result = figure9.run(benchmarks=("gsm_c",), full=False)
         assert len(result.rows) == 1

@@ -9,7 +9,7 @@ import pytest
 from repro.api import evaluate, evaluate_many
 from repro.api.planner import plan_requests, evaluate_group
 from repro.api.spec import EvalRequest, MachineSpec, WorkloadSpec
-from repro.dse.space import reduced_design_space
+from repro.dse.space import default_design_space, reduced_design_space
 from repro.runtime.session import Session
 from repro.trace.trace import Trace
 from repro.trace.trace_schema import TRACE_SCHEMA_VERSION
@@ -249,3 +249,29 @@ def test_simulator_points_are_booked_to_the_simulate_stage():
     (group,) = plan_requests(requests[:1])
     _, stages = evaluate_group_timed(session, group)
     assert set(stages) == {"attach", "simulate"}
+
+
+def test_power_sweep_shares_miss_profiles_across_machines():
+    requests = default_design_space().to_sweep(
+        ["sha"], backends=("analytical", "analytical_exact"),
+        with_power=True).expand()
+    session = Session()
+    planned = _serialized(evaluate_many(requests, session=session))
+    # One profile per memory hierarchy and predictor, per backend: 16 + 16
+    # (one per point, 384, when power requests took a per-point loop).
+    assert session.stats.miss_profiles_built == 32
+    assert planned == _unplanned(requests)
+
+
+def test_exact_profiling_is_booked_to_the_profile_stage():
+    from repro.api.planner import evaluate_group_timed
+
+    requests = [
+        EvalRequest(workload=WorkloadSpec("sha"), backend="analytical_exact",
+                    machine=MachineSpec.make(width=width))
+        for width in (1, 2)
+    ]
+    (group,) = plan_requests(requests)
+    _, stages = evaluate_group_timed(Session(), group)
+    assert stages["profile"] > 0.0
+    assert stages["model"] > 0.0

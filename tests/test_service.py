@@ -356,6 +356,13 @@ class TestServedEval:
         assert info.value.status == 400
         assert "paper_default" in info.value.message
 
+    def test_string_with_power_is_400_naming_the_field(self, client):
+        # Raw body: the client SDK would reject it before sending.
+        body = json.dumps({"workload": "sha", "with_power": "false"})
+        status, reply = client._request("POST", "/v1/eval", body.encode())
+        assert status == 400
+        assert "with_power" in json.loads(reply)["error"]
+
     def test_malformed_json_is_400(self, client):
         status, body = client._request("POST", "/v1/eval", b"{not json")
         assert status == 400
