@@ -46,6 +46,10 @@ Times the paths every PR is expected to keep fast:
   in a subprocess; the entry records the sampling rate, the estimated CPI
   error, the child's peak RSS and the exact-streaming wall time the
   sampled evaluation replaces (``speedup_vs_exact``),
+* ``synthetic_store_write`` — the synthetic generator writing perfbench's
+  ``long_trace`` store shape (10x the in-memory default: 200k rows in
+  16,384-row chunks) into a fresh spill store, best of 3 writes; the
+  entry records ``rows``, ``chunks`` and ``rows_per_s``,
 * ``obs_overhead``         — the cost of :mod:`repro.obs` tracing on the
   sharded hot path: one ``sharded_evaluate_many``-shaped batch timed with
   tracing disabled (the median) and again with spans appended to a
@@ -656,6 +660,32 @@ def bench_long_workload_sampled() -> tuple[float, dict]:
     }
 
 
+#: Store-write benchmark shape: perfbench ``long_trace``'s 10x store.
+STORE_WRITE_SCALE = 10
+STORE_WRITE_CHUNK_LENGTH = 16384
+
+
+def bench_synthetic_store_write() -> tuple[float, dict]:
+    """Best of 3 writes of the 10x synthetic spill store (generation
+    included, each into a fresh directory)."""
+    from repro.workloads.synthetic import (
+        SyntheticWorkloadSpec,
+        generate_synthetic_store,
+    )
+
+    spec = SyntheticWorkloadSpec(name="synthetic-long")
+    best = float("inf")
+    with tempfile.TemporaryDirectory() as root:
+        for attempt in range(3):
+            start = time.perf_counter()
+            chunked = generate_synthetic_store(
+                Path(root) / str(attempt), spec, scale=STORE_WRITE_SCALE,
+                chunk_length=STORE_WRITE_CHUNK_LENGTH)
+            best = min(best, time.perf_counter() - start)
+    return best, {"rows": len(chunked), "chunks": chunked.num_chunks,
+                  "rows_per_s": round(len(chunked) / best)}
+
+
 def bench_degraded_mode_evaluate() -> tuple[float, dict]:
     """Serial-fallback throughput: the batch path with the breaker open.
 
@@ -814,6 +844,7 @@ BENCHES = {
     "sharded_evaluate_many_payload": bench_sharded_evaluate_many_payload,
     "obs_overhead": bench_obs_overhead,
     "long_workload_sampled": bench_long_workload_sampled,
+    "synthetic_store_write": bench_synthetic_store_write,
     "degraded_mode_evaluate": bench_degraded_mode_evaluate,
     "search_surrogate_dse": bench_search_surrogate_dse,
 }

@@ -197,6 +197,19 @@ def exhaustive_strategy(driver: SearchDriver, seed: int, batch: int) -> None:
     driver.record_round()
 
 
+#: Most sampling rounds the ``random`` strategy draws.
+_RANDOM_ROUNDS = 64
+
+
+def _round_seed(seed: int, attempt: int) -> int:
+    """The sample seed of round ``attempt`` (``0 <= attempt < 64``).
+
+    Injective in ``(seed, attempt)``, so no round of one seed redraws a
+    round of another seed.
+    """
+    return seed * _RANDOM_ROUNDS + attempt
+
+
 @register_strategy(
     "random",
     description="seeded uniform sample of the space (the baseline)",
@@ -205,10 +218,10 @@ def random_strategy(driver: SearchDriver, seed: int, batch: int) -> None:
     """Spend the budget on a seeded uniform sample, in ``batch``-sized
     rounds so the trajectory shows convergence like the surrogate's."""
     attempts = 0
-    while driver.budget_left > 0 and attempts < 64:
+    while driver.budget_left > 0 and attempts < _RANDOM_ROUNDS:
         exclude = set(driver.evaluated) | driver.infeasible
         want = min(batch, driver.budget_left)
-        candidates = driver.space.sample(want, seed + attempts,
+        candidates = driver.space.sample(want, _round_seed(seed, attempts),
                                          exclude=exclude)
         if not candidates:
             break

@@ -14,25 +14,51 @@ the workload suite.  It is useful for two things:
 The generated object is a :class:`~repro.trace.trace.Trace`, so everything
 downstream (profiler, analytical model, pipeline simulators) consumes it
 exactly like a trace produced by the functional simulator.
+
+Rows are drawn straight into packed columns, and a spec's trace and its
+spill stores are byte-stable across versions because every row consumes
+``random.Random(spec.seed)`` in one fixed order: one ``random()`` for the
+class (tested by subtract-and-compare down the load, store, multiply,
+divide, branch fractions); from the second row on, one ``random()`` for the
+dependency distance (``random.choices`` arithmetic over the distances in
+dict order); for loads and stores, one ``random()`` for streaming and, when
+not streaming, one ``randrange(data_footprint_bytes // 4)``; for branches,
+one ``random()`` for predictability, then one for the direction unless a
+predictable branch's static slot already has one.  Statics are numbered in
+first-appearance order.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, cycle, islice
+from typing import Iterator
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
-from repro.trace.trace import (
-    INSTR_BYTES,
-    OP_CLASS_IDS,
-    DynamicInstruction,
-    Trace,
-)
+from repro.obs.tracing import span
+from repro.trace.trace import INSTR_BYTES, NO_VALUE, OP_CLASS_IDS, Trace
 
 #: Registers available to the generator (r0 is the zero register, excluded).
 _NUM_REGS = 31
+#: Base byte address of the synthetic data footprint.
+_DATA_BASE = 0x100000
+
+#: Row kinds (memory kinds first) and the static each one's interning key
+#: ``(kind, dest, source)`` or ``(kind, source)`` builds on first appearance.
+_LOAD, _STORE, _MUL, _DIV, _BRANCH, _ALU = range(6)
+_STATICS = (
+    lambda dest, src: Instruction(Opcode.LW, dest=dest, src1=src),
+    lambda src: Instruction(Opcode.SW, src1=src, src2=src),
+    lambda dest, src: Instruction(Opcode.MUL, dest=dest, src1=src, src2=src),
+    lambda dest, src: Instruction(Opcode.DIV, dest=dest, src1=src, src2=src),
+    lambda src: Instruction(Opcode.BNE, src1=src, src2=0, target="loop"),
+    lambda dest, src: Instruction(Opcode.ADD, dest=dest, src1=src, src2=src),
+)
 
 
 @dataclass(frozen=True)
@@ -84,12 +110,19 @@ class SyntheticWorkloadSpec:
             raise ValueError("instructions must be positive")
         if self.static_code_size <= 0:
             raise ValueError("static_code_size must be positive")
-        if self.data_footprint_bytes <= 0:
-            raise ValueError("data_footprint_bytes must be positive")
+        if self.data_footprint_bytes < 4:
+            raise ValueError("data_footprint_bytes must hold at least one word")
         if not self.dependency_distances:
             raise ValueError("dependency_distances must not be empty")
-        if any(d < 1 for d in self.dependency_distances):
-            raise ValueError("dependency distances start at 1")
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 1
+               for d in self.dependency_distances):
+            raise ValueError("dependency distances must be integers >= 1")
+        weights = self.dependency_distances.values()
+        if any(not isinstance(w, (int, float)) or not 0.0 <= w < math.inf
+               for w in weights) \
+                or not 0.0 < sum(weights) < math.inf:
+            raise ValueError("dependency weights must be finite and "
+                             "non-negative with a positive sum")
 
 
 class SyntheticTraceGenerator:
@@ -97,181 +130,137 @@ class SyntheticTraceGenerator:
 
     def __init__(self, spec: SyntheticWorkloadSpec):
         self.spec = spec
-        # Static instructions interned by value: the generator materializes
-        # a fresh Instruction per dynamic record, but identical ones resolve
-        # to one shared object, so the statics table stays proportional to
-        # the register/opcode combinations, not the trace length — the
-        # property streamed (scaled) generation depends on.
-        self._intern: dict[Instruction, Instruction] = {}
 
-    # ------------------------------------------------------------------
-    def _choose_class(self, rng: random.Random) -> str:
-        spec = self.spec
-        draw = rng.random()
-        for kind, fraction in (
-            ("load", spec.load_fraction),
-            ("store", spec.store_fraction),
-            ("mul", spec.multiply_fraction),
-            ("div", spec.divide_fraction),
-            ("branch", spec.branch_fraction),
-        ):
-            if draw < fraction:
-                return kind
-            draw -= fraction
-        return "alu"
-
-    def _sample_distance(self, rng: random.Random) -> int:
-        distances = list(self.spec.dependency_distances)
-        weights = [self.spec.dependency_distances[d] for d in distances]
-        return rng.choices(distances, weights=weights, k=1)[0]
-
-    def _memory_address(self, rng: random.Random, cursor: int) -> tuple[int, int]:
-        """Return (address, new streaming cursor)."""
-        spec = self.spec
-        base = 0x100000
-        if rng.random() < spec.streaming_fraction:
-            address = base + cursor
-            cursor = (cursor + 4) % spec.data_footprint_bytes
-        else:
-            address = base + 4 * rng.randrange(spec.data_footprint_bytes // 4)
-        return address, cursor
-
-    # ------------------------------------------------------------------
     def generate(self) -> Trace:
-        return Trace(self._records(self.spec.instructions),
-                     name=self.spec.name)
+        rows = self.spec.instructions
+        with span("trace.synthetic", workload=self.spec.name, rows=rows,
+                  chunks=1):
+            (trace,) = self._chunks(rows, rows)
+        return trace
 
     def generate_store(self, path, *, scale: int = 1,
                        chunk_length: int = 65536):
         """Stream ``scale * spec.instructions`` records into a spill store.
 
-        Never holds more than one chunk of columns in memory: records are
-        packed straight into column arrays and flushed through a
-        :class:`~repro.trace.store.TraceStoreWriter` every ``chunk_length``
-        rows, with the statics table interned once across the whole stream
-        (each flushed chunk carries the table as of its flush, which is the
-        prefix-consistent layout the store's manifest expects).  This is
-        how 100–1000x workloads are produced without 100–1000x memory.
+        Never holds more than one chunk of columns in memory: each chunk is
+        drawn straight into packed columns and flushed through a
+        :class:`~repro.trace.store.TraceStoreWriter`, with the statics table
+        interned once across the whole stream (each flushed chunk carries
+        the table as of its flush, which is the prefix-consistent layout the
+        store's manifest expects).  This is how 100–1000x workloads are
+        produced without 100–1000x memory.
         """
         from repro.trace.store import TraceStoreWriter
-        from repro.trace.trace_schema import NO_VALUE
 
         if scale < 1:
             raise ValueError("scale must be at least 1")
         spec = self.spec
         total = spec.instructions * scale
-        writer = TraceStoreWriter(path, name=spec.name,
-                                  chunk_length=chunk_length)
-        statics: list[Instruction] = []
-        slots: dict[Instruction, int] = {}
+        with span("trace.synthetic", workload=spec.name,
+                  rows=total) as traced:
+            writer = TraceStoreWriter(path, name=spec.name,
+                                      chunk_length=chunk_length)
+            for chunk in self._chunks(total, chunk_length):
+                writer.append(chunk)
+            chunked = writer.finalize()
+            traced.set(chunks=chunked.num_chunks)
+        return chunked
 
-        def new_columns() -> dict:
-            return {
-                "pcs": array("q"), "next_pcs": array("q"),
-                "mem_addrs": array("q"), "op_classes": array("b"),
-                "taken": array("b"), "static_index": array("q"),
-            }
-
-        columns = new_columns()
-        start = 0
-        for dyn in self._records(total):
-            instruction = dyn.instruction
-            slot = slots.get(instruction)
-            if slot is None:
-                slot = len(statics)
-                slots[instruction] = slot
-                statics.append(instruction)
-            columns["pcs"].append(dyn.pc)
-            columns["next_pcs"].append(
-                NO_VALUE if dyn.next_pc is None else dyn.next_pc)
-            if dyn.mem_addr is not None:
-                columns["mem_addrs"].append(dyn.mem_addr)
-            elif instruction.is_memory:
-                columns["mem_addrs"].append(0)
-            else:
-                columns["mem_addrs"].append(NO_VALUE)
-            columns["op_classes"].append(OP_CLASS_IDS[instruction.op_class])
-            columns["taken"].append(
-                NO_VALUE if dyn.taken is None else int(dyn.taken))
-            columns["static_index"].append(slot)
-            if len(columns["pcs"]) == chunk_length:
-                writer.append(Trace.from_columns(
-                    statics=tuple(statics), name=spec.name,
-                    seq_start=start, **columns))
-                start += chunk_length
-                columns = new_columns()
-        if len(columns["pcs"]):
-            writer.append(Trace.from_columns(
-                statics=tuple(statics), name=spec.name,
-                seq_start=start, **columns))
-        return writer.finalize()
-
-    def _records(self, total: int):
-        """Yield ``total`` dynamic records (bounded state, any length)."""
+    def _chunks(self, total: int, chunk_length: int) -> Iterator[Trace]:
+        """Yield ``total`` rows as packed-column chunks of ``chunk_length``."""
         spec = self.spec
         rng = random.Random(spec.seed)
+        draw, randrange = rng.random, rng.randrange
+        f_load, f_store, f_mul, f_div, f_branch = (
+            spec.load_fraction, spec.store_fraction, spec.multiply_fraction,
+            spec.divide_fraction, spec.branch_fraction)
+        streaming, taken_rate = spec.streaming_fraction, spec.branch_taken_rate
+        predictability = spec.branch_predictability
+        footprint, code_size = spec.data_footprint_bytes, spec.static_code_size
+        words = footprint // 4
+        # What ``random.choices(distances, weights)`` computes per draw.
+        distances = list(spec.dependency_distances)
+        cum = list(accumulate(spec.dependency_distances.values()))
+        weight_total, last = cum[-1] + 0.0, len(cum) - 1
+        statics: list[Instruction] = []
+        classes: list[int] = []
+        slots: dict[tuple, int] = {}
         cursor = 0
-        # The synthetic program walks a static code loop so that the
-        # instruction-cache behaviour is realistic (a hot loop of
-        # ``static_code_size`` instructions re-executed until the budget runs
-        # out).
-        static_pc = 0
         # Direction chosen once per static branch location: history-based
         # predictors learn these, so ``branch_predictability`` controls the
         # achievable prediction accuracy while the overall taken rate stays
         # at ``branch_taken_rate``.
-        pc_bias: dict[int, bool] = {}
+        bias: dict[int, bool] = {}
+        # The program walks a static code loop (row ``seq`` executes static
+        # slot ``seq % static_code_size``), so the instruction-cache
+        # behaviour is realistic.
+        ring = array("q", range(0, code_size * INSTR_BYTES, INSTR_BYTES))
 
-        for seq in range(total):
-            kind = self._choose_class(rng)
-            # Destination register: rotating allocation guarantees the value
-            # written ``d`` instructions ago still lives in a unique register
-            # for any d < _NUM_REGS, so dependency distances are exact.
-            dest = 1 + (seq % _NUM_REGS)
-            distance = min(self._sample_distance(rng), seq) if seq else 0
-            source = 1 + ((seq - distance) % _NUM_REGS) if distance else 0
-
-            pc = (static_pc % spec.static_code_size) * INSTR_BYTES
-            mem_addr = None
-            taken = None
-            next_static_pc = static_pc + 1
-
-            if kind == "load":
-                mem_addr, cursor = self._memory_address(rng, cursor)
-                instruction = Instruction(Opcode.LW, dest=dest, src1=source)
-            elif kind == "store":
-                mem_addr, cursor = self._memory_address(rng, cursor)
-                instruction = Instruction(Opcode.SW, src1=source, src2=source)
-            elif kind == "mul":
-                instruction = Instruction(Opcode.MUL, dest=dest, src1=source, src2=source)
-            elif kind == "div":
-                instruction = Instruction(Opcode.DIV, dest=dest, src1=source, src2=source)
-            elif kind == "branch":
-                predictable = rng.random() < spec.branch_predictability
-                if predictable:
-                    # Predictable branches always go the same way at a given
-                    # pc; the per-pc direction is drawn once with the
-                    # specified taken rate.
-                    if pc not in pc_bias:
-                        pc_bias[pc] = rng.random() < spec.branch_taken_rate
-                    taken = pc_bias[pc]
+        for start in range(0, total, chunk_length):
+            stop = min(start + chunk_length, total)
+            mem_addrs = [NO_VALUE] * (stop - start)
+            taken = mem_addrs.copy()
+            static_index: list[int] = []
+            for seq in range(start, stop):
+                u = draw()
+                # Rotating destinations keep the value written ``d`` rows
+                # ago in a unique register for any d < _NUM_REGS, so
+                # dependency distances are exact.
+                dest = 1 + seq % _NUM_REGS
+                if seq:
+                    distance = distances[
+                        bisect_right(cum, draw() * weight_total, 0, last)]
+                    source = (1 + (seq - distance) % _NUM_REGS
+                              if distance < seq else 1)
                 else:
-                    # Unpredictable branches flip per execution (same overall
-                    # taken rate, but no learnable pattern).
-                    taken = rng.random() < spec.branch_taken_rate
-                instruction = Instruction(Opcode.BNE, src1=source, src2=0, target="loop")
-            else:
-                instruction = Instruction(Opcode.ADD, dest=dest, src1=source, src2=source)
-
-            yield DynamicInstruction(
-                seq=seq,
-                pc=pc,
-                instruction=self._intern.setdefault(instruction, instruction),
-                mem_addr=mem_addr,
-                taken=taken,
-                next_pc=(next_static_pc % spec.static_code_size) * INSTR_BYTES,
-            )
-            static_pc = next_static_pc
+                    source = 0
+                # Subtract-and-compare, not cumulative thresholds: float
+                # rounding must pick the class earlier spill stores drew.
+                if u < f_load:
+                    key = (_LOAD, dest, source)
+                elif (u := u - f_load) < f_store:
+                    key = (_STORE, source)
+                elif (u := u - f_store) < f_mul:
+                    key = (_MUL, dest, source)
+                elif (u := u - f_mul) < f_div:
+                    key = (_DIV, dest, source)
+                elif u - f_div < f_branch:
+                    if draw() < predictability:
+                        outcome = bias.get(seq % code_size)
+                        if outcome is None:
+                            outcome = bias[seq % code_size] = (
+                                draw() < taken_rate)
+                    else:
+                        # Unpredictable branches flip per execution.
+                        outcome = draw() < taken_rate
+                    taken[seq - start] = outcome
+                    key = (_BRANCH, source)
+                else:
+                    key = (_ALU, dest, source)
+                if key[0] <= _STORE:
+                    # Streaming accesses walk the footprint; the rest are
+                    # uniform random words within it.
+                    if draw() < streaming:
+                        mem_addrs[seq - start] = _DATA_BASE + cursor
+                        cursor = (cursor + 4) % footprint
+                    else:
+                        mem_addrs[seq - start] = (
+                            _DATA_BASE + 4 * randrange(words))
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(statics)
+                    statics.append(_STATICS[key[0]](*key[1:]))
+                    classes.append(OP_CLASS_IDS[statics[-1].op_class])
+                static_index.append(slot)
+            pcs = array("q", islice(cycle(ring), start % code_size,
+                                    start % code_size + stop - start + 1))
+            yield Trace.from_columns(
+                statics=tuple(statics), name=spec.name, seq_start=start,
+                pcs=pcs[:-1], next_pcs=pcs[1:],
+                mem_addrs=array("q", mem_addrs),
+                op_classes=array("b", map(classes.__getitem__, static_index)),
+                taken=array("b", taken),
+                static_index=array("q", static_index))
 
 
 def generate_synthetic_trace(spec: SyntheticWorkloadSpec | None = None) -> Trace:

@@ -263,6 +263,19 @@ class TestFastSubsetPipeline:
         assert rendered == _sections(smoke_outputs["serial_warm"])["figure5"]
 
 
+class TestTraceSynth:
+    @pytest.mark.parametrize("flags", [
+        ["--instructions", "0"], ["--instructions", "-5"],
+        ["--scale", "0"], ["--chunk-length", "0"],
+    ])
+    def test_bad_spec_is_rejected_before_the_store_exists(self, tmp_path,
+                                                         flags):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="synth:"):
+            cli_main(["trace", "synth", str(store), *flags])
+        assert not store.exists()
+
+
 class TestTraceSample:
     @pytest.mark.parametrize("window", ["0", "-5"])
     def test_mlp_window_below_one_is_rejected(self, tmp_path, window):

@@ -187,6 +187,24 @@ class TestSpans:
             len(get_workload("sha").trace())
         assert compile_["dur"] + functional["dur"] <= generate["dur"]
 
+    def test_synthetic_generation_spans(self, tmp_path):
+        from repro.workloads.synthetic import (
+            SyntheticWorkloadSpec,
+            generate_synthetic_store,
+            generate_synthetic_trace,
+        )
+
+        out = tmp_path / "spans.jsonl"
+        tracing.configure(str(out))
+        spec = SyntheticWorkloadSpec(name="synth-obs", instructions=500)
+        generate_synthetic_trace(spec)
+        generate_synthetic_store(tmp_path / "store", spec, scale=3,
+                                 chunk_length=400)
+        spans = [e["args"] for e in _events(out)
+                 if e["name"] == "trace.synthetic"]
+        assert [(a["workload"], a["rows"], a["chunks"]) for a in spans] == \
+            [("synth-obs", 500, 1), ("synth-obs", 1500, 4)]
+
     def test_configure_from_env(self, tmp_path):
         out = tmp_path / "spans.jsonl"
         os.environ[tracing.TRACE_ENV] = str(out)

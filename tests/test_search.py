@@ -166,6 +166,28 @@ class TestDeterminism:
             assert result.trajectory  # convergence rounds were recorded
             assert result.trajectory[-1]["evaluations"] == result.evaluations
 
+    def test_random_rounds_draw_distinct_sample_seeds(self, session,
+                                                      monkeypatch):
+        from repro.search.space import SearchSpace
+        from repro.search.strategies import _RANDOM_ROUNDS, _round_seed
+
+        pairs = [(seed, attempt) for seed in range(10)
+                 for attempt in range(_RANDOM_ROUNDS)]
+        assert len({_round_seed(*pair) for pair in pairs}) == len(pairs)
+
+        drawn = []
+        sample = SearchSpace.sample
+
+        def recording_sample(self, count, seed, **kwargs):
+            drawn.append(seed)
+            return sample(self, count, seed, **kwargs)
+
+        monkeypatch.setattr(SearchSpace, "sample", recording_sample)
+        optimize(self._request("random"), session=session)
+        assert drawn == [_round_seed(7, attempt)
+                         for attempt in range(len(drawn))]
+        assert len(drawn) > 1
+
 
 # ----------------------------------------------------------------------
 # Surrogate convergence: the ISSUE's acceptance bar.

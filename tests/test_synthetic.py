@@ -1,6 +1,10 @@
 """Tests for the statistical (synthetic) trace generator."""
 
+import itertools
+import random
+
 import pytest
+import synthetic_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +13,7 @@ from repro.isa.opcodes import OpClass
 from repro.machine import MachineConfig
 from repro.pipeline.inorder import InOrderPipeline
 from repro.profiler import collect_dependencies, profile_program
+from repro.trace.trace_schema import COLUMN_NAMES
 from repro.workloads.synthetic import (
     SyntheticTraceGenerator,
     SyntheticWorkloadSpec,
@@ -42,6 +47,32 @@ class TestSpecValidation:
             SyntheticWorkloadSpec(dependency_distances={})
         with pytest.raises(ValueError):
             SyntheticWorkloadSpec(dependency_distances={0: 1.0})
+
+    @pytest.mark.parametrize("distances", [
+        {1: -1.0, 2: 2.0},          # negative weight
+        {1: 0.0},                   # zero-sum weights
+        {1: 0.0, 2: 0.0},
+        {1: float("nan")},
+        {1: float("inf")},
+        {1: 1e308, 2: 1e308},       # finite weights, infinite sum
+        {1: "0.5"},
+        {1.5: 1.0},                 # non-integer distance
+        {True: 1.0},                # bool distance
+        {-2: 1.0},
+    ])
+    def test_dependency_distributions_it_cannot_honour(self, distances):
+        with pytest.raises(ValueError, match="dependency"):
+            SyntheticWorkloadSpec(dependency_distances=distances)
+
+    @pytest.mark.parametrize("footprint", [0, 2, 3])
+    def test_footprint_must_hold_a_word(self, footprint):
+        with pytest.raises(ValueError, match="data_footprint_bytes"):
+            SyntheticWorkloadSpec(data_footprint_bytes=footprint)
+
+    def test_edge_values_are_accepted(self):
+        spec = SyntheticWorkloadSpec(instructions=8, data_footprint_bytes=4,
+                                     dependency_distances={1: 0, 64: 3})
+        assert len(generate_synthetic_trace(spec)) == 8
 
 
 class TestGeneratedTraces:
@@ -177,3 +208,125 @@ class TestModelOnSyntheticTraces:
         profile = profile_program(trace)
         assert profile.instructions == 8_000
         assert profile.dependencies.total() > 0
+
+
+# ----------------------------------------------------------------------
+# Parity with the per-record generator (``synthetic_oracle.py``).
+# ----------------------------------------------------------------------
+def _random_spec(rng: random.Random) -> SyntheticWorkloadSpec:
+    fractions = [rng.random() * 0.19 for _ in range(5)]
+    distances = rng.sample([1, 2, 3, 4, 5, 8, 16, 31, 32, 64],
+                           rng.randint(1, 6))
+    return SyntheticWorkloadSpec(
+        instructions=rng.randint(1, 1500),
+        load_fraction=fractions[0], store_fraction=fractions[1],
+        multiply_fraction=fractions[2], divide_fraction=fractions[3],
+        branch_fraction=fractions[4],
+        branch_taken_rate=rng.random(),
+        branch_predictability=rng.random(),
+        dependency_distances={d: rng.choice([rng.random(), rng.randint(0, 3),
+                                             1.0]) + (d == distances[0])
+                              for d in distances},
+        static_code_size=rng.randint(1, 600),
+        data_footprint_bytes=rng.choice([4, 8, 100, 4096, 65536]),
+        streaming_fraction=rng.choice([0.0, 1.0, rng.random()]),
+        seed=rng.randrange(10**9),
+    )
+
+
+_EDGE_SPECS = [
+    SyntheticWorkloadSpec(instructions=1),
+    SyntheticWorkloadSpec(instructions=500, static_code_size=1),
+    SyntheticWorkloadSpec(instructions=500, data_footprint_bytes=4,
+                          streaming_fraction=0.5),
+    SyntheticWorkloadSpec(instructions=500, branch_fraction=1.0,
+                          load_fraction=0.0, store_fraction=0.0,
+                          multiply_fraction=0.0, divide_fraction=0.0),
+    SyntheticWorkloadSpec(instructions=500, streaming_fraction=0.0),
+    SyntheticWorkloadSpec(instructions=500, streaming_fraction=1.0),
+    SyntheticWorkloadSpec(instructions=500, dependency_distances={3: 2}),
+    SyntheticWorkloadSpec(instructions=500,
+                          dependency_distances={1: 0.2, 64: 0.8}),
+    SyntheticWorkloadSpec(instructions=500, load_fraction=0.0,
+                          store_fraction=0.0, multiply_fraction=0.0,
+                          divide_fraction=0.0, branch_fraction=0.0),
+]
+
+
+def _columns(trace) -> tuple:
+    return (
+        tuple((name, memoryview(getattr(trace, name)).format,
+               getattr(trace, name).tobytes()) for name in COLUMN_NAMES),
+        trace.statics, trace.name, list(trace.seqs),
+    )
+
+
+def _store_files(path) -> dict[str, bytes]:
+    return {entry.name: entry.read_bytes()
+            for entry in sorted(path.iterdir())}
+
+
+class TestOracleParity:
+    """Columns and statics equal the per-record generator's, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        _EDGE_SPECS + [_random_spec(random.Random(index))
+                       for index in range(32)],
+    )
+    def test_in_memory_trace_matches_oracle(self, spec):
+        assert _columns(SyntheticTraceGenerator(spec).generate()) == \
+            _columns(synthetic_oracle.SyntheticTraceGenerator(spec).generate())
+
+    def test_class_draw_subtracts_as_it_compares(self, monkeypatch):
+        """0.7999999999999999 - 0.7 < 0.1, yet it is not < 0.7 + 0.1: a
+        store under the subtract-and-compare chain, a multiply under
+        cumulative thresholds."""
+        script = [0.7999999999999999, 0.3, 0.95, 0.05, 0.5, 0.75, 0.81]
+
+        class ScriptedRandom(random.Random):
+            def __init__(self, seed=None):
+                super().__init__(seed)
+                self._draws = itertools.cycle(script)
+
+            def random(self):
+                return next(self._draws)
+
+        monkeypatch.setattr(random, "Random", ScriptedRandom)
+        spec = SyntheticWorkloadSpec(
+            instructions=700, load_fraction=0.7, store_fraction=0.1,
+            multiply_fraction=0.05, divide_fraction=0.0,
+            branch_fraction=0.1)
+        ours = SyntheticTraceGenerator(spec).generate()
+        assert _columns(ours) == _columns(
+            synthetic_oracle.SyntheticTraceGenerator(spec).generate())
+        assert ours.count(OpClass.STORE) > 0
+
+    @pytest.mark.parametrize("chunk_length,scale", [
+        (1, 1), (7, 1), (640, 1), (700, 1), (10_000, 1), (640, 3),
+    ])
+    def test_store_matches_oracle(self, tmp_path, chunk_length, scale):
+        spec = SyntheticWorkloadSpec(name="parity", instructions=700, seed=5,
+                                     static_code_size=300)
+        ours = SyntheticTraceGenerator(spec).generate_store(
+            tmp_path / "ours", scale=scale, chunk_length=chunk_length)
+        oracle = synthetic_oracle.SyntheticTraceGenerator(spec).generate_store(
+            tmp_path / "oracle", scale=scale, chunk_length=chunk_length)
+        assert ours.num_chunks == oracle.num_chunks == \
+            -(-700 * scale // chunk_length)
+        assert ours.statics == oracle.statics
+        for mine, theirs in zip(ours.chunks(), oracle.chunks()):
+            assert _columns(mine) == _columns(theirs)
+        assert _store_files(tmp_path / "ours") == \
+            _store_files(tmp_path / "oracle")
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_random_spec_store_matches_oracle(self, tmp_path, index):
+        spec = _random_spec(random.Random(100 + index))
+        for generator, where in (
+                (SyntheticTraceGenerator, "ours"),
+                (synthetic_oracle.SyntheticTraceGenerator, "oracle")):
+            generator(spec).generate_store(tmp_path / where, scale=2,
+                                           chunk_length=333)
+        assert _store_files(tmp_path / "ours") == \
+            _store_files(tmp_path / "oracle")
