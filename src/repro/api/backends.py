@@ -135,6 +135,18 @@ class EvalBackend(abc.ABC):
         """Answer ``workload`` on each of ``machines`` through the session,
         one :class:`PointEvaluation` per machine, in order."""
 
+    def is_warm(self, session: Session, workload: Workload,
+                machines: Sequence[MachineConfig], *,
+                with_power: bool = False, mlp_window: int = 64) -> bool:
+        """Whether :meth:`evaluate` would build nothing: the session's
+        memos already hold every profile and simulation it reads.
+
+        The planner answers warm slices in the parent process and sends
+        the rest to the worker pool.  A backend that cannot tell says
+        ``False``, so its work always goes to the pool.
+        """
+        return False
+
 
 def _with_energy(points: list[PointEvaluation], program,
                  profiles) -> list[PointEvaluation]:
@@ -168,6 +180,14 @@ class _MechanisticBackend(EvalBackend):
                   for machine, (cycles, cpi_stack) in zip(machines,
                                                           predictions)]
         return _with_energy(points, program, profiles) if with_power else points
+
+    def is_warm(self, session: Session, workload: Workload,
+                machines: Sequence[MachineConfig], *,
+                with_power: bool = False, mlp_window: int = 64) -> bool:
+        return (session.has_program_profile(workload)
+                and session.has_miss_profiles(workload, machines,
+                                              mlp_window=mlp_window,
+                                              exact=self.exact))
 
 
 @register_backend("analytical", aliases=("model",))
@@ -211,3 +231,12 @@ class SimulatorBackend(EvalBackend):
         return _with_energy(points, session.program_profile(workload),
                             session.miss_profiles(workload, machines,
                                                   mlp_window=mlp_window))
+
+    def is_warm(self, session: Session, workload: Workload,
+                machines: Sequence[MachineConfig], *,
+                with_power: bool = False, mlp_window: int = 64) -> bool:
+        return session.has_simulations(workload, machines) and (
+            not with_power
+            or (session.has_program_profile(workload)
+                and session.has_miss_profiles(workload, machines,
+                                              mlp_window=mlp_window)))

@@ -1,7 +1,8 @@
 """The evaluation facade: single calls, batches, and request files.
 
 :func:`evaluate` answers one :class:`~repro.api.spec.EvalRequest`;
-:func:`evaluate_many` shards a batch across the
+:func:`evaluate_many` shards the part of a batch the parent session
+cannot answer from its memos across the
 :class:`~repro.runtime.session.Session` process pool (``jobs=N``) while
 keeping the output order — and therefore the serialized output bytes —
 identical to a serial run.  :func:`parse_request_payload` turns the JSON
@@ -182,10 +183,11 @@ def evaluate_many(requests: Iterable["EvalRequest | Mapping"], *,
     Planning only changes *where* work happens: the results equal
     request-by-request :func:`evaluate`, byte for byte.
 
-    With ``jobs > 1`` the batch is distributed over a process pool whose
-    workers share the session's artifact-cache directory (a run-scoped
-    temporary directory when no ``cache_dir`` is given, so workers never
-    redo each other's compilations); results keep request order, so
+    With ``jobs > 1`` the groups the session cannot answer from its memos
+    are distributed over a process pool whose workers share the session's
+    artifact-cache directory (a run-scoped temporary directory when no
+    ``cache_dir`` is given, so workers never redo each other's
+    compilations); results keep request order, so
     parallel output is byte-identical to serial output.  Pass either an
     existing ``session`` or ``jobs``/``cache_dir`` to build one — not both.
     """
@@ -207,9 +209,23 @@ def evaluate_many(requests: Iterable["EvalRequest | Mapping"], *,
 
 def _run_batch(session: Session, parsed: list[EvalRequest],
                machines: dict) -> list[EvalResult]:
+    """Answer a validated batch (``machines``: its resolution memo).
+
+    On a pooled session the pool builds and the parent answers: a group
+    whose trace and every profile or simulation it reads are already in
+    the parent session's memos runs here, in process; every other group
+    is shipped to the worker pool, which sends back what it built so the
+    next request for it is answered here too.  A ``jobs=1`` session runs
+    every group in process and never routes.
+    """
     import time
 
-    from repro.api.planner import evaluate_group_timed, plan_requests
+    from repro.api.planner import (
+        build_group,
+        evaluate_group_timed,
+        group_is_warm,
+        plan_requests,
+    )
     from repro.obs.tracing import emit_span, span
     from repro.resilience.containment import UnitFailure
 
@@ -218,38 +234,60 @@ def _run_batch(session: Session, parsed: list[EvalRequest],
     with span("planner.plan", requests=len(parsed)) as plan_span:
         groups = plan_requests(parsed, jobs=session.jobs, machines=machines)
         plan_span.set(groups=len(groups))
+    results: list[EvalResult | None] = [None] * len(parsed)
+
+    def collect(group, answers, stages) -> None:
+        session.stages.merge(stages)
+        for index, answer in zip(group.indices, answers):
+            results[index] = answer
+
+    pooled = groups
     if session.jobs > 1:
+        # A quarantined unit is never answered here: it goes to the
+        # resilient map, which fails it without running it.
+        pooled = []
+        for group in groups:
+            if (group.workload not in session.health.quarantined
+                    and group_is_warm(session, group)):
+                collect(group, *evaluate_group_timed(session, group))
+            else:
+                pooled.append(group)
+        session.stats.groups_inline += len(groups) - len(pooled)
+        session.stats.groups_pooled += len(pooled)
         # Ship traces the parent already holds through the active data
         # plane — a shared-memory segment handle the workers attach
-        # zero-copy, or raw column bytes on platforms without POSIX shared
-        # memory; cold traces are built (or cache-loaded) by the worker
-        # that owns them.
-        started = time.perf_counter()
-        groups = [
-            group.with_payload(session.ship_trace(group.workload,
-                                                  group.flags))
-            for group in groups
-        ]
-        elapsed = time.perf_counter() - started
-        session.stages.add("ship", elapsed)
-        emit_span("planner.ship", elapsed, groups=len(groups))
-    with span("planner.dispatch", groups=len(groups), jobs=session.jobs):
-        # Resilient dispatch: a group whose unit is quarantined (or whose
-        # worker failed) comes back as a UnitFailure instead of sinking
-        # the whole batch; its requests become per-item error results.
-        grouped = session.map_resilient(evaluate_group_timed, groups)
+        # zero-copy, or raw column bytes on platforms without POSIX
+        # shared memory; cold traces are built (or cache-loaded) by the
+        # worker that owns them.
+        if pooled:
+            started = time.perf_counter()
+            pooled = [
+                group.with_payload(session.ship_trace(group.workload,
+                                                      group.flags))
+                for group in pooled
+            ]
+            elapsed = time.perf_counter() - started
+            session.stages.add("ship", elapsed)
+            emit_span("planner.ship", elapsed, groups=len(pooled))
+    built = []
+    if pooled:
+        with span("planner.dispatch", groups=len(pooled), jobs=session.jobs):
+            # Resilient dispatch: a group whose unit is quarantined (or
+            # whose worker failed) comes back as a UnitFailure instead of
+            # sinking the whole batch; its requests become per-item error
+            # results.
+            built = session.map_resilient(build_group, pooled)
     started = time.perf_counter()
-    results: list[EvalResult | None] = [None] * len(parsed)
-    for group, outcome in zip(groups, grouped):
+    for group, outcome in zip(pooled, built):
         if isinstance(outcome, UnitFailure):
             for index in group.indices:
                 results[index] = _failed_result(parsed[index], machines,
                                                 outcome.error)
             continue
-        answers, stages = outcome
-        session.stages.merge(stages)
-        for index, answer in zip(group.indices, answers):
-            results[index] = answer
+        answers, stages, memos = outcome
+        collect(group, answers, stages)
+        if memos is not None:
+            session.install_memos(group.workload, group.flags, memos)
     elapsed = time.perf_counter() - started
     session.stages.add("collect", elapsed)
     emit_span("planner.collect", elapsed, requests=len(parsed))

@@ -10,14 +10,19 @@ pass four times.  The planner regroups the batch before any work starts:
   ordered by pass signature ``(front-end geometry, L2 geometry, predictor
   spec, mlp window)``, so the engine computes each unique pass exactly
   once per trace *across the whole batch* and in cache-friendly order;
-* each group becomes one work item for :meth:`Session.map`; a trace the
-  parent session already holds ships to the worker through the active
-  data plane — a zero-copy shared-memory
+* on a pooled session the pool builds and the parent answers: a group
+  the parent session can answer from its memos (:func:`group_is_warm`)
+  runs in the parent; every other group becomes one work item
+  (:func:`build_group`) for :meth:`Session.map_resilient`.  A trace the
+  parent already holds ships to the worker through the active data
+  plane — a zero-copy shared-memory
   :class:`~repro.runtime.dataplane.SegmentHandle` the worker attaches, or
   raw column bytes (``array.tobytes``/``frombytes`` — see
   :meth:`~repro.trace.trace.Trace.to_payload`) on platforms without POSIX
-  shared memory — instead of a pickled object graph, and cold traces are
-  built by the owning worker, keeping cold batches as parallel as before;
+  shared memory — instead of a pickled object graph, and the worker sends
+  back its profiles and simulations for the group's keys, which the
+  parent installs; cold traces are built by the owning worker, keeping cold
+  batches as parallel as before;
 * machines are resolved and labelled **once per unique spec** per group
   instead of once per request;
 * a group is answered by one
@@ -182,6 +187,59 @@ def _install_group_trace(session, group: PlannedGroup) -> None:
     session.adopt_trace(group.workload, group.flags, trace)
 
 
+def _slices(group: PlannedGroup) -> dict[tuple, list[int]]:
+    """Group positions by ``(backend, with_power, mlp_window)``: one
+    :meth:`~repro.api.backends.EvalBackend.evaluate` call each."""
+    slices: dict[tuple, list[int]] = {}
+    for position, request in enumerate(group.requests):
+        key = (BACKENDS.canonical(request.backend), request.with_power,
+               request.mlp_window)
+        slices.setdefault(key, []).append(position)
+    return slices
+
+
+def group_is_warm(session, group: PlannedGroup) -> bool:
+    """Whether ``session`` holds the group's trace and every backend slice
+    of it is warm (:meth:`~repro.api.backends.EvalBackend.is_warm`): the
+    group can be answered here without building anything."""
+    if not session.has_workload(group.workload, group.flags):
+        return False
+    workload = session.workload(group.workload, group.flags)
+    machines = {spec: machine for spec, machine, _ in group.machines}
+    return all(
+        get_backend(name).is_warm(
+            session, workload,
+            [machines[group.requests[position].machine]
+             for position in positions],
+            with_power=with_power, mlp_window=mlp_window)
+        for (name, with_power, mlp_window), positions
+        in _slices(group).items()
+    )
+
+
+def build_group(session, group: PlannedGroup) -> tuple:
+    """The pool's work unit: :func:`evaluate_group_timed` plus its memos.
+
+    Returns ``(results, stages, memos)``.  When the group's trace was
+    shipped from the parent, ``memos`` holds this session's entries for
+    the group's own keys
+    (:meth:`~repro.runtime.session.Session.memo_entries`: the program
+    profile, the miss profiles and the simulations it read, whether built
+    now or by an earlier group), which the parent installs and then
+    answers later requests for itself; ``None`` otherwise (the parent
+    does not hold that trace).
+    """
+    results, stages = evaluate_group_timed(session, group)
+    memos = None
+    if group.payload is not None:
+        machines = {spec: machine for spec, machine, _ in group.machines}
+        memos = session.memo_entries(
+            group.workload, group.flags,
+            [(machines[request.machine], request.mlp_window)
+             for request in group.requests])
+    return results, stages, memos
+
+
 def evaluate_group(session, group: PlannedGroup) -> list[EvalResult]:
     """Answer one planned group through a session (results in group order)."""
     results, _ = evaluate_group_timed(session, group)
@@ -223,14 +281,8 @@ def _evaluate_group_body(
 
     resolved = {spec: (machine, label)
                 for spec, machine, label in group.machines}
-    slices: dict[tuple, list[int]] = {}
-    for position, request in enumerate(group.requests):
-        key = (BACKENDS.canonical(request.backend), request.with_power,
-               request.mlp_window)
-        slices.setdefault(key, []).append(position)
-
     results: list[EvalResult | None] = [None] * len(group.requests)
-    for (name, with_power, mlp_window), positions in slices.items():
+    for (name, with_power, mlp_window), positions in _slices(group).items():
         backend = get_backend(name)
         stage = ("simulate" if backend.capabilities.cycle_accurate
                  else "model")

@@ -39,7 +39,14 @@ Times the paths every PR is expected to keep fast:
   ship/attach/profile/model/collect breakdown recorded next to the median,
 * ``sharded_evaluate_many_payload`` — the identical sharded run forced
   onto the column-bytes payload plane; the ship/attach stage deltas
-  against ``sharded_evaluate_many`` are the data-plane win,
+  against ``sharded_evaluate_many`` are the data-plane win (in both,
+  the batches after the first are answered in the parent from the
+  profiles the workers sent back),
+* ``warm_served_batches`` — ten served-size batches (2 MiBench workloads
+  x 24 Table-2 points, perfbench's ``served_sweep`` request shape) on a
+  ``jobs=2`` session after an untimed pass in which the pool built their
+  profiles: every group is answered in the parent; the entry records
+  ``groups_inline`` and ``groups_pooled``,
 * ``long_workload_sampled`` — a synthetic workload scaled 100x past the
   in-memory default, generated straight into an on-disk spill store and
   evaluated by warmed interval sampling (:mod:`repro.profiler.sampling`)
@@ -103,7 +110,9 @@ stages both files record above the ``--stage-tolerance-ms`` floor
 (default 50ms), so older (v3/v4) references still compare cleanly.
 Search-quality figures are gated too: ``evals_to_front`` regressing
 beyond the tolerance, or ``matched_exhaustive_best`` flipping from true
-to false, fails the gate exactly like a wall-clock regression.  So is
+to false, fails the gate exactly like a wall-clock regression.  So does
+``warm_served_batches`` sending more groups to the pool
+(``groups_pooled``) than its reference.  So is
 observability overhead: ``obs_overhead``'s ``overhead_pct`` exceeding its
 recorded ``overhead_limit_pct`` while being worse than the reference
 fails the gate.
@@ -385,11 +394,12 @@ def _timed_sharded_evaluate_many(plane: str) -> tuple[float, dict]:
 
     The parent session holds every trace before the timed region starts
     (adopted from payloads — trace generation is benchmarked separately),
-    so each batch exercises the full data plane: ship from the parent,
-    attach in the workers, then the profiling and model work.  Four
-    consecutive batches against the *same* pooled session are what the
-    persistent pool exists for — batches after the first pay no worker
-    spawn and (on ``shm``) re-ship only tiny segment handles.
+    so the first batch exercises the full data plane: ship from the
+    parent, attach in the workers, then the profiling and model work, and
+    the workers send the profiles they built back to the parent.  The
+    three batches after it are answered in the parent from those
+    profiles, without a pool round trip (``warm_served_batches`` times
+    that path alone).
     """
     from repro.api import EvalRequest, MachineSpec, WorkloadSpec, evaluate_many
     from repro.machine import MACHINE_PRESETS
@@ -434,15 +444,74 @@ def bench_sharded_evaluate_many_payload() -> tuple[float, dict]:
     return _timed_sharded_evaluate_many("payload")
 
 
+#: Warm served-batch shape: perfbench ``served_sweep``'s requests (2
+#: MiBench workloads x 24 of the 192 Table-2 points), a fixed set of them.
+SERVED_BATCH_WORKLOADS = 2
+SERVED_BATCH_POINTS = 24
+SERVED_BATCHES = 10
+SERVED_BATCH_SEED = 2012
+
+
+def bench_warm_served_batches() -> tuple[float, dict]:
+    """Warm served-size batches on a 2-worker session.
+
+    Ten seeded batches of 2 MiBench workloads x 24 Table-2 points each
+    run once untimed on a ``jobs=2`` session that holds every trace: the
+    pool builds the profiles they read and sends them back.  The timed
+    second pass is what a warm served sweep costs — every group answered
+    in the parent, no pool round trip.  The entry records the timed
+    pass's ``groups_inline`` and ``groups_pooled``.
+    """
+    import random
+
+    from repro.api import EvalRequest, WorkloadSpec, evaluate_many
+    from repro.dse.space import default_design_space
+    from repro.runtime.session import pooled_session
+    from repro.trace.trace import Trace
+    from repro.workloads.registry import suite_names
+
+    names = suite_names("mibench")
+    _table2_session()  # populates the shared payload cache
+    machines = default_design_space().to_sweep(()).machines
+    rng = random.Random(SERVED_BATCH_SEED)
+    batches = [
+        [EvalRequest(workload=WorkloadSpec(name), machine=machine)
+         for name in sorted(rng.sample(names, SERVED_BATCH_WORKLOADS))
+         for machine in rng.sample(machines, SERVED_BATCH_POINTS)]
+        for _ in range(SERVED_BATCHES)
+    ]
+    with pooled_session(None, 2) as session:
+        for name in names:
+            session.adopt_trace(
+                name, "O3", Trace.from_payload(_TABLE2_PAYLOADS[name])
+            )
+        for batch in batches:  # warmup: the pool builds
+            evaluate_many(batch, session=session)
+        inline = session.stats.groups_inline
+        pooled = session.stats.groups_pooled
+        start = time.perf_counter()
+        for batch in batches:
+            evaluate_many(batch, session=session)
+        elapsed = time.perf_counter() - start
+        extras = {"batches": len(batches),
+                  "requests": sum(len(batch) for batch in batches),
+                  "groups_inline": session.stats.groups_inline - inline,
+                  "groups_pooled": session.stats.groups_pooled - pooled}
+    return elapsed, extras
+
+
 def bench_obs_overhead() -> tuple[float, dict]:
     """Tracing's cost on the sharded hot path — near-free when disabled.
 
     One ``sharded_evaluate_many``-shaped batch (19 workloads x 4 presets
-    over a persistent 4-worker pool, parent-held traces) is timed best-of-3
-    with tracing disabled, then again with spans appended to a scratch
-    file.  Each phase gets its own pool because workers pick up the span
-    sink at spawn through the pool initializer.  The disabled time is the
-    reported median.
+    over a persistent 4-worker pool) is timed best-of-3 with tracing
+    disabled, then again with spans appended to a scratch file.  Each
+    phase gets its own pool because workers pick up the span sink at
+    spawn through the pool initializer.  The parent session holds no
+    trace, so it answers no group itself: the untimed warm-up builds the
+    traces and profiles in the workers, and every timed batch is
+    dispatched to the warm pool.  The disabled time is the reported
+    median.
 
     The gated figure is ``overhead_pct``: what the instrumentation costs
     when tracing is *disabled* — the per-call price of the ``span()``
@@ -459,11 +528,9 @@ def bench_obs_overhead() -> tuple[float, dict]:
     from repro.machine import MACHINE_PRESETS
     from repro.obs import tracing
     from repro.runtime.session import pooled_session
-    from repro.trace.trace import Trace
     from repro.workloads.registry import suite_names
 
     names = suite_names("mibench")
-    _table2_session()  # populates the shared payload cache
     requests = [
         EvalRequest(workload=WorkloadSpec(name), machine=MachineSpec(preset))
         for name in names
@@ -472,10 +539,6 @@ def bench_obs_overhead() -> tuple[float, dict]:
     timed_rounds = 3
 
     def timed_batches(session) -> float:
-        for name in names:
-            session.adopt_trace(
-                name, "O3", Trace.from_payload(_TABLE2_PAYLOADS[name])
-            )
         evaluate_many(requests, session=session)  # warmup
         best = None
         for _ in range(timed_rounds):
@@ -696,6 +759,10 @@ def bench_degraded_mode_evaluate() -> tuple[float, dict]:
     repeated worker crashes.  Traces are parent-held (adopted from
     payloads) exactly like ``sharded_evaluate_many``, making the two
     medians directly comparable: their ratio is what degradation costs.
+    The untimed warm-up runs on a second session over the same cache
+    directory: its pool persists the engine passes the fallback loads,
+    while the profiles it sends back stay with that session, so the
+    degraded one has none it could answer from.
     """
     from repro.api import EvalRequest, MachineSpec, WorkloadSpec, evaluate_many
     from repro.machine import MACHINE_PRESETS
@@ -710,12 +777,20 @@ def bench_degraded_mode_evaluate() -> tuple[float, dict]:
         for name in names
         for preset in MACHINE_PRESETS.names()
     ]
-    with pooled_session(None, 4) as session:
+
+    def holding_traces(session):
         for name in names:
             session.adopt_trace(
                 name, "O3", Trace.from_payload(_TABLE2_PAYLOADS[name])
             )
-        evaluate_many(requests, session=session)  # warmup (pooled)
+        return session
+
+    with pooled_session(None, 4) as warmup, \
+            pooled_session(warmup.cache.root, 4) as session:
+        evaluate_many(requests, session=holding_traces(warmup))  # pooled
+        holding_traces(session)
+        for name in names:
+            session.publish_trace(name)
         session.health.trip_breaker()
         start = time.perf_counter()
         evaluate_many(requests, session=session)
@@ -842,6 +917,7 @@ BENCHES = {
     "simulate_table2_space": bench_simulate_table2_space,
     "sharded_evaluate_many": bench_sharded_evaluate_many,
     "sharded_evaluate_many_payload": bench_sharded_evaluate_many_payload,
+    "warm_served_batches": bench_warm_served_batches,
     "obs_overhead": bench_obs_overhead,
     "long_workload_sampled": bench_long_workload_sampled,
     "synthetic_store_write": bench_synthetic_store_write,
@@ -976,6 +1052,16 @@ def compare_results(reference: dict, current: dict, tolerance: float,
             regressions.append(
                 f"{name}[overhead_pct]: {new_pct:g}% vs limit {limit_pct:g}% "
                 f"(reference {old_pct if old_pct is not None else 'n/a'})"
+            )
+        # Routing gate: a warm group that reaches the pool again pays the
+        # round trip the parent exists to skip, whatever the wall clock.
+        old_pooled = reference_results[name].get("groups_pooled")
+        new_pooled = current_results[name].get("groups_pooled")
+        if (isinstance(old_pooled, int) and isinstance(new_pooled, int)
+                and new_pooled > old_pooled):
+            regressions.append(
+                f"{name}[groups_pooled]: {new_pooled} vs reference "
+                f"{old_pooled} (warm groups went to the worker pool)"
             )
         old_stages = reference_results[name].get("stages") or {}
         new_stages = current_results[name].get("stages") or {}

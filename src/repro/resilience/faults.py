@@ -183,7 +183,10 @@ class FaultPlan:
 
         With a ``state_dir`` the counter is the size of an append-only
         file, which every process sharing the plan advances atomically
-        (O_APPEND), so firing windows span the whole worker fleet.
+        (O_APPEND), so firing windows span the whole worker fleet.  The
+        ordinal is this descriptor's offset after its own write: the
+        file's size at that moment may already include another process's
+        append, which would hand both processes the same ordinal.
         """
         if self.state_dir is None:
             with self._lock:
@@ -195,7 +198,7 @@ class FaultPlan:
                              os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
             os.write(descriptor, b"1")
-            return os.fstat(descriptor).st_size - 1
+            return os.lseek(descriptor, 0, os.SEEK_CUR) - 1
         finally:
             os.close(descriptor)
 

@@ -13,11 +13,15 @@ The pool is **persistent and pre-warmed**: a session creates its
 so worker sessions keep their attached shared-memory segments, adopted
 traces and warm :class:`~repro.profiler.single_pass_engine.SinglePassEngine`
 passes between batches (a resident engine's kept L1-miss streams answer new
-L2 geometries without another trace walk) — the second request a
-:mod:`repro.service` server answers pays zero pool spawn, zero trace
-transport and zero repeated profiling passes.  This module is the only place in the tree allowed to
-construct a ``ProcessPoolExecutor`` (``make lint`` enforces it), which is
-what makes the warm-pool guarantee checkable.
+L2 geometries without another trace walk) — a later request a
+:mod:`repro.service` server sends to the pool pays zero pool spawn, zero
+trace transport and zero repeated profiling passes.  Pooled sweep groups
+whose trace the parent shipped also send back their profiles and
+simulations, so a warm request is answered in the parent and never
+reaches the pool (see
+:mod:`repro.api.planner`).  This module is the only place in the tree
+allowed to construct a ``ProcessPoolExecutor`` (``make lint`` enforces
+it), which is what makes the warm-pool guarantee checkable.
 
 ``session_map`` preserves item order and degrades to an inline loop for
 ``jobs=1`` (and for trivially small batches), which is what makes parallel

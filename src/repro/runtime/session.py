@@ -78,6 +78,8 @@ SESSION_EVENTS = (
     "sim_event_sets_built",
     "sim_timing_loops_run",
     "simulations_reused",
+    "groups_inline",
+    "groups_pooled",
 )
 
 
@@ -195,6 +197,7 @@ class Session:
         self._engine_synced: dict[tuple[str, str], int] = {}
         #: token -> (trace, profile); the trace reference pins id() stability.
         self._program_profiles: dict[object, tuple[Trace, ProgramProfile]] = {}
+        #: (token, miss key, mlp window, exact) -> (trace, MissProfile).
         self._miss_profiles: dict[tuple, tuple[Trace, MissProfile]] = {}
         #: (token, machine) -> (trace, InOrderResult) of simulated points.
         self._simulations: dict[tuple, tuple[Trace, object]] = {}
@@ -458,16 +461,43 @@ class Session:
         from a full trace replay instead of the stack-distance engine (the
         ``analytical_exact`` backend's fallback); replay results are memoized
         in process but not persisted.
+
+        The memo is keyed by
+        :func:`~repro.profiler.single_pass_engine.miss_key`, not the whole
+        machine: every machine with the same memory hierarchy and predictor
+        shares one profile (the 192 Table-2 machines hold 16 per trace),
+        whose ``machine`` field names the first of them.
         """
         if isinstance(workload, str):
             workload = self.workload(workload, flags)
+        (profile,) = self.miss_profiles(workload, [machine],
+                                        mlp_window=mlp_window, exact=exact)
+        return profile
+
+    def miss_profiles(self, workload: Workload,
+                      machines: Sequence[MachineConfig], *,
+                      mlp_window: int = 64,
+                      exact: bool = False) -> list[MissProfile]:
+        """:meth:`miss_profile` of each of ``machines``, in order; machines
+        with equal :func:`~repro.profiler.single_pass_engine.miss_key` share
+        the profile of the first of them."""
         trace = workload.trace()
         token = self._token(trace)
-        memo_key = (token, machine, mlp_window, exact)
-        memo = self._miss_profiles.get(memo_key)
-        if memo is not None:
-            return memo[1]
+        profiles = []
+        for machine in machines:
+            memo_key = (token, miss_key(machine), mlp_window, exact)
+            memo = self._miss_profiles.get(memo_key)
+            if memo is None:
+                memo = (trace, self._build_miss_profile(
+                    workload, token, machine, mlp_window, exact))
+                self._miss_profiles[memo_key] = memo
+            profiles.append(memo[1])
+        return profiles
 
+    def _build_miss_profile(self, workload: Workload, token,
+                            machine: MachineConfig, mlp_window: int,
+                            exact: bool) -> MissProfile:
+        trace = workload.trace()
         self.stats.miss_profiles_built += 1
         started = time.perf_counter()
         with span("session.miss_profile", workload=workload.name,
@@ -485,24 +515,8 @@ class Session:
                 profile = SinglePassEngine.for_trace(trace).miss_profile(
                     machine, mlp_window
                 )
-        self._miss_profiles[memo_key] = (trace, profile)
         self.profile_seconds += time.perf_counter() - started
         return profile
-
-    def miss_profiles(self, workload: Workload,
-                      machines: Sequence[MachineConfig], *,
-                      mlp_window: int = 64,
-                      exact: bool = False) -> list[MissProfile]:
-        """:meth:`miss_profile` of each of ``machines``, in order; machines
-        with equal :func:`~repro.profiler.single_pass_engine.miss_key` share
-        the profile of the first of them."""
-        keys = [miss_key(machine) for machine in machines]
-        shared: dict[tuple, MissProfile] = {}
-        for key, machine in zip(keys, machines):
-            if key not in shared:
-                shared[key] = self.miss_profile(
-                    workload, machine, mlp_window=mlp_window, exact=exact)
-        return [shared[key] for key in keys]
 
     def simulate_many(self, workload: Workload,
                       machines: Sequence[MachineConfig]) -> list:
@@ -538,6 +552,76 @@ class Session:
                 result, machine=machine,
                 hierarchy_stats=replace(result.hierarchy_stats)))
         return results
+
+    # ------------------------------------------------------------------
+    # Memo queries and the pool's return channel.
+    # ------------------------------------------------------------------
+    def has_program_profile(self, workload: Workload) -> bool:
+        """Whether :meth:`program_profile` would answer from its memo."""
+        return self._token(workload.trace()) in self._program_profiles
+
+    def has_miss_profiles(self, workload: Workload,
+                          machines: Sequence[MachineConfig], *,
+                          mlp_window: int = 64, exact: bool = False) -> bool:
+        """Whether :meth:`miss_profiles` would answer from its memo."""
+        token = self._token(workload.trace())
+        return all((token, miss_key(machine), mlp_window, exact)
+                   in self._miss_profiles for machine in machines)
+
+    def has_simulations(self, workload: Workload,
+                        machines: Sequence[MachineConfig]) -> bool:
+        """Whether :meth:`simulate_many` would answer from its memo."""
+        token = self._token(workload.trace())
+        return all((token, machine) in self._simulations
+                   for machine in machines)
+
+    def memo_entries(self, name: str, flags: str,
+                     points: Iterable[tuple[MachineConfig, int]]
+                     ) -> tuple[list, list, list]:
+        """The memo entries of ``(name, flags)`` that answering ``points``
+        (``(machine, mlp_window)`` pairs) reads, as far as this session
+        holds them: its program profile, the miss profiles of each point's
+        miss key and window (single-pass and exact) and the simulations.
+
+        Returned as ``(key, value)`` lists without their trace pins: the
+        picklable form in which a pool worker sends back the entries of
+        its group, for the parent's :meth:`install_memos`.  The entries are
+        returned whether or not this call built them, so a parent that
+        loaded the trace after the worker did still gets them.
+        """
+        token = (name, flags)
+        program = self._program_profiles.get(token)
+        misses: dict[tuple, MissProfile] = {}
+        simulations: dict[tuple, object] = {}
+        for machine, mlp_window in dict.fromkeys(points):
+            key = miss_key(machine)
+            for exact in (False, True):
+                memo = self._miss_profiles.get((token, key, mlp_window, exact))
+                if memo is not None:
+                    misses[(token, key, mlp_window, exact)] = memo[1]
+            memo = self._simulations.get((token, machine))
+            if memo is not None:
+                simulations[(token, machine)] = memo[1]
+        return ([] if program is None else [(token, program[1])],
+                list(misses.items()), list(simulations.items()))
+
+    def install_memos(self, name: str, flags: str, memos) -> None:
+        """Adopt :meth:`memo_entries` built in another process.
+
+        Each entry is pinned to this session's own trace of ``(name,
+        flags)``, so the next request for it is a memo hit here.  Entries
+        already held are kept; nothing is installed when this session
+        does not hold the trace.
+        """
+        workload = self._workloads.get((name, flags))
+        if workload is None:
+            return
+        trace = workload.trace()
+        for memo, entries in zip((self._program_profiles,
+                                  self._miss_profiles, self._simulations),
+                                 memos):
+            for key, value in entries:
+                memo.setdefault(key, (trace, value))
 
     def sample_evaluate(self, chunked, machine: MachineConfig, *, rate: int,
                         warmup: int = 4, warming: int = 1,
@@ -628,14 +712,16 @@ class Session:
         all-or-nothing strict mode, a unit that fails (its own exception,
         or quarantine after repeatedly breaking the pool) yields a
         :class:`~repro.resilience.containment.UnitFailure` in its slot
-        while every other unit's result comes back intact.  The inline
-        (``jobs=1``/small-batch) path stays strict: with no pool there is
-        no crash to contain, and byte-identity with :meth:`map` holds.
+        while every other unit's result comes back intact.  Unlike
+        :meth:`map`, a pooled session sends even a single unit to the pool
+        (the planner's rule: the pool builds, the parent answers).  The
+        inline ``jobs=1`` path stays strict: with no pool there is no
+        crash to contain, and byte-identity with :meth:`map` holds.
         """
         from repro.resilience.containment import resilient_map
 
         items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
+        if self.jobs <= 1:
             return [fn(self, item) for item in items]
         return resilient_map(self, fn, items, strict=False)
 

@@ -4,17 +4,19 @@ The server never evaluates on the event loop: parsed requests become
 :class:`Job` entries on a bounded :class:`asyncio.Queue` (backpressure —
 a full queue is reported as ``503`` rather than buffering without limit),
 and ``jobs`` worker tasks drain it, running each batch on a thread pool
-through :func:`repro.api.evaluate_many` against the one shared
-:class:`~repro.runtime.session.Session`.
+through the batch runner of :mod:`repro.api.batch` against the one shared
+:class:`~repro.runtime.session.Session`.  Every batch arrives validated,
+with its machine-resolution memo, so it is not validated again.
 
 A lock serializes session access across worker threads: evaluation is
 pure-Python CPU work the GIL would serialize anyway, so the lock costs no
 throughput while making the session's memoization race-free — every
 served answer is byte-identical to a direct in-process ``repro.api``
 call.  The worker *pool* still buys pipelining (HTTP parsing and response
-serialization overlap evaluation) and bounds in-flight work; batches of
-more than one request additionally shard across processes when the
-session was built with ``jobs > 1``.
+serialization overlap evaluation) and bounds in-flight work; when the
+session was built with ``jobs > 1``, the groups of a batch that the
+session cannot answer from its memos additionally go to its worker
+processes.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ class Job:
 
     requests: Sequence[EvalRequest]
     future: asyncio.Future = field(repr=False)
+    #: Machine-resolution memo of the validated batch
+    #: (:func:`repro.api.batch.validate_requests`); empty for ``call`` jobs.
+    machines: dict = field(repr=False)
     call: Callable | None = None
     context: "tracing.TraceContext | None" = None
     submitted_at: float = 0.0
@@ -80,8 +85,8 @@ class Job:
 class EvalExecutor:
     """Worker pool draining a bounded queue of evaluation jobs.
 
-    ``runner`` maps a request batch to its results; the default wires
-    :func:`repro.api.evaluate_many` to ``session``.  It is injectable so
+    ``runner`` maps a request batch to its results; the default runs it
+    on ``session`` through the batch runner.  It is injectable so
     tests can exercise queue bounds and drain behaviour with a controlled
     (e.g. deliberately blocking) workload.
     """
@@ -99,10 +104,9 @@ class EvalExecutor:
         self.max_queue = max_queue
         #: Optional ``ServiceMetrics`` fed the queue-wait observations.
         self.metrics = metrics
-        #: Chunked (cancellable) execution only applies to the default
-        #: session runner; injected test runners always get the batch.
-        self._default_runner = runner is None
-        self._runner = runner if runner is not None else self._run_with_session
+        #: An injected runner (tests) always gets the whole batch; chunked
+        #: (cancellable) execution only applies to the session runner.
+        self._runner = runner
         self._session_lock = threading.Lock()
         self._queue: asyncio.Queue[Job] | None = None
         self._pool: ThreadPoolExecutor | None = None
@@ -112,12 +116,13 @@ class EvalExecutor:
         self.jobs_completed = 0
 
     # ------------------------------------------------------------------
-    def _run_with_session(self, requests: Sequence[EvalRequest]) -> list[EvalResult]:
-        from repro.api.batch import evaluate_many
+    def _run_with_session(self, job: Job) -> list[EvalResult]:
+        from repro.api.batch import _run_batch
 
         with self._session_lock:
-            with tracing.span("service.evaluate", requests=len(requests)):
-                return evaluate_many(requests, session=self.session)
+            with tracing.span("service.evaluate", requests=len(job.requests)):
+                return _run_batch(self.session, list(job.requests),
+                                  job.machines)
 
     # ------------------------------------------------------------------
     @property
@@ -137,8 +142,13 @@ class EvalExecutor:
         ]
 
     def submit_job(self, requests: Sequence[EvalRequest], *,
-                   chunked: bool = False) -> Job:
+                   machines: dict, chunked: bool = False) -> Job:
         """Enqueue a batch and return its :class:`Job` handle.
+
+        The caller has checked ``requests`` with
+        :func:`repro.api.batch.validate_requests`, and ``machines`` is the
+        resolution memo it filled; the batch runs without a second
+        validation.
 
         The job's ``future`` resolves to the ``EvalResult`` list; the
         handle additionally exposes ``cancel`` and ``progress`` so a
@@ -158,6 +168,7 @@ class EvalExecutor:
             context=tracing.current_context(),
             submitted_at=time.monotonic(),
             chunked=chunked,
+            machines=machines,
         )
         try:
             self._queue.put_nowait(job)
@@ -168,17 +179,13 @@ class EvalExecutor:
         self._pending += 1
         return job
 
-    def submit(self, requests: Sequence[EvalRequest]) -> asyncio.Future:
-        """Enqueue a batch; the future resolves to its ``EvalResult`` list."""
-        return self.submit_job(requests).future
-
     def submit_call(self, call: Callable) -> asyncio.Future:
         """Enqueue a session function; the future resolves to its return.
 
         ``call(session)`` runs on the worker thread pool under the same
         session lock as request batches, so queued searches and queued
         evaluations serialize against each other and stay byte-identical
-        to in-process calls.  Backpressure matches :meth:`submit`.
+        to in-process calls.  Backpressure matches :meth:`submit_job`.
         """
         if self._queue is None:
             raise RuntimeError("executor is not started")
@@ -186,7 +193,7 @@ class EvalExecutor:
         future = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait(Job(
-                requests=(), future=future, call=call,
+                requests=(), future=future, machines={}, call=call,
                 context=tracing.current_context(),
                 submitted_at=time.monotonic(),
             ))
@@ -212,7 +219,7 @@ class EvalExecutor:
         evaluated exactly as in the unchunked path, so the concatenated
         chunks are byte-identical to a full-batch answer.
         """
-        from repro.api.batch import evaluate_many
+        from repro.api.batch import _run_batch
 
         requests = list(job.requests)
         with self._session_lock:
@@ -225,7 +232,7 @@ class EvalExecutor:
                             f"/{len(requests)} results")
                     chunk = requests[start:start + DEADLINE_CHUNK]
                     job.progress.extend(
-                        evaluate_many(chunk, session=self.session))
+                        _run_batch(self.session, chunk, job.machines))
         return list(job.progress)
 
     async def _worker(self) -> None:
@@ -250,9 +257,11 @@ class EvalExecutor:
             with tracing.attach(job.context):
                 if job.call is not None:
                     return self._run_call(job.call)
-                if job.chunked and self._default_runner:
+                if self._runner is not None:
+                    return self._runner(job.requests)
+                if job.chunked:
                     return self._run_chunked(job)
-                return self._runner(job.requests)
+                return self._run_with_session(job)
 
         try:
             results = await loop.run_in_executor(self._pool, _run)

@@ -353,7 +353,8 @@ class EvalServer:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from exc
 
     async def _answer(self, key: str, requests: list[EvalRequest],
-                      serialize, partial=None) -> tuple[int, bytes]:
+                      machines: dict, serialize,
+                      partial=None) -> tuple[int, bytes]:
         """Shared eval/sweep tail: cache lookup, queue, serialize, cache fill.
 
         With ``request_timeout`` configured the job runs chunked and the
@@ -361,7 +362,9 @@ class EvalServer:
         session at its next chunk boundary) and the answer is ``504`` —
         built by ``partial`` from the results completed so far when the
         endpoint supports partial envelopes (sweeps), a plain error
-        otherwise.  Partial answers are never cached.
+        otherwise.  Partial answers are never cached.  ``requests`` are
+        already validated and ``machines`` is their resolution memo, so
+        the batch is not validated again when it runs.
         """
         cached = self.cache.get(key)
         if cached is not None:
@@ -369,7 +372,8 @@ class EvalServer:
         timeout = self.config.request_timeout
         try:
             job = self.executor.submit_job(requests,
-                                           chunked=timeout is not None)
+                                           chunked=timeout is not None,
+                                           machines=machines)
         except ServiceOverloaded as exc:
             raise HttpError(503, str(exc)) from exc
         except InjectedFault as exc:
@@ -395,30 +399,32 @@ class EvalServer:
 
     async def _handle_eval(self, request: HttpRequest) -> tuple[int, bytes]:
         payload = self._parse_json(request.body)
+        machines: dict = {}
         try:
             parsed = EvalRequest.parse(payload)
-            validate_requests([parsed])
+            validate_requests([parsed], machines=machines)
         except (ValueError, KeyError, TypeError) as exc:
             raise HttpError(400, str(exc)) from exc
         key = canonical_key({"endpoint": "eval", "request": parsed.to_dict()})
         # The body is exactly EvalResult.to_json() so a served answer is
         # byte-identical to the same request through repro.api.evaluate.
         return await self._answer(
-            key, [parsed],
+            key, [parsed], machines,
             lambda results: results[0].to_json().encode("utf-8"),
         )
 
     async def _handle_sweep(self, request: HttpRequest) -> tuple[int, bytes]:
         payload = self._parse_json(request.body)
+        machines: dict = {}
         try:
             sweep = SweepRequest.from_dict(payload)
             expanded = sweep.expand()
-            validate_requests(expanded)
+            validate_requests(expanded, machines=machines)
         except (ValueError, KeyError, TypeError) as exc:
             raise HttpError(400, str(exc)) from exc
         key = canonical_key({"endpoint": "sweep", "sweep": sweep.to_dict()})
         return await self._answer(
-            key, expanded,
+            key, expanded, machines,
             lambda results: _json_body({
                 "schema_version": API_SCHEMA_VERSION,
                 "count": len(results),

@@ -484,6 +484,21 @@ class TestEvalCLI:
             {"workload": "sha", "with_power": True}))
         assert result == direct
 
+    def test_session_summary_reports_group_routing(self, tmp_path):
+        request_file = tmp_path / "request.json"
+        request_file.write_text(json.dumps({
+            "workloads": ["sha", "dijkstra"],
+            "machines": ["paper_default", "big_l2_1mb"],
+        }))
+        for jobs, routed in (("1", "groups_inline=0 groups_pooled=0"),
+                             ("2", "groups_inline=0 groups_pooled=2")):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                assert cli_main(["eval", str(request_file),
+                                 "--jobs", jobs]) == 0
+            assert routed in stderr.getvalue()
+
     def test_eval_backends_flag(self):
         output = self._run(["eval", "--backends"])
         for name in api.backend_names():

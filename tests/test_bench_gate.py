@@ -120,6 +120,26 @@ def test_search_quality_absent_on_one_side_passes_vacuously():
     assert compare_results(current, reference, 0.0) == []
 
 
+def _routed(median: float, pooled: int | None = None) -> dict:
+    entry = {"median": median}
+    if pooled is not None:
+        entry.update(groups_inline=20 - pooled, groups_pooled=pooled)
+    return {"results": {"warm_served_batches": entry}}
+
+
+def test_warm_groups_reaching_the_pool_are_a_regression():
+    regressions = compare_results(_routed(0.03, 0), _routed(0.03, 3), 1000.0)
+    assert regressions == [
+        "warm_served_batches[groups_pooled]: 3 vs reference 0 "
+        "(warm groups went to the worker pool)"]
+    assert compare_results(_routed(0.03, 3), _routed(0.03, 0), 0.0) == []
+
+
+def test_routing_absent_on_one_side_passes_vacuously():
+    assert compare_results(_routed(0.03), _routed(0.03, 3), 0.0) == []
+    assert compare_results(_routed(0.03, 0), _routed(0.03), 0.0) == []
+
+
 def _obs(median: float, pct: float | None = None,
          limit: float | None = 2.0) -> dict:
     entry: dict = {"median": median, "runs": [median]}

@@ -9,6 +9,7 @@ a retry, never results, and no ``/dev/shm`` segment is ever orphaned).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -234,7 +235,8 @@ class TestShardedParity:
 
         dataplane.set_mode("shm")
         with pooled_session(None, 2) as session:
-            session.workload("sha")
+            # The parent does not hold the trace, so it cannot answer the
+            # second batch itself: both batches go to the pool.
             requests = _requests(workloads=("sha",))
             first = _serialized(evaluate_many(requests, session=session))
             pool = session.pool()
@@ -334,7 +336,11 @@ class TestCrashSafety:
         with pooled_session(None, 2) as session:
             session.workload("sha")
             handle = session.publish_trace("sha")
-            evaluate_many(_requests(workloads=("sha",)), session=session)
+            # Another MLP window: the profiles this batch builds do not
+            # answer the batch below, which must reach the fresh pool.
+            evaluate_many([dataclasses.replace(request, mlp_window=32)
+                           for request in _requests(workloads=("sha",))],
+                          session=session)
             session.reset_pool()  # all workers exit, segments stay
             assert handle.name in live_segments()
             # A fresh pool re-attaches the same segment.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
@@ -275,3 +276,281 @@ def test_exact_profiling_is_booked_to_the_profile_stage():
     _, stages = evaluate_group_timed(Session(), group)
     assert stages["profile"] > 0.0
     assert stages["model"] > 0.0
+
+
+# ----------------------------------------------------------------------
+# Routing: the pool builds, the parent answers.
+# ----------------------------------------------------------------------
+def _machines(*l2_sizes):
+    return [MachineSpec.make(l2_size=size, width=width)
+            for size in l2_sizes for width in (1, 2)]
+
+
+def _routing_batch(workloads, machines, with_power=False):
+    return [
+        EvalRequest(workload=WorkloadSpec(name), machine=machine,
+                    backend=backend, with_power=with_power)
+        for name in workloads
+        for machine in machines
+        for backend in ("analytical", "analytical_exact", "simulator")
+    ]
+
+
+class _SubmitCounter:
+    """Counts :meth:`WorkerPool.submit_all` calls (it still submits)."""
+
+    def __init__(self, monkeypatch):
+        from repro.runtime.scheduler import WorkerPool
+
+        self.calls = 0
+        submit_all = WorkerPool.submit_all
+
+        def counted(pool, fn, items):
+            self.calls += 1
+            return submit_all(pool, fn, items)
+
+        monkeypatch.setattr(WorkerPool, "submit_all", counted)
+
+
+def _warm_pool_session(stack, names=("sha", "dijkstra")):
+    """A 2-worker session that holds ``names``' traces (so it ships
+    them, and installs what its workers build for them)."""
+    from repro.runtime.session import pooled_session
+
+    session = stack.enter_context(pooled_session(None, 2))
+    for name in names:
+        session.workload(name)
+    return session
+
+
+@pytest.mark.parametrize("with_power", [False, True])
+@pytest.mark.parametrize("kernels", ["python", "numpy"])
+def test_routed_batches_are_byte_identical_to_serial(kernels, with_power):
+    from repro import accel
+
+    if kernels not in [name for name, usable
+                       in accel.available_backends().items() if usable]:
+        pytest.skip(f"kernel backend {kernels} unavailable")
+    cold = _routing_batch(("sha", "dijkstra"), _machines("128KB"),
+                          with_power)
+    # sha is warm after ``cold``; dijkstra on new L2 sizes and qsort are
+    # not: one group answered here, two built by the pool.
+    mixed = (_routing_batch(("sha",), _machines("128KB"), with_power)
+             + _routing_batch(("dijkstra", "qsort"), _machines("1MB"),
+                              with_power))
+    previous = accel.active_backend()
+    accel.set_backend(kernels)
+    try:
+        with contextlib.ExitStack() as stack:
+            session = _warm_pool_session(stack, ("sha", "dijkstra", "qsort"))
+            routed = []
+            for batch in (cold, cold, mixed):
+                before = (session.stats.groups_inline,
+                          session.stats.groups_pooled)
+                routed.append(_serialized(evaluate_many(batch,
+                                                        session=session)))
+                routed.append((session.stats.groups_inline - before[0],
+                               session.stats.groups_pooled - before[1]))
+        serial = [_serialized(evaluate_many(batch, session=Session()))
+                  for batch in (cold, cold, mixed)]
+    finally:
+        accel.set_backend(previous)
+    # all cold, all warm, mixed: (inline, pooled) groups of each batch.
+    assert routed[1::2] == [(0, 2), (2, 0), (1, 2)]
+    assert routed[0::2] == serial
+
+
+def test_warm_batch_makes_no_pool_submission(monkeypatch):
+    counter = _SubmitCounter(monkeypatch)
+    requests = _routing_batch(("sha", "dijkstra"), _machines("512KB"))
+    with contextlib.ExitStack() as stack:
+        session = _warm_pool_session(stack)
+        evaluate_many(requests, session=session)
+        assert counter.calls == 1
+        evaluate_many(requests, session=session)
+        assert counter.calls == 1
+
+
+def test_rerun_after_a_pooled_batch_is_answered_in_the_parent():
+    requests = default_design_space().to_sweep(["sha", "dijkstra"]).expand()
+    with contextlib.ExitStack() as stack:
+        session = _warm_pool_session(stack)
+        first = _serialized(evaluate_many(requests, session=session))
+        assert session.stats.groups_pooled == 2
+        assert session.stats.miss_profiles_built == 0  # the pool built them
+        again = _serialized(evaluate_many(requests, session=session))
+        assert session.stats.groups_inline == 2
+        assert session.stats.groups_pooled == 2
+        assert session.stats.miss_profiles_built == 0
+    assert first == again
+
+
+def test_power_needs_profiles_beyond_the_simulations():
+    def simulated(with_power):
+        return [EvalRequest(workload=WorkloadSpec(name), machine=machine,
+                            backend="simulator", with_power=with_power)
+                for name in ("sha", "dijkstra")
+                for machine in _machines("512KB")]
+
+    with contextlib.ExitStack() as stack:
+        session = _warm_pool_session(stack)
+        evaluate_many(simulated(False), session=session)
+        # Simulations are warm; the energy's miss profiles are not.
+        powered = _serialized(evaluate_many(simulated(True),
+                                            session=session))
+        assert session.stats.groups_inline == 0
+        assert session.stats.groups_pooled == 4
+        assert session.stats.miss_profiles_built == 0
+    assert powered == _serialized(evaluate_many(simulated(True),
+                                                session=Session()))
+
+
+def test_quarantined_workload_fails_even_when_warm(monkeypatch):
+    counter = _SubmitCounter(monkeypatch)
+    requests = _routing_batch(("sha", "dijkstra"), _machines("512KB"))
+    with contextlib.ExitStack() as stack:
+        session = _warm_pool_session(stack)
+        evaluate_many(requests, session=session)
+        session.health.quarantine("sha", "unit 'sha' quarantined: test")
+        results = evaluate_many(requests, session=session)
+    assert counter.calls == 1  # the quarantined group was never run
+    assert {result.workload for result in results if result.error} == {"sha"}
+    assert all("quarantined" in result.error
+               for result in results if result.workload == "sha")
+    assert not any(result.error for result in results
+                   if result.workload == "dijkstra")
+
+
+def test_third_party_backend_still_goes_to_the_pool(monkeypatch):
+    from repro.api.backends import (
+        BACKENDS,
+        BackendCapabilities,
+        EvalBackend,
+        PointEvaluation,
+        register_backend,
+    )
+
+    @register_backend("routing_constant_cpi")
+    class ConstantBackend(EvalBackend):
+        name = "routing_constant_cpi"
+        capabilities = BackendCapabilities(power=False)
+
+        def evaluate(self, session, workload, machines, *,
+                     with_power=False, mlp_window=64):
+            instructions = len(workload.trace())
+            return [PointEvaluation(machine, instructions, 2.0 * instructions)
+                    for machine in machines]
+
+    counter = _SubmitCounter(monkeypatch)
+    requests = [
+        EvalRequest(workload=WorkloadSpec(name), machine=MachineSpec(preset),
+                    backend="routing_constant_cpi")
+        for name in ("sha", "dijkstra")
+        for preset in ("paper_default", "big_l2_1mb")
+    ]
+    try:
+        with contextlib.ExitStack() as stack:
+            session = _warm_pool_session(stack)
+            first = _serialized(evaluate_many(requests, session=session))
+            again = _serialized(evaluate_many(requests, session=session))
+            assert session.stats.groups_inline == 0
+            assert session.stats.groups_pooled == 4
+    finally:
+        BACKENDS.unregister("routing_constant_cpi")
+    assert counter.calls == 2
+    assert first == again
+
+
+def test_table2_machines_share_sixteen_miss_memo_entries():
+    session = Session()
+    workload = session.workload("sha")
+    machines = default_design_space().to_sweep(["sha"]).machines
+    assert len(machines) == 192
+    profiles = [session.miss_profile(workload, machine.resolve())
+                for machine in machines]
+    assert session.stats.miss_profiles_built == 16
+    assert len({id(profile) for profile in profiles}) == 16
+
+
+def test_worker_returns_its_group_entries_it_built_earlier():
+    """A worker that already held a group's entries still sends them."""
+    from repro.api.planner import build_group
+
+    requests = _routing_batch(("sha",), _machines("256KB"), with_power=True)
+    worker = Session()
+    parent = Session()
+    parent.workload("sha")
+    (group,) = plan_requests(requests)
+    shipped = group.with_payload(parent.trace_payload("sha"))
+    first = build_group(worker, shipped)
+    again = build_group(worker, shipped)
+    assert first[0] == again[0]
+    program, misses, simulations = again[2]
+    assert program == first[2][0] and len(program) == 1
+    # One miss key, single-pass and exact; two simulated machines.
+    assert len(misses) == 2 and len(simulations) == 2
+    assert build_group(worker, group)[2] is None  # nothing shipped
+
+
+def test_parent_that_loads_the_trace_later_answers_it_inline():
+    from repro.runtime.session import pooled_session
+
+    requests = _routing_batch(("sha",), _machines("256KB"))
+    with pooled_session(None, 2) as session:
+        cold = _serialized(evaluate_many(requests, session=session))
+        session.workload("sha")  # e.g. a later one-request sweep
+        evaluate_many(requests, session=session)
+        assert (session.stats.groups_inline,
+                session.stats.groups_pooled) == (0, 2)
+        warm = _serialized(evaluate_many(requests, session=session))
+        assert (session.stats.groups_inline,
+                session.stats.groups_pooled) == (1, 2)
+        assert session.stats.miss_profiles_built == 0
+    assert warm == cold
+
+
+def _build_counters(session) -> tuple:
+    stats = session.stats
+    return (stats.miss_profiles_built, session.profile_seconds,
+            stats.sim_event_sets_built, stats.sim_timing_loops_run)
+
+
+_SLICES = [(backend, with_power, mlp_window)
+           for backend in ("analytical", "analytical_exact", "simulator")
+           for with_power in (False, True)
+           for mlp_window in (32, 64)]
+
+
+@pytest.mark.parametrize("backend,with_power,mlp_window", _SLICES)
+def test_is_warm_agrees_with_what_evaluate_builds(backend, with_power,
+                                                  mlp_window):
+    """Whenever a built-in backend says warm, ``evaluate`` builds nothing;
+    and after ``evaluate`` it says warm (or its groups stay pooled)."""
+    from repro.api.backends import get_backend
+
+    machines = [spec.resolve() for spec in _machines("64KB", "2MB")]
+    trace = get_workload("sha").trace()
+    target = (backend, with_power, mlp_window)
+
+    def run(session, workload, name, power, window):
+        get_backend(name).evaluate(session, workload, machines,
+                                   with_power=power, mlp_window=window)
+
+    def warm_after(warmed) -> bool:
+        session = Session()
+        workload = session.adopt_trace("sha", "O3", trace)
+        run(session, workload, *warmed)
+        name, power, window = target
+        if not get_backend(name).is_warm(session, workload, machines,
+                                         with_power=power, mlp_window=window):
+            return False
+        before = _build_counters(session)
+        run(session, workload, *target)
+        assert _build_counters(session) == before, warmed
+        return True
+
+    # What any other slice leaves in the memos must not fool is_warm.
+    for other in _SLICES:
+        if other != target:
+            warm_after(other)
+    assert warm_after(target)

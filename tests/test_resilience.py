@@ -78,6 +78,12 @@ class TestFaultSpec:
             FaultSpec.from_dict({"point": "worker.entry", "mean_time": 3})
 
 
+def _advance_many(payload, count, queue):
+    """Child-process body: advance a shared hit counter ``count`` times."""
+    plan = FaultPlan.from_dict(payload)
+    queue.put([plan._advance(0, "hits") for _ in range(count)])
+
+
 class TestFaultPlan:
     def test_json_round_trip(self, tmp_path):
         plan = FaultPlan(specs=(
@@ -124,6 +130,26 @@ class TestFaultPlan:
         faults.install(second)
         faults.fire("jobs.admit")  # the single fleet-wide fire is spent
         assert second.report()["rules"][0]["fires"] == 1
+
+    def test_concurrent_processes_never_share_an_ordinal(self, tmp_path):
+        """Two processes advancing one shared window at once each get
+        their own ordinals, so a ``count=1`` rule fires exactly once."""
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        payload = FaultPlan(specs=(FaultSpec(point="jobs.admit"),),
+                            state_dir=str(tmp_path)).to_dict()
+        queue = context.Queue()
+        workers = [context.Process(target=_advance_many,
+                                   args=(payload, 2000, queue))
+                   for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        ordinals = queue.get(timeout=60) + queue.get(timeout=60)
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        assert sorted(ordinals) == list(range(4000))
 
     def test_delay_mode_sleeps(self):
         faults.install(FaultPlan(specs=(

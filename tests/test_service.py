@@ -221,11 +221,14 @@ class TestExecutor:
             executor = EvalExecutor(session=None, jobs=1, max_queue=1,
                                     runner=runner)
             executor.start()
-            first = executor.submit(["a"])    # picked up by the worker
+            # picked up by the worker
+            first = executor.submit_job(["a"], machines={}).future
             await asyncio.sleep(0.05)         # let the worker dequeue it
-            second = executor.submit(["b"])   # fills the bounded queue
+            # fills the bounded queue
+            second = executor.submit_job(["b"], machines={}).future
             with pytest.raises(ServiceOverloaded):
-                executor.submit(["c"])        # queue full -> backpressure
+                # queue full -> backpressure
+                executor.submit_job(["c"], machines={})
             release.set()
             results = await asyncio.gather(first, second)
             await executor.drain()            # drains cleanly, workers gone
@@ -244,7 +247,7 @@ class TestExecutor:
                                     runner=runner)
             executor.start()
             with pytest.raises(RuntimeError, match="boom"):
-                await executor.submit(["a"])
+                await executor.submit_job(["a"], machines={}).future
             await executor.drain()
 
         asyncio.run(scenario())
@@ -272,7 +275,7 @@ class TestExecutor:
             for worker in executor._workers:
                 worker.cancel()
             await asyncio.gather(*executor._workers, return_exceptions=True)
-            future = executor.submit(["a"])
+            future = executor.submit_job(["a"], machines={}).future
             await asyncio.wait_for(executor.drain(), timeout=10)
             return await future
 
@@ -470,6 +473,104 @@ class TestServedEval:
             f"warm sweep slower than cold: warm={warm * 1000:.1f} ms, "
             f"cold={cold * 1000:.1f} ms"
         )
+
+
+class TestServedRouting:
+    """A jobs=2 server answers warm work in its own process, once-validated."""
+
+    SWEEP = {"workloads": ["sha", "dijkstra"],
+             "axes": {"l2_size": ["128KB", "1MB"]}}
+
+    @pytest.fixture
+    def running(self, tmp_path):
+        config = ServiceConfig(port=0, jobs=2, max_queue=16,
+                               cache_dir=str(tmp_path / "cache"))
+        with ServerThread(config) as running:
+            yield running
+
+    @staticmethod
+    def _counting_validation(monkeypatch):
+        import repro.api.batch as batch
+        import repro.service.server as server_module
+
+        calls = []
+        validate = batch.validate_requests
+
+        def counted(requests, **kwargs):
+            calls.append(len(requests))
+            return validate(requests, **kwargs)
+
+        monkeypatch.setattr(batch, "validate_requests", counted)
+        monkeypatch.setattr(server_module, "validate_requests", counted)
+        return calls
+
+    def test_served_requests_are_validated_once(self, running, monkeypatch):
+        calls = self._counting_validation(monkeypatch)
+        client = ServiceClient(port=running.port)
+        client.wait_ready()
+        client.sweep(self.SWEEP)
+        assert calls == [4]
+        client.evaluate({"workload": "sha", "machine": "big_l2_1mb"})
+        assert calls == [4, 1]
+        # A result-cache hit is validated once too, and never evaluated.
+        client.sweep(self.SWEEP)
+        assert calls == [4, 1, 4]
+
+    def test_served_requests_are_validated_once_under_a_deadline(
+            self, tmp_path, monkeypatch):
+        calls = self._counting_validation(monkeypatch)
+        config = ServiceConfig(port=0, jobs=2, request_timeout=120.0,
+                               cache_dir=str(tmp_path / "cache"))
+        with ServerThread(config) as running:
+            client = ServiceClient(port=running.port)
+            client.wait_ready()
+            results = client.sweep(self.SWEEP)
+        assert calls == [4]
+        assert not any(result.error for result in results)
+
+    def test_warm_served_sweep_moves_only_groups_inline(self, running,
+                                                        monkeypatch):
+        client = ServiceClient(port=running.port)
+        client.wait_ready()
+        # One-request sweeps run in the server process: it now holds the
+        # traces, so it ships them and keeps what its workers build.
+        for name in self.SWEEP["workloads"]:
+            client.sweep({"workloads": [name], "machines": ["paper_default"]})
+        cold = client.sweep(self.SWEEP)
+        before = client.metrics()["session"]
+        assert before["groups_pooled"] == 2
+        # Same machines, another sweep body: a result-cache miss that the
+        # server answers from its memos without the pool.
+        warm = client.sweep({"workloads": ["sha", "dijkstra"],
+                             "axes": {"l2_size": ["1MB", "128KB"]}})
+        after = client.metrics()["session"]
+        assert after["groups_inline"] == before["groups_inline"] + 2
+        assert after["groups_pooled"] == before["groups_pooled"]
+        assert after["miss_profiles_built"] == before["miss_profiles_built"]
+        expected = api.evaluate_many(
+            api.SweepRequest.from_dict(self.SWEEP).expand())
+        by_key = {(r.workload, r.machine): r.to_dict() for r in cold}
+        assert [r.to_dict() for r in expected] == [r.to_dict() for r in cold]
+        assert all(by_key[(r.workload, r.machine)] == r.to_dict()
+                   for r in warm)
+        text = client.metrics_prometheus()
+        assert 'repro_session_events_total{event="groups_inline"}' in text
+        assert 'repro_session_events_total{event="groups_pooled"}' in text
+
+    def test_traces_the_server_never_loaded_stay_on_the_pool(self, running):
+        """Without a one-request sweep the server process holds no trace:
+        every group is built and answered in a worker, as before routing,
+        and the answers are unchanged."""
+        client = ServiceClient(port=running.port)
+        client.wait_ready()
+        first = client.sweep(self.SWEEP)
+        again = client.sweep({"workloads": ["sha", "dijkstra"],
+                              "axes": {"l2_size": ["1MB", "128KB"]}})
+        session = client.metrics()["session"]
+        assert (session["groups_inline"], session["groups_pooled"]) == (0, 4)
+        by_key = {(r.workload, r.machine): r.to_dict() for r in first}
+        assert all(by_key[(r.workload, r.machine)] == r.to_dict()
+                   for r in again)
 
 
 class TestShutdown:
