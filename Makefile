@@ -30,8 +30,9 @@ bench-compare:
 	$(PY) -m repro.cli bench --repeat 3 --output /tmp/BENCH_compare.json \
 		--compare BENCH_core.json --tolerance 400 --stage-tolerance-ms 50
 
-# Start an evaluation server, answer one request through ServiceClient,
-# verify the warm repeat hits the result cache, assert a clean shutdown.
+# Start an evaluation server, answer one request and one sweep through
+# ServiceClient, verify each warm repeat hits the result cache, assert a
+# clean shutdown.
 serve-smoke:
 	$(PY) -m repro.service.smoke
 

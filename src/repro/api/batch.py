@@ -44,8 +44,7 @@ def _machine_label(request: EvalRequest, machine) -> str:
             + ",".join(f"{key}={value}" for key, value in sorted(rendered.items())))
 
 
-def _failed_result(request: EvalRequest, machines: dict,
-                   error: str) -> EvalResult:
+def _failed_result(request: EvalRequest, error: str) -> EvalResult:
     """The structured per-item error envelope of a contained failure.
 
     A quarantined or crashed unit keeps its slot in the batch: same
@@ -54,14 +53,11 @@ def _failed_result(request: EvalRequest, machines: dict,
     workload returns 72 answers plus 4 addressable errors instead of
     nothing.
     """
-    machine = machines.get(request.machine)
-    if machine is None:
-        machine = request.machine.resolve()
     return EvalResult(
         request=request,
         backend=BACKENDS.canonical(request.backend),
         workload=request.workload.name,
-        machine=_machine_label(request, machine),
+        machine=_machine_label(request, request.machine.resolve()),
         instructions=0,
         cycles=0.0,
         seconds=0.0,
@@ -105,16 +101,15 @@ def evaluate(request: "EvalRequest | Mapping", *,
                          EvalRequest.parse(request))
 
 
-def validate_requests(requests: Sequence[EvalRequest], *,
-                      machines: dict | None = None) -> None:
+def validate_requests(requests: Sequence[EvalRequest]) -> None:
     """Fail fast on unresolvable requests, before any evaluation work.
 
     Checks every backend name, machine spec (preset, override fields, size
     strings) and workload name/flags against their registries, so a typo
     surfaces as one clear error instead of a traceback out of a worker
-    process mid-batch.  ``machines`` (spec -> resolved config) memoizes
-    resolution across the batch — a 192-point sweep resolves 192 machines,
-    not one per request — and is shared with the sweep planner.
+    process mid-batch.  Machines resolve through the process-wide
+    :meth:`~repro.api.spec.MachineSpec.resolve` memo, so the planner
+    reuses every config resolved here.
     """
     from repro.runtime.session import COMPILER_FLAGS
     from repro.search.optimize import (
@@ -123,8 +118,6 @@ def validate_requests(requests: Sequence[EvalRequest], *,
     )
     from repro.workloads.registry import WORKLOADS
 
-    if machines is None:
-        machines = {}
     checked: set[tuple] = set()
     for index, request in enumerate(requests):
         if isinstance(request, OptimizeRequest):
@@ -146,8 +139,7 @@ def validate_requests(requests: Sequence[EvalRequest], *,
             continue
         try:
             get_backend(request.backend)
-            if request.machine not in machines:
-                machines[request.machine] = request.machine.resolve()
+            request.machine.resolve()
             if request.workload.name not in WORKLOADS:
                 known = ", ".join(WORKLOADS.names())
                 raise ValueError(
@@ -194,22 +186,21 @@ def evaluate_many(requests: Iterable["EvalRequest | Mapping"], *,
     from repro.runtime.session import pooled_session
 
     parsed = [EvalRequest.parse(request) for request in requests]
-    machines: dict = {}
-    validate_requests(parsed, machines=machines)
+    validate_requests(parsed)
     if session is not None:
         if jobs is not None or cache_dir is not None:
             raise ValueError(
                 "pass either an existing session or jobs/cache_dir, not both "
                 "(the session already fixes its job count and cache directory)"
             )
-        return _run_batch(session, parsed, machines)
+        return _run_batch(session, parsed)
     with pooled_session(cache_dir, jobs if jobs is not None else 1) as pooled:
-        return _run_batch(pooled, parsed, machines)
+        return _run_batch(pooled, parsed)
 
 
-def _run_batch(session: Session, parsed: list[EvalRequest],
-               machines: dict) -> list[EvalResult]:
-    """Answer a validated batch (``machines``: its resolution memo).
+def _run_batch(session: Session,
+               parsed: list[EvalRequest]) -> list[EvalResult]:
+    """Answer a validated batch.
 
     On a pooled session the pool builds and the parent answers: a group
     whose trace and every profile or simulation it reads are already in
@@ -232,7 +223,7 @@ def _run_batch(session: Session, parsed: list[EvalRequest],
     if len(parsed) <= 1:
         return session.map(_evaluate_one, parsed)
     with span("planner.plan", requests=len(parsed)) as plan_span:
-        groups = plan_requests(parsed, jobs=session.jobs, machines=machines)
+        groups = plan_requests(parsed, jobs=session.jobs)
         plan_span.set(groups=len(groups))
     results: list[EvalResult | None] = [None] * len(parsed)
 
@@ -281,8 +272,7 @@ def _run_batch(session: Session, parsed: list[EvalRequest],
     for group, outcome in zip(pooled, built):
         if isinstance(outcome, UnitFailure):
             for index in group.indices:
-                results[index] = _failed_result(parsed[index], machines,
-                                                outcome.error)
+                results[index] = _failed_result(parsed[index], outcome.error)
             continue
         answers, stages, memos = outcome
         collect(group, answers, stages)

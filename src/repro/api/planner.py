@@ -94,18 +94,15 @@ class PlannedGroup:
                             payload)
 
 
-def plan_requests(requests, *, jobs: int = 1,
-                  machines: dict | None = None) -> list[PlannedGroup]:
+def plan_requests(requests, *, jobs: int = 1) -> list[PlannedGroup]:
     """Group a parsed batch into planned work items.
 
-    ``machines`` is an optional shared resolution memo (spec -> config);
-    passing the one built during validation avoids resolving every unique
-    machine twice.
+    Machines come from the process-wide
+    :meth:`~repro.api.spec.MachineSpec.resolve` memo, so the configs
+    validation resolved are not resolved again.
     """
     from repro.api.batch import _machine_label
 
-    if machines is None:
-        machines = {}
     labels: dict[MachineSpec, str] = {}
     by_trace: dict[tuple[str, str], list[int]] = {}
     for index, request in enumerate(requests):
@@ -117,11 +114,7 @@ def plan_requests(requests, *, jobs: int = 1,
     for (name, flags), indices in by_trace.items():
         def signature(index: int) -> tuple:
             request = requests[index]
-            machine = machines.get(request.machine)
-            if machine is None:
-                machine = request.machine.resolve()
-                machines[request.machine] = machine
-            return _pass_signature(machine, request)
+            return _pass_signature(request.machine.resolve(), request)
 
         ordered = sorted(indices, key=signature)
         chunks = _fair_chunks(ordered, signature, len(by_trace), jobs)
@@ -129,11 +122,12 @@ def plan_requests(requests, *, jobs: int = 1,
             specs = {requests[i].machine: requests[i] for i in chunk}
             resolved = []
             for spec, request in specs.items():
+                machine = spec.resolve()
                 label = labels.get(spec)
                 if label is None:
-                    label = _machine_label(request, machines[spec])
+                    label = _machine_label(request, machine)
                     labels[spec] = label
-                resolved.append((spec, machines[spec], label))
+                resolved.append((spec, machine, label))
             groups.append(PlannedGroup(
                 workload=name, flags=flags,
                 trace_version=TRACE_SCHEMA_VERSION,

@@ -20,9 +20,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
-from repro.machine import MachineConfig, machine_from_spec
+from repro.machine import (
+    MACHINE_PRESETS,
+    MachineConfig,
+    machine_from_factory,
+    machine_from_spec,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.runtime.session import Session
@@ -90,6 +96,23 @@ class WorkloadSpec:
 # ----------------------------------------------------------------------
 # Machine specification.
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=4096)
+def _resolved(factory, items: tuple, types: tuple) -> MachineConfig:
+    """The machine of one (preset factory, override items) pair.
+
+    Process-wide and bounded: a served sweep, its planner and its error
+    envelopes all resolve the same few hundred specs, each once.  The key
+    is the registered factory object, not the preset name, so a preset
+    re-registered under its old name never answers from the entry of the
+    factory it replaced; an unregistered preset fails its registry lookup
+    before reaching the memo, and a spec that raises is never stored.
+    ``types`` (the override values' types) is only part of the key: equal
+    values of another type (``1``, ``1.0``, ``True``) may build another
+    config, so they never share an entry.
+    """
+    return machine_from_factory(factory, dict(items))
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """A machine as a named preset plus keyword overrides.
@@ -151,8 +174,27 @@ class MachineSpec:
         return MachineSpec.make(self.preset, **merged)
 
     def resolve(self) -> MachineConfig:
-        """Materialise the :class:`MachineConfig` this spec describes."""
-        return machine_from_spec({"preset": self.preset, **self.overrides})
+        """Materialise the :class:`MachineConfig` this spec describes.
+
+        Memoized per process (see :func:`_resolved`) and, for as long as
+        the preset's factory stays registered, on the spec itself: a
+        sweep's planner and validation resolve each spec object several
+        times.  Configs are frozen, so every caller may share one.
+        """
+        factory = MACHINE_PRESETS.get(self.preset)
+        known = self.__dict__.get("_resolution")
+        if known is None or known[0] is not factory:
+            known = (factory, _resolved(
+                factory, self.items,
+                tuple(type(value) for _, value in self.items)))
+            object.__setattr__(self, "_resolution", known)
+        return known[1]
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only: a factory need not be picklable."""
+        state = dict(self.__dict__)
+        state.pop("_resolution", None)
+        return state
 
     def to_dict(self) -> dict:
         return {"preset": self.preset, **self.overrides}
@@ -386,9 +428,18 @@ class EvalResult:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping) -> "EvalResult":
+    def from_dict(cls, payload: Mapping, *,
+                  request: EvalRequest | None = None) -> "EvalResult":
+        """Decode a result; ``request`` stands in for parsing the echoed one.
+
+        A caller that already holds the request the payload answers (a
+        client decoding its own sweep) passes it and has checked that it
+        equals ``payload["request"]``.
+        """
+        if request is None:
+            request = EvalRequest.from_dict(payload["request"])
         return cls(
-            request=EvalRequest.from_dict(payload["request"]),
+            request=request,
             backend=payload["backend"],
             workload=payload["workload"],
             machine=payload["machine"],

@@ -47,6 +47,11 @@ Times the paths every PR is expected to keep fast:
   ``jobs=2`` session after an untimed pass in which the pool built their
   profiles: every group is answered in the parent; the entry records
   ``groups_inline`` and ``groups_pooled``,
+* ``served_sweep_codec``   — the same ten batches' results (evaluated
+  untimed) through the server's sweep-body encoder and the client's
+  sweep decoder, the functions a served ``POST /v1/sweep`` calls on
+  either side of the socket; the entry records ``results`` and
+  ``body_bytes``,
 * ``long_workload_sampled`` — a synthetic workload scaled 100x past the
   in-memory default, generated straight into an on-disk spill store and
   evaluated by warmed interval sampling (:mod:`repro.profiler.sampling`)
@@ -452,6 +457,25 @@ SERVED_BATCHES = 10
 SERVED_BATCH_SEED = 2012
 
 
+def _served_batches() -> list[list]:
+    """The seeded served-size request batches (``SERVED_BATCHES`` of them)."""
+    import random
+
+    from repro.api import EvalRequest, WorkloadSpec
+    from repro.dse.space import default_design_space
+    from repro.workloads.registry import suite_names
+
+    names = suite_names("mibench")
+    machines = default_design_space().to_sweep(()).machines
+    rng = random.Random(SERVED_BATCH_SEED)
+    return [
+        [EvalRequest(workload=WorkloadSpec(name), machine=machine)
+         for name in sorted(rng.sample(names, SERVED_BATCH_WORKLOADS))
+         for machine in rng.sample(machines, SERVED_BATCH_POINTS)]
+        for _ in range(SERVED_BATCHES)
+    ]
+
+
 def bench_warm_served_batches() -> tuple[float, dict]:
     """Warm served-size batches on a 2-worker session.
 
@@ -462,26 +486,15 @@ def bench_warm_served_batches() -> tuple[float, dict]:
     in the parent, no pool round trip.  The entry records the timed
     pass's ``groups_inline`` and ``groups_pooled``.
     """
-    import random
-
-    from repro.api import EvalRequest, WorkloadSpec, evaluate_many
-    from repro.dse.space import default_design_space
+    from repro.api import evaluate_many
     from repro.runtime.session import pooled_session
     from repro.trace.trace import Trace
     from repro.workloads.registry import suite_names
 
-    names = suite_names("mibench")
     _table2_session()  # populates the shared payload cache
-    machines = default_design_space().to_sweep(()).machines
-    rng = random.Random(SERVED_BATCH_SEED)
-    batches = [
-        [EvalRequest(workload=WorkloadSpec(name), machine=machine)
-         for name in sorted(rng.sample(names, SERVED_BATCH_WORKLOADS))
-         for machine in rng.sample(machines, SERVED_BATCH_POINTS)]
-        for _ in range(SERVED_BATCHES)
-    ]
+    batches = _served_batches()
     with pooled_session(None, 2) as session:
-        for name in names:
+        for name in suite_names("mibench"):
             session.adopt_trace(
                 name, "O3", Trace.from_payload(_TABLE2_PAYLOADS[name])
             )
@@ -498,6 +511,33 @@ def bench_warm_served_batches() -> tuple[float, dict]:
                   "groups_inline": session.stats.groups_inline - inline,
                   "groups_pooled": session.stats.groups_pooled - pooled}
     return elapsed, extras
+
+
+def bench_served_sweep_codec() -> tuple[float, dict]:
+    """A served sweep's bookkeeping: body encoding plus client decoding.
+
+    The ``warm_served_batches`` batches are evaluated untimed on a warm
+    session; the timed part is what the HTTP path does with their
+    results — the server's :func:`~repro.service.server.sweep_body`,
+    then the client's :func:`~repro.service.client.decode_sweep`
+    against the batch's own requests.  The entry records the ``results``
+    decoded and the ``body_bytes`` of the ten bodies.
+    """
+    from repro.api import evaluate_many
+    from repro.service.client import decode_sweep
+    from repro.service.server import sweep_body
+
+    session = _table2_session()
+    answered = [(batch, evaluate_many(batch, session=session))
+                for batch in _served_batches()]
+    decoded = body_bytes = 0
+    start = time.perf_counter()
+    for batch, results in answered:
+        body = sweep_body(results)
+        decoded += len(decode_sweep(body, batch))
+        body_bytes += len(body)
+    elapsed = time.perf_counter() - start
+    return elapsed, {"results": decoded, "body_bytes": body_bytes}
 
 
 def bench_obs_overhead() -> tuple[float, dict]:
@@ -918,6 +958,7 @@ BENCHES = {
     "sharded_evaluate_many": bench_sharded_evaluate_many,
     "sharded_evaluate_many_payload": bench_sharded_evaluate_many_payload,
     "warm_served_batches": bench_warm_served_batches,
+    "served_sweep_codec": bench_served_sweep_codec,
     "obs_overhead": bench_obs_overhead,
     "long_workload_sampled": bench_long_workload_sampled,
     "synthetic_store_write": bench_synthetic_store_write,

@@ -295,6 +295,16 @@ def machine_from_spec(spec: "MachineConfig | str | Mapping") -> MachineConfig:
         )
     overrides = dict(spec)
     preset = overrides.pop("preset", "paper_default")
+    return machine_from_factory(MACHINE_PRESETS.get(preset), overrides)
+
+
+def machine_from_factory(factory, overrides: Mapping) -> MachineConfig:
+    """``factory()`` (a preset's factory) with keyword ``overrides`` applied.
+
+    Override names are checked, and size strings parsed, before the
+    factory runs.
+    """
+    overrides = dict(overrides)
     unknown = sorted(set(overrides) - _FIELD_NAMES)
     if unknown:
         raise ValueError(
@@ -303,5 +313,5 @@ def machine_from_spec(spec: "MachineConfig | str | Mapping") -> MachineConfig:
         )
     for size_field in SIZE_FIELDS & set(overrides):
         overrides[size_field] = parse_size(overrides[size_field])
-    machine = MACHINE_PRESETS.get(preset)()
+    machine = factory()
     return machine.with_(**overrides) if overrides else machine

@@ -13,7 +13,7 @@ mirroring the in-process :mod:`repro.api` facade::
                             "axes": {"l2_size": ["256KB", "1MB"]}})
 
 Built on :mod:`http.client` (stdlib), one connection per call — the
-server answers ``Connection: close``.
+server answers ``Connection: close``.  Request bodies are compact JSON.
 
 Failures are typed by *what the caller should do about them*:
 
@@ -25,7 +25,8 @@ Failures are typed by *what the caller should do about them*:
   help a transient stall but a too-slow request will time out again;
   raise the timeout or shrink the request.
 * :class:`ServiceError` — every other non-2xx answer (400 bad request,
-  404, 500...).  Not retryable: the request itself is the problem.
+  404, 500...), and a sweep answer that does not match its request
+  (status 502).  Not retryable: the request itself is the problem.
 
 With ``retries > 0`` the client retries retryable failures itself, with
 jittered exponential backoff that honors a ``Retry-After`` header when
@@ -73,6 +74,28 @@ class ServiceTimeout(ServiceError):
 
 #: Statuses the retry loop treats as retryable (with ``Retry-After``).
 _RETRYABLE_STATUSES = (429, 503)
+
+
+def decode_sweep(body: bytes,
+                 requests: list[EvalRequest]) -> list[EvalResult]:
+    """A ``POST /v1/sweep`` body as results, entry *i* answering request *i*.
+
+    ``requests`` is the caller's own expansion of the sweep it sent, so
+    no echoed request is parsed again: each entry's ``request`` must
+    equal its counterpart's ``to_dict()``, and any mismatch — in count
+    or in content — raises :class:`ServiceError` (status 502).
+    """
+    entries = json.loads(body.decode("utf-8"))["results"]
+    if len(entries) != len(requests):
+        raise ServiceError(502, f"sweep answered {len(entries)} results "
+                                f"for {len(requests)} requests")
+    results = []
+    for index, (request, entry) in enumerate(zip(requests, entries)):
+        if entry["request"] != request.to_dict():
+            raise ServiceError(502, f"sweep result {index} answers another "
+                                    f"request: {entry['request']!r}")
+        results.append(EvalResult.from_dict(entry, request=request))
+    return results
 
 
 class ServiceClient:
@@ -195,7 +218,8 @@ class ServiceClient:
         .to_json()`` — this is the method the equivalence tests use.
         """
         parsed = EvalRequest.parse(request)
-        return self._checked("POST", "/v1/eval", parsed.to_json().encode("utf-8"))
+        return self._checked("POST", "/v1/eval",
+                             parsed.to_json(indent=None).encode("utf-8"))
 
     def evaluate(self, request: "EvalRequest | Mapping") -> EvalResult:
         """``POST /v1/eval`` decoded into an :class:`EvalResult`."""
@@ -204,9 +228,9 @@ class ServiceClient:
     def sweep(self, sweep: "SweepRequest | Mapping") -> list[EvalResult]:
         """``POST /v1/sweep`` decoded into the expanded result list."""
         parsed = sweep if isinstance(sweep, SweepRequest) else SweepRequest.from_dict(sweep)
-        body = self._checked("POST", "/v1/sweep", parsed.to_json().encode("utf-8"))
-        payload = json.loads(body.decode("utf-8"))
-        return [EvalResult.from_dict(entry) for entry in payload["results"]]
+        body = self._checked("POST", "/v1/sweep",
+                             parsed.to_json(indent=None).encode("utf-8"))
+        return decode_sweep(body, parsed.expand())
 
     def optimize_raw(self, request) -> bytes:
         """``POST /v1/optimize`` returning the exact response body bytes.
@@ -219,7 +243,7 @@ class ServiceClient:
 
         parsed = OptimizeRequest.parse(request)
         return self._checked("POST", "/v1/optimize",
-                             parsed.to_json().encode("utf-8"))
+                             parsed.to_json(indent=None).encode("utf-8"))
 
     def optimize(self, request):
         """``POST /v1/optimize`` decoded into an ``OptimizeResult``."""

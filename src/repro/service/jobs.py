@@ -6,7 +6,7 @@ a full queue is reported as ``503`` rather than buffering without limit),
 and ``jobs`` worker tasks drain it, running each batch on a thread pool
 through the batch runner of :mod:`repro.api.batch` against the one shared
 :class:`~repro.runtime.session.Session`.  Every batch arrives validated,
-with its machine-resolution memo, so it is not validated again.
+so it is not validated again.
 
 A lock serializes session access across worker threads: evaluation is
 pure-Python CPU work the GIL would serialize anyway, so the lock costs no
@@ -68,9 +68,6 @@ class Job:
 
     requests: Sequence[EvalRequest]
     future: asyncio.Future = field(repr=False)
-    #: Machine-resolution memo of the validated batch
-    #: (:func:`repro.api.batch.validate_requests`); empty for ``call`` jobs.
-    machines: dict = field(repr=False)
     call: Callable | None = None
     context: "tracing.TraceContext | None" = None
     submitted_at: float = 0.0
@@ -121,8 +118,7 @@ class EvalExecutor:
 
         with self._session_lock:
             with tracing.span("service.evaluate", requests=len(job.requests)):
-                return _run_batch(self.session, list(job.requests),
-                                  job.machines)
+                return _run_batch(self.session, list(job.requests))
 
     # ------------------------------------------------------------------
     @property
@@ -142,13 +138,12 @@ class EvalExecutor:
         ]
 
     def submit_job(self, requests: Sequence[EvalRequest], *,
-                   machines: dict, chunked: bool = False) -> Job:
+                   chunked: bool = False) -> Job:
         """Enqueue a batch and return its :class:`Job` handle.
 
         The caller has checked ``requests`` with
-        :func:`repro.api.batch.validate_requests`, and ``machines`` is the
-        resolution memo it filled; the batch runs without a second
-        validation.
+        :func:`repro.api.batch.validate_requests`; the batch runs without
+        a second validation.
 
         The job's ``future`` resolves to the ``EvalResult`` list; the
         handle additionally exposes ``cancel`` and ``progress`` so a
@@ -168,7 +163,6 @@ class EvalExecutor:
             context=tracing.current_context(),
             submitted_at=time.monotonic(),
             chunked=chunked,
-            machines=machines,
         )
         try:
             self._queue.put_nowait(job)
@@ -193,7 +187,7 @@ class EvalExecutor:
         future = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait(Job(
-                requests=(), future=future, machines={}, call=call,
+                requests=(), future=future, call=call,
                 context=tracing.current_context(),
                 submitted_at=time.monotonic(),
             ))
@@ -231,8 +225,7 @@ class EvalExecutor:
                             f"cancelled after {len(job.progress)}"
                             f"/{len(requests)} results")
                     chunk = requests[start:start + DEADLINE_CHUNK]
-                    job.progress.extend(
-                        _run_batch(self.session, chunk, job.machines))
+                    job.progress.extend(_run_batch(self.session, chunk))
         return list(job.progress)
 
     async def _worker(self) -> None:

@@ -6,7 +6,8 @@ Endpoints (all JSON):
   response body is **byte-identical** to
   ``repro.api.evaluate(request).to_json()`` run in-process;
 * ``POST /v1/sweep``  — one :class:`~repro.api.sweep.SweepRequest`,
-  expanded and answered as ``{"schema_version", "count", "results"}``;
+  expanded and answered as ``{"schema_version", "count", "results"}``
+  (:func:`sweep_body`);
 * ``POST /v1/optimize`` — one :class:`~repro.search.optimize.OptimizeRequest`
   (a whole design-space search); the response body is byte-identical to
   ``repro.search.optimize(request).to_json()`` run in-process;
@@ -14,10 +15,17 @@ Endpoints (all JSON):
 * ``GET /v1/metrics`` — request counters, latency percentiles, cache hit
   rate and queue depth (see :mod:`repro.service.metrics`).
 
+Every body the server builds itself — sweep envelopes, 504 partial
+envelopes, health, metrics and errors — is compact JSON from the C
+encoder (:func:`_json_body`; pipe it through ``python -m json.tool`` to
+read it).  ``/v1/eval`` and ``/v1/optimize`` answer with the result's own
+``to_json()`` bytes instead, which is their byte contract.
+
 Successful evaluation responses are cached in a TTL+LRU
 :class:`~repro.service.cache.ResultCache` keyed by the canonical JSON of
 the parsed request, layered above the on-disk artifact cache the shared
-session already uses — a warm repeat skips the job queue entirely.
+session already uses.  The lookup comes straight after the structural
+parse: a warm repeat skips sweep expansion, validation and the job queue.
 
 Shutdown is a drain: the listener closes first, in-flight connections
 finish, then the job queue empties before the worker pool stops, so no
@@ -109,11 +117,34 @@ OTHER_ENDPOINT = "other"
 
 
 def _json_body(payload) -> bytes:
-    return json.dumps(payload, indent=2).encode("utf-8")
+    """A server-built body: compact JSON.
+
+    ``json.dumps`` takes CPython's C encoder only without ``indent``; an
+    indented 48-result sweep body costs about three times as much to build.
+    """
+    return json.dumps(payload).encode("utf-8")
 
 
 def _error_body(message: str) -> bytes:
     return _json_body({"error": message})
+
+
+def sweep_body(results) -> bytes:
+    """The ``POST /v1/sweep`` body answering a sweep with ``results``."""
+    return _json_body({
+        "schema_version": API_SCHEMA_VERSION,
+        "count": len(results),
+        "results": [result.to_dict() for result in results],
+    })
+
+
+@contextlib.contextmanager
+def _bad_request():
+    """Answer a request that fails to parse or validate with a 400."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise HttpError(400, str(exc)) from exc
 
 
 class EvalServer:
@@ -353,9 +384,8 @@ class EvalServer:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from exc
 
     async def _answer(self, key: str, requests: list[EvalRequest],
-                      machines: dict, serialize,
-                      partial=None) -> tuple[int, bytes]:
-        """Shared eval/sweep tail: cache lookup, queue, serialize, cache fill.
+                      serialize, partial=None) -> tuple[int, bytes]:
+        """Shared eval/sweep tail after a cache miss: queue, serialize, fill.
 
         With ``request_timeout`` configured the job runs chunked and the
         wait is bounded: on expiry the job is cancelled (it releases the
@@ -363,17 +393,13 @@ class EvalServer:
         built by ``partial`` from the results completed so far when the
         endpoint supports partial envelopes (sweeps), a plain error
         otherwise.  Partial answers are never cached.  ``requests`` are
-        already validated and ``machines`` is their resolution memo, so
-        the batch is not validated again when it runs.
+        already validated, so the batch is not validated again when it
+        runs.
         """
-        cached = self.cache.get(key)
-        if cached is not None:
-            return 200, cached
         timeout = self.config.request_timeout
         try:
             job = self.executor.submit_job(requests,
-                                           chunked=timeout is not None,
-                                           machines=machines)
+                                           chunked=timeout is not None)
         except ServiceOverloaded as exc:
             raise HttpError(503, str(exc)) from exc
         except InjectedFault as exc:
@@ -399,37 +425,36 @@ class EvalServer:
 
     async def _handle_eval(self, request: HttpRequest) -> tuple[int, bytes]:
         payload = self._parse_json(request.body)
-        machines: dict = {}
-        try:
+        with _bad_request():
             parsed = EvalRequest.parse(payload)
-            validate_requests([parsed], machines=machines)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise HttpError(400, str(exc)) from exc
-        key = canonical_key({"endpoint": "eval", "request": parsed.to_dict()})
+            key = canonical_key({"endpoint": "eval",
+                                 "request": parsed.to_dict()})
+        cached = self.cache.get(key)
+        if cached is not None:
+            return 200, cached
+        with _bad_request():
+            validate_requests([parsed])
         # The body is exactly EvalResult.to_json() so a served answer is
         # byte-identical to the same request through repro.api.evaluate.
         return await self._answer(
-            key, [parsed], machines,
+            key, [parsed],
             lambda results: results[0].to_json().encode("utf-8"),
         )
 
     async def _handle_sweep(self, request: HttpRequest) -> tuple[int, bytes]:
         payload = self._parse_json(request.body)
-        machines: dict = {}
-        try:
+        with _bad_request():
             sweep = SweepRequest.from_dict(payload)
+            key = canonical_key({"endpoint": "sweep",
+                                 "sweep": sweep.to_dict()})
+        cached = self.cache.get(key)
+        if cached is not None:
+            return 200, cached
+        with _bad_request():
             expanded = sweep.expand()
-            validate_requests(expanded, machines=machines)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise HttpError(400, str(exc)) from exc
-        key = canonical_key({"endpoint": "sweep", "sweep": sweep.to_dict()})
+            validate_requests(expanded)
         return await self._answer(
-            key, expanded, machines,
-            lambda results: _json_body({
-                "schema_version": API_SCHEMA_VERSION,
-                "count": len(results),
-                "results": [result.to_dict() for result in results],
-            }),
+            key, expanded, sweep_body,
             # Deadline-expired sweeps still return every result computed
             # before the cut: same entry shape, flagged partial.
             partial=lambda message, completed: _json_body({
@@ -450,15 +475,13 @@ class EvalServer:
         )
 
         payload = self._parse_json(request.body)
-        try:
+        with _bad_request():
             parsed = OptimizeRequest.parse(payload)
             errors = validate_optimize_request(parsed)
             if errors:
                 raise ValueError(
                     "invalid optimize request: " + "; ".join(errors)
                 )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise HttpError(400, str(exc)) from exc
         key = canonical_key({"endpoint": "optimize",
                              "request": parsed.to_dict()})
         cached = self.cache.get(key)

@@ -157,6 +157,45 @@ class TestRequestRoundTrip:
         assert "l1i_size" not in spec.overrides
 
 
+class TestMachineSpecResolveMemo:
+    """``MachineSpec.resolve`` is memoized without going stale or lenient."""
+
+    def test_reregistered_and_unregistered_presets_never_resolve_stale(self):
+        from repro.machine import MACHINE_PRESETS
+
+        spec = api.MachineSpec.make("memo_probe", l2_size="1MB")
+        MACHINE_PRESETS.register("memo_probe")(
+            lambda: MachineConfig(width=2, name="memo_probe"))
+        try:
+            assert spec.resolve().width == 2
+            assert spec.resolve() is spec.resolve()
+            MACHINE_PRESETS.register("memo_probe", overwrite=True)(
+                lambda: MachineConfig(width=3, name="memo_probe"))
+            resolved = spec.resolve()
+            assert (resolved.width, resolved.l2_size) == (3, 1024 * 1024)
+            MACHINE_PRESETS.unregister("memo_probe")
+            with pytest.raises(KeyError, match="memo_probe"):
+                spec.resolve()
+        finally:
+            if "memo_probe" in MACHINE_PRESETS:
+                MACHINE_PRESETS.unregister("memo_probe")
+
+    @pytest.mark.parametrize("overrides, error", [
+        ({"l2_sise": "1MB"}, "unknown machine parameters"),
+        ({"width": 0}, "width must be at least 1"),
+        ({"l2_size": "1.5B"}, "whole number of bytes"),
+    ])
+    def test_invalid_spec_raises_on_every_call(self, overrides, error):
+        spec = api.MachineSpec.make(**overrides)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=error):
+                spec.resolve()
+
+    def test_equal_values_of_other_types_resolve_apart(self):
+        assert type(api.MachineSpec.make(l2_ns=12).resolve().l2_ns) is int
+        assert type(api.MachineSpec.make(l2_ns=12.0).resolve().l2_ns) is float
+
+
 class TestBackends:
     def test_same_request_through_every_backend(self, session):
         """The acceptance criterion: one request, three interchangeable answers."""

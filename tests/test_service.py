@@ -222,13 +222,13 @@ class TestExecutor:
                                     runner=runner)
             executor.start()
             # picked up by the worker
-            first = executor.submit_job(["a"], machines={}).future
+            first = executor.submit_job(["a"]).future
             await asyncio.sleep(0.05)         # let the worker dequeue it
             # fills the bounded queue
-            second = executor.submit_job(["b"], machines={}).future
+            second = executor.submit_job(["b"]).future
             with pytest.raises(ServiceOverloaded):
                 # queue full -> backpressure
-                executor.submit_job(["c"], machines={})
+                executor.submit_job(["c"])
             release.set()
             results = await asyncio.gather(first, second)
             await executor.drain()            # drains cleanly, workers gone
@@ -247,7 +247,7 @@ class TestExecutor:
                                     runner=runner)
             executor.start()
             with pytest.raises(RuntimeError, match="boom"):
-                await executor.submit_job(["a"], machines={}).future
+                await executor.submit_job(["a"]).future
             await executor.drain()
 
         asyncio.run(scenario())
@@ -275,11 +275,55 @@ class TestExecutor:
             for worker in executor._workers:
                 worker.cancel()
             await asyncio.gather(*executor._workers, return_exceptions=True)
-            future = executor.submit_job(["a"], machines={}).future
+            future = executor.submit_job(["a"]).future
             await asyncio.wait_for(executor.drain(), timeout=10)
             return await future
 
         assert asyncio.run(scenario()) == ["a"]
+
+
+class TestSweepDecoding:
+    """``ServiceClient.sweep`` pairs each answer with its own request."""
+
+    SWEEP = {"workloads": ["sha"], "axes": {"l2_size": ["256KB", "1MB"]}}
+
+    @staticmethod
+    def _entry(request):
+        return api.EvalResult(request=request, backend="analytical",
+                              workload=request.workload.name,
+                              machine="m", instructions=10, cycles=12.0,
+                              seconds=1e-8).to_dict()
+
+    def _client(self, entries):
+        client = ServiceClient(port=1)
+        body = json.dumps({"schema_version": 1, "count": len(entries),
+                           "results": entries}).encode("utf-8")
+        client._checked = lambda method, path, body_=None: body
+        return client
+
+    def test_answers_decode_onto_the_expanded_requests(self):
+        expanded = api.SweepRequest.from_dict(self.SWEEP).expand()
+        client = self._client([self._entry(r) for r in expanded])
+        results = client.sweep(self.SWEEP)
+        assert [result.request for result in results] == expanded
+        assert [result.cycles for result in results] == [12.0, 12.0]
+
+    def test_an_answer_to_another_request_raises(self):
+        expanded = api.SweepRequest.from_dict(self.SWEEP).expand()
+        entries = [self._entry(r) for r in reversed(expanded)]
+        with pytest.raises(ServiceError) as info:
+            self._client(entries).sweep(self.SWEEP)
+        assert info.value.status == 502
+        assert "result 0" in info.value.message
+
+    @pytest.mark.parametrize("kept", [1, 3])
+    def test_a_result_count_mismatch_raises(self, kept):
+        expanded = api.SweepRequest.from_dict(self.SWEEP).expand()
+        entries = [self._entry(r) for r in (expanded * 2)[:kept]]
+        with pytest.raises(ServiceError) as info:
+            self._client(entries).sweep(self.SWEEP)
+        assert info.value.status == 502
+        assert f"{kept} results for 2 requests" in info.value.message
 
 
 # ----------------------------------------------------------------------
@@ -345,6 +389,40 @@ class TestServedEval:
         direct = api.evaluate_many(api.SweepRequest.from_dict(sweep).expand())
         assert [r.to_dict() for r in served] == [r.to_dict() for r in direct]
         assert [r.machine for r in served] == ["l2_size=256KB", "l2_size=1MB"]
+
+    def test_sweep_body_is_compact_json_of_in_process_results(self, client):
+        sweep = api.SweepRequest.from_dict(
+            {"workloads": ["sha", "qsort"],
+             "axes": {"l2_size": ["128KB", "2MB"]}})
+        body = client._checked("POST", "/v1/sweep",
+                               sweep.to_json().encode("utf-8"))
+        direct = api.evaluate_many(sweep.expand())
+        assert body == json.dumps({
+            "schema_version": api.API_SCHEMA_VERSION,
+            "count": len(direct),
+            "results": [result.to_dict() for result in direct],
+        }).encode("utf-8")
+
+    def test_repeated_sweep_is_one_cache_hit_and_no_miss(self, client):
+        sweep = {"workloads": ["sha"], "axes": {"l2_size": ["64KB", "4MB"]}}
+        first = client.sweep(sweep)
+        before = client.metrics()["cache"]
+        assert client.sweep(sweep) == first
+        after = client.metrics()["cache"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+
+    def test_invalid_sweep_is_400_after_a_valid_one_was_cached(self,
+                                                               client):
+        sweep = {"workloads": ["sha"], "axes": {"l2_size": ["256KB"]}}
+        client.sweep(sweep)
+        client.sweep(sweep)  # now a result-cache hit
+        for invalid in ({**sweep, "workloads": ["sha", "no_such_workload"]},
+                        {**sweep, "machine": {"preset": "warp_drive"}},
+                        {**sweep, "axes": {"l2_size": ["1.5B"]}}):
+            with pytest.raises(ServiceError) as info:
+                client.sweep(invalid)
+            assert info.value.status == 400
 
     def test_unknown_workload_is_400_listing_choices(self, client):
         with pytest.raises(ServiceError) as info:
@@ -512,9 +590,10 @@ class TestServedRouting:
         assert calls == [4]
         client.evaluate({"workload": "sha", "machine": "big_l2_1mb"})
         assert calls == [4, 1]
-        # A result-cache hit is validated once too, and never evaluated.
+        # A result-cache hit is answered before validation, so it is
+        # neither validated nor evaluated.
         client.sweep(self.SWEEP)
-        assert calls == [4, 1, 4]
+        assert calls == [4, 1]
 
     def test_served_requests_are_validated_once_under_a_deadline(
             self, tmp_path, monkeypatch):
@@ -655,6 +734,12 @@ class TestShutdown:
             assert time.perf_counter() - start < 5.0
         finally:
             probe.close()
+
+
+def test_serve_smoke_passes():
+    from repro.service import smoke
+
+    assert smoke.main() == 0
 
 
 class TestSessionProvisioning:
