@@ -16,12 +16,12 @@ import json
 from typing import Iterable, Mapping, Sequence
 
 from repro.api.backends import BACKENDS, PointEvaluation, get_backend
-from repro.api.spec import EvalRequest, EvalResult
+from repro.api.spec import EvalRequest, EvalResult, MachineSpec
 from repro.api.sweep import SweepRequest
 from repro.runtime.session import Session
 
 
-def _machine_label(request: EvalRequest, machine) -> str:
+def _machine_label(spec: MachineSpec, machine) -> str:
     """A result label that distinguishes override-modified machines.
 
     A spec that overrides geometry fields without renaming the machine
@@ -33,14 +33,14 @@ def _machine_label(request: EvalRequest, machine) -> str:
     """
     from repro.machine import SIZE_FIELDS, format_size, parse_size
 
-    overrides = request.machine.overrides
+    overrides = spec.overrides
     if "name" in overrides or not overrides:
         return machine.name
     rendered = {
         key: format_size(parse_size(value)) if key in SIZE_FIELDS else value
         for key, value in overrides.items()
     }
-    return (request.machine.preset + "+"
+    return (spec.preset + "+"
             + ",".join(f"{key}={value}" for key, value in sorted(rendered.items())))
 
 
@@ -57,7 +57,7 @@ def _failed_result(request: EvalRequest, error: str) -> EvalResult:
         request=request,
         backend=BACKENDS.canonical(request.backend),
         workload=request.workload.name,
-        machine=_machine_label(request, request.machine.resolve()),
+        machine=_machine_label(request.machine, request.machine.resolve()),
         instructions=0,
         cycles=0.0,
         seconds=0.0,
@@ -65,12 +65,13 @@ def _failed_result(request: EvalRequest, error: str) -> EvalResult:
     )
 
 
-def _point_result(request: EvalRequest, workload, label: str,
+def _point_result(request: EvalRequest, backend: str, workload, label: str,
                   point: PointEvaluation) -> EvalResult:
-    """The served form of one backend answer to ``request``."""
+    """The served form of one backend answer to ``request`` (``backend``
+    is the canonical name of the backend that answered)."""
     return EvalResult(
         request=request,
-        backend=BACKENDS.canonical(request.backend),
+        backend=backend,
         workload=workload.name,
         machine=label,
         instructions=point.instructions,
@@ -90,7 +91,8 @@ def _evaluate_one(session: Session, request: EvalRequest) -> EvalResult:
         session, workload, [machine],
         with_power=request.with_power, mlp_window=request.mlp_window,
     )
-    return _point_result(request, workload, _machine_label(request, machine),
+    return _point_result(request, BACKENDS.canonical(request.backend),
+                         workload, _machine_label(request.machine, machine),
                          point)
 
 
@@ -107,8 +109,11 @@ def validate_requests(requests: Sequence[EvalRequest]) -> None:
     Checks every backend name, machine spec (preset, override fields, size
     strings) and workload name/flags against their registries, so a typo
     surfaces as one clear error instead of a traceback out of a worker
-    process mid-batch.  Machines resolve through the process-wide
-    :meth:`~repro.api.spec.MachineSpec.resolve` memo, so the planner
+    process mid-batch.  A sweep repeats the same few names and machines
+    thousands of times, so each distinct backend name, spec object and
+    ``(workload, flags)`` pair is checked once; an error still names the
+    first request that carries the bad value.  Machines resolve through
+    the :meth:`~repro.api.spec.MachineSpec.resolve` memo, so the planner
     reuses every config resolved here.
     """
     from repro.runtime.session import COMPILER_FLAGS
@@ -118,7 +123,12 @@ def validate_requests(requests: Sequence[EvalRequest]) -> None:
     )
     from repro.workloads.registry import WORKLOADS
 
-    checked: set[tuple] = set()
+    backends: set[str] = set()
+    # Spec objects by identity (the batch keeps them alive): equal specs
+    # whose override values differ in type (2, 2.0) may resolve
+    # differently, so equality must not let one vouch for another.
+    specs: set[int] = set()
+    workloads: set[tuple[str, str]] = set()
     for index, request in enumerate(requests):
         if isinstance(request, OptimizeRequest):
             # Whole-search requests validate structurally (named-field
@@ -131,26 +141,26 @@ def validate_requests(requests: Sequence[EvalRequest]) -> None:
                     message = f"request[{index}]: {message}"
                 raise ValueError(message)
             continue
-        # A sweep repeats the same (backend, workload, machine) coordinates
-        # thousands of times; validate each distinct combination once.
-        key = (request.backend, request.workload.name,
-               request.workload.flags, request.machine)
-        if key in checked:
-            continue
         try:
-            get_backend(request.backend)
-            request.machine.resolve()
-            if request.workload.name not in WORKLOADS:
-                known = ", ".join(WORKLOADS.names())
-                raise ValueError(
-                    f"unknown workload {request.workload.name!r}; known: {known}"
-                )
-            if request.workload.flags not in COMPILER_FLAGS:
-                known = ", ".join(COMPILER_FLAGS)
-                raise ValueError(
-                    f"unknown compiler flags {request.workload.flags!r}; "
-                    f"known: {known}"
-                )
+            if request.backend not in backends:
+                get_backend(request.backend)
+                backends.add(request.backend)
+            if id(request.machine) not in specs:
+                request.machine.resolve()
+                specs.add(id(request.machine))
+            workload = (request.workload.name, request.workload.flags)
+            if workload not in workloads:
+                if workload[0] not in WORKLOADS:
+                    known = ", ".join(WORKLOADS.names())
+                    raise ValueError(
+                        f"unknown workload {workload[0]!r}; known: {known}")
+                if workload[1] not in COMPILER_FLAGS:
+                    known = ", ".join(COMPILER_FLAGS)
+                    raise ValueError(
+                        f"unknown compiler flags {workload[1]!r}; "
+                        f"known: {known}"
+                    )
+                workloads.add(workload)
         except (ValueError, KeyError) as exc:
             # Every message names the bad value AND lists the valid choices
             # (the registries do this for presets/backends); add which
@@ -159,7 +169,6 @@ def validate_requests(requests: Sequence[EvalRequest]) -> None:
             if len(requests) > 1:
                 message = f"request[{index}]: {message}"
             raise type(exc)(message) from exc
-        checked.add(key)
 
 
 def evaluate_many(requests: Iterable["EvalRequest | Mapping"], *,

@@ -23,11 +23,13 @@ pass four times.  The planner regroups the batch before any work starts:
   back its profiles and simulations for the group's keys, which the
   parent installs; cold traces are built by the owning worker, keeping cold
   batches as parallel as before;
-* machines are resolved and labelled **once per unique spec** per group
-  instead of once per request;
+* machines are resolved, labelled and signed **once per distinct spec**
+  per batch, into one machine table its groups share, instead of once
+  per request;
 * a group is answered by one
   :meth:`~repro.api.backends.EvalBackend.evaluate` call per ``(backend,
-  with_power, mlp_window)`` slice, with the slice's machines as a list:
+  with_power, mlp_window)`` slice, found at planning time, with the
+  slice's machines as a list:
   the analytical backends share one miss profile per memory hierarchy
   and predictor and evaluate the model once for the list, the simulator
   shares event columns and timing loops — byte-identical to one call
@@ -45,7 +47,8 @@ job count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.api.backends import BACKENDS, get_backend
 from repro.api.spec import EvalRequest, EvalResult, MachineSpec
@@ -56,8 +59,8 @@ from repro.trace.trace import Trace
 from repro.trace.trace_schema import TRACE_SCHEMA_VERSION
 
 
-def _pass_signature(machine: MachineConfig, request: EvalRequest) -> tuple:
-    """Sort key grouping requests that share profiling passes."""
+def _pass_signature(machine: MachineConfig) -> tuple:
+    """What decides the profiling passes ``machine`` reads."""
     line = machine.line_size
     return (
         # Front-end geometry (base pass).
@@ -65,9 +68,31 @@ def _pass_signature(machine: MachineConfig, request: EvalRequest) -> tuple:
         machine.l1d_size, machine.l1d_associativity, line, machine.page_size,
         # L2 geometry (L2 pass).
         machine.l2_size // (machine.l2_associativity * line), line,
-        # Branch pass and miss-run memo key.
-        machine.branch_predictor, request.mlp_window,
+        # Branch pass.
+        machine.branch_predictor,
     )
+
+
+class MachineEntry(NamedTuple):
+    """One distinct machine of a batch: resolved, labelled and signed once."""
+
+    spec: MachineSpec
+    machine: MachineConfig
+    #: The result label (:func:`repro.api.batch._machine_label`).
+    label: str
+    #: :func:`_pass_signature` of ``machine``.
+    signature: tuple
+
+
+class Slice(NamedTuple):
+    """The requests of a group that one backend call answers."""
+
+    #: Canonical backend name (aliases resolved).
+    backend: str
+    with_power: bool
+    mlp_window: int
+    #: Positions in the group's ``requests``.
+    positions: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -81,66 +106,108 @@ class PlannedGroup:
     #: Positions of ``requests`` in the original batch.
     indices: tuple[int, ...]
     requests: tuple[EvalRequest, ...]
-    #: Machines resolved and labelled at planning time — (spec, config,
-    #: label) triples — so workers do neither per group.
-    machines: tuple
+    #: The batch's machine table, shared by all of its groups: one
+    #: :class:`MachineEntry` per distinct spec, so neither the planner nor
+    #: a worker resolves, labels or signs a machine per request.
+    machines: tuple[MachineEntry, ...]
+    #: Each request's position in ``machines``.
+    entries: tuple[int, ...]
+    #: One backend call each, computed at planning time.
+    slices: tuple[Slice, ...]
     #: Trace transport: a shared-memory ``SegmentHandle``, a column-bytes
     #: payload dict, or ``None`` (the worker builds/loads the trace).
     payload: "SegmentHandle | dict | None" = None
 
     def with_payload(self, payload) -> "PlannedGroup":
-        return PlannedGroup(self.workload, self.flags, self.trace_version,
-                            self.indices, self.requests, self.machines,
-                            payload)
+        return replace(self, payload=payload)
+
+    def slice_machines(self, piece: Slice) -> list[MachineEntry]:
+        """The table entries of ``piece``'s requests, in its order."""
+        machines, entries = self.machines, self.entries
+        return [machines[entries[position]] for position in piece.positions]
 
 
 def plan_requests(requests, *, jobs: int = 1) -> list[PlannedGroup]:
     """Group a parsed batch into planned work items.
 
-    Machines come from the process-wide
-    :meth:`~repro.api.spec.MachineSpec.resolve` memo, so the configs
-    validation resolved are not resolved again.
+    The batch pays once per distinct machine, not per request: each spec
+    is resolved, labelled and given its pass signature once, in one
+    machine table.  The table keys a spec by its value and its override
+    values' types, so equal specs that label differently (``12`` and
+    ``12.0``) keep their own entries.
     """
     from repro.api.batch import _machine_label
 
-    labels: dict[MachineSpec, str] = {}
+    table: list[MachineEntry] = []
+    by_key: dict[tuple, int] = {}
+    # Spec objects by identity: a sweep repeats one spec object per
+    # workload, and the batch keeps every object alive while it plans.
+    by_object: dict[int, int] = {}
+    entry_of: list[int] = []
     by_trace: dict[tuple[str, str], list[int]] = {}
     for index, request in enumerate(requests):
+        spec = request.machine
+        position = by_object.get(id(spec))
+        if position is None:
+            key = (spec, tuple(type(value) for _, value in spec.items))
+            position = by_key.get(key)
+            if position is None:
+                position = by_key[key] = len(table)
+                machine = spec.resolve()
+                table.append(MachineEntry(spec, machine,
+                                          _machine_label(spec, machine),
+                                          _pass_signature(machine)))
+            by_object[id(spec)] = position
+        entry_of.append(position)
         by_trace.setdefault(
             (request.workload.name, request.workload.flags), []
         ).append(index)
+    machines = tuple(table)
+
+    # Sort key per request: its machine's signature rank, then its window.
+    signatures = sorted({entry.signature for entry in machines})
+    rank = {signature: order for order, signature in enumerate(signatures)}
+    ranks = [rank[entry.signature] for entry in machines]
+    keys = [(ranks[position], request.mlp_window)
+            for position, request in zip(entry_of, requests)]
 
     groups: list[PlannedGroup] = []
     for (name, flags), indices in by_trace.items():
-        def signature(index: int) -> tuple:
-            request = requests[index]
-            return _pass_signature(request.machine.resolve(), request)
-
-        ordered = sorted(indices, key=signature)
-        chunks = _fair_chunks(ordered, signature, len(by_trace), jobs)
-        for chunk in chunks:
-            specs = {requests[i].machine: requests[i] for i in chunk}
-            resolved = []
-            for spec, request in specs.items():
-                machine = spec.resolve()
-                label = labels.get(spec)
-                if label is None:
-                    label = _machine_label(request, machine)
-                    labels[spec] = label
-                resolved.append((spec, machine, label))
+        ordered = sorted(indices, key=keys.__getitem__)
+        for chunk in _fair_chunks(ordered, keys, len(by_trace), jobs):
+            members = tuple(map(requests.__getitem__, chunk))
             groups.append(PlannedGroup(
                 workload=name, flags=flags,
                 trace_version=TRACE_SCHEMA_VERSION,
                 indices=tuple(chunk),
-                requests=tuple(requests[i] for i in chunk),
-                machines=tuple(resolved),
+                requests=members,
+                machines=machines,
+                entries=tuple(map(entry_of.__getitem__, chunk)),
+                slices=_slices(members),
             ))
     return groups
 
 
-def _fair_chunks(ordered, signature, group_count: int, jobs: int):
-    """Split one group along signature boundaries when workers outnumber
-    groups, so small batches of large sweeps still fill the pool."""
+def _slices(requests) -> tuple[Slice, ...]:
+    """Group positions by ``(canonical backend, with_power, mlp_window)``:
+    one :meth:`~repro.api.backends.EvalBackend.evaluate` call each."""
+    canonical: dict[str, str] = {}
+    slices: dict[tuple, list[int]] = {}
+    for position, request in enumerate(requests):
+        backend = canonical.get(request.backend)
+        if backend is None:
+            backend = canonical[request.backend] = BACKENDS.canonical(
+                request.backend)
+        slices.setdefault((backend, request.with_power, request.mlp_window),
+                          []).append(position)
+    return tuple(Slice(*key, tuple(positions))
+                 for key, positions in slices.items())
+
+
+def _fair_chunks(ordered, keys, group_count: int, jobs: int):
+    """Split one group along sort-key boundaries (``keys[index]``) when
+    workers outnumber groups, so small batches of large sweeps still fill
+    the pool."""
     if jobs <= group_count or len(ordered) <= 1:
         return [ordered]
     parts = min(-(-jobs // group_count), len(ordered))
@@ -150,7 +217,7 @@ def _fair_chunks(ordered, signature, group_count: int, jobs: int):
     while start < len(ordered):
         end = min(start + size, len(ordered))
         # Extend to the signature boundary so one worker owns each pass.
-        while end < len(ordered) and signature(ordered[end]) == signature(ordered[end - 1]):
+        while end < len(ordered) and keys[ordered[end]] == keys[ordered[end - 1]]:
             end += 1
         chunks.append(ordered[start:end])
         start = end
@@ -181,17 +248,6 @@ def _install_group_trace(session, group: PlannedGroup) -> None:
     session.adopt_trace(group.workload, group.flags, trace)
 
 
-def _slices(group: PlannedGroup) -> dict[tuple, list[int]]:
-    """Group positions by ``(backend, with_power, mlp_window)``: one
-    :meth:`~repro.api.backends.EvalBackend.evaluate` call each."""
-    slices: dict[tuple, list[int]] = {}
-    for position, request in enumerate(group.requests):
-        key = (BACKENDS.canonical(request.backend), request.with_power,
-               request.mlp_window)
-        slices.setdefault(key, []).append(position)
-    return slices
-
-
 def group_is_warm(session, group: PlannedGroup) -> bool:
     """Whether ``session`` holds the group's trace and every backend slice
     of it is warm (:meth:`~repro.api.backends.EvalBackend.is_warm`): the
@@ -199,15 +255,12 @@ def group_is_warm(session, group: PlannedGroup) -> bool:
     if not session.has_workload(group.workload, group.flags):
         return False
     workload = session.workload(group.workload, group.flags)
-    machines = {spec: machine for spec, machine, _ in group.machines}
     return all(
-        get_backend(name).is_warm(
+        get_backend(piece.backend).is_warm(
             session, workload,
-            [machines[group.requests[position].machine]
-             for position in positions],
-            with_power=with_power, mlp_window=mlp_window)
-        for (name, with_power, mlp_window), positions
-        in _slices(group).items()
+            [entry.machine for entry in group.slice_machines(piece)],
+            with_power=piece.with_power, mlp_window=piece.mlp_window)
+        for piece in group.slices
     )
 
 
@@ -226,11 +279,10 @@ def build_group(session, group: PlannedGroup) -> tuple:
     results, stages = evaluate_group_timed(session, group)
     memos = None
     if group.payload is not None:
-        machines = {spec: machine for spec, machine, _ in group.machines}
         memos = session.memo_entries(
             group.workload, group.flags,
-            [(machines[request.machine], request.mlp_window)
-             for request in group.requests])
+            [(group.machines[entry].machine, request.mlp_window)
+             for entry, request in zip(group.entries, group.requests)])
     return results, stages, memos
 
 
@@ -273,24 +325,21 @@ def _evaluate_group_body(
     stages["attach"] = time.perf_counter() - started
     emit_span("planner.attach", stages["attach"], workload=group.workload)
 
-    resolved = {spec: (machine, label)
-                for spec, machine, label in group.machines}
     results: list[EvalResult | None] = [None] * len(group.requests)
-    for (name, with_power, mlp_window), positions in _slices(group).items():
-        backend = get_backend(name)
+    for piece in group.slices:
+        backend = get_backend(piece.backend)
         stage = ("simulate" if backend.capabilities.cycle_accurate
                  else "model")
-        pairs = [resolved[group.requests[position].machine]
-                 for position in positions]
+        entries = group.slice_machines(piece)
         profiled_before = session.profile_seconds
         started = time.perf_counter()
         # A live span: the backend's own spans — the simulator's timing
         # loops, the session's profiling — nest under it.
         with span(f"planner.{stage}", workload=group.workload,
-                  points=len(positions)):
+                  points=len(entries)):
             points = backend.evaluate(
-                session, workload, [machine for machine, _ in pairs],
-                with_power=with_power, mlp_window=mlp_window,
+                session, workload, [entry.machine for entry in entries],
+                with_power=piece.with_power, mlp_window=piece.mlp_window,
             )
         elapsed = time.perf_counter() - started
         profiled = session.profile_seconds - profiled_before
@@ -298,8 +347,10 @@ def _evaluate_group_body(
             stages["profile"] = stages.get("profile", 0.0) + profiled
             emit_span("planner.profile", profiled, workload=group.workload)
         stages[stage] = stages.get(stage, 0.0) + elapsed - profiled
-        for position, (_, label), point in zip(positions, pairs, points,
-                                               strict=True):
-            results[position] = _point_result(group.requests[position],
-                                              workload, label, point)
+        requests = group.requests
+        for position, entry, point in zip(piece.positions, entries, points,
+                                          strict=True):
+            results[position] = _point_result(requests[position],
+                                              piece.backend, workload,
+                                              entry.label, point)
     return results, stages

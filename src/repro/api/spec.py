@@ -190,10 +190,21 @@ class MachineSpec:
             object.__setattr__(self, "_resolution", known)
         return known[1]
 
+    def __hash__(self) -> int:
+        """The fields' hash, computed once per spec object: a batch looks
+        its specs up in several tables."""
+        known = self.__dict__.get("_hash")
+        if known is None:
+            known = hash((self.preset, self.items))
+            object.__setattr__(self, "_hash", known)
+        return known
+
     def __getstate__(self) -> dict:
-        """Pickle the fields only: a factory need not be picklable."""
+        """Pickle the fields only: a factory need not be picklable, and a
+        string's hash differs between processes."""
         state = dict(self.__dict__)
         state.pop("_resolution", None)
+        state.pop("_hash", None)
         return state
 
     def to_dict(self) -> dict:

@@ -21,6 +21,12 @@ Times the paths every PR is expected to keep fast:
   planner on a warm-trace session (trace generation excluded; profiling
   passes, program profiles and model evaluation included), using the
   active :mod:`repro.accel` kernel backend,
+* ``warm_table2_sweep``    — the same 3,648-point sweep re-answered on a
+  ``jobs=1`` session that has already answered it once: every profile is
+  in the session's memos, so the timed part is the batch path itself
+  (validation, planning, the model and result assembly); the median of
+  ``WARM_SWEEP_REPEATS`` re-sweeps, recorded with ``points`` and
+  ``us_per_point``,
 * ``accel_vs_python``      — the identical sweep forced onto the
   pure-Python kernel backend; ``sweep_table2``'s median divided into this
   one is the kernel-layer speedup (reported as ``accel_speedup``),
@@ -56,8 +62,10 @@ Times the paths every PR is expected to keep fast:
   in-memory default, generated straight into an on-disk spill store and
   evaluated by warmed interval sampling (:mod:`repro.profiler.sampling`)
   in a subprocess; the entry records the sampling rate, the estimated CPI
-  error, the child's peak RSS and the exact-streaming wall time the
-  sampled evaluation replaces (``speedup_vs_exact``),
+  error, the sampled and exact CPIs with the true error between them
+  (``true_error``, their absolute difference over the exact CPI), the
+  child's peak RSS and the exact-streaming wall time the sampled
+  evaluation replaces (``speedup_vs_exact``),
 * ``synthetic_store_write`` — the synthetic generator writing perfbench's
   ``long_trace`` store shape (10x the in-memory default: 200k rows in
   16,384-row chunks) into a fresh spill store, best of 3 writes; the
@@ -101,6 +109,7 @@ breakdown carry it (from the median run) in their entry:
                  "long_workload_sampled": {"median": ..., "runs": [...],
                                            "sampling_rate": 64,
                                            "est_error": ...,
+                                           "true_error": ...,
                                            "peak_rss_mb": ...},
                  "sharded_evaluate_many": {"median": ..., "runs": [...],
                                            "dataplane": "shm",
@@ -117,7 +126,9 @@ Search-quality figures are gated too: ``evals_to_front`` regressing
 beyond the tolerance, or ``matched_exhaustive_best`` flipping from true
 to false, fails the gate exactly like a wall-clock regression.  So does
 ``warm_served_batches`` sending more groups to the pool
-(``groups_pooled``) than its reference.  So is
+(``groups_pooled``) than its reference, and ``long_workload_sampled``
+with a larger ``true_error`` than its reference (deterministic, so
+compared exactly).  So is
 observability overhead: ``obs_overhead``'s ``overhead_pct`` exceeding its
 recorded ``overhead_limit_pct`` while being worse than the reference
 fails the gate.
@@ -333,6 +344,34 @@ def _timed_table2_sweep(backend: str | None) -> float:
 def bench_sweep_table2() -> float:
     """Full 192-point x 19-workload Table-2 sweep, active kernel backend."""
     return _timed_table2_sweep(None)
+
+
+#: Timed re-sweeps per ``warm_table2_sweep`` run (the median is reported).
+WARM_SWEEP_REPEATS = 7
+
+
+def bench_warm_table2_sweep() -> tuple[float, dict]:
+    """The Table-2 sweep re-answered on a warm ``jobs=1`` session.
+
+    One untimed sweep fills the session's memos; each timed re-sweep then
+    builds nothing, so it measures what the batch path costs per point on
+    top of Eq. 1.
+    """
+    from repro.api import evaluate_many
+    from repro.dse.space import default_design_space
+    from repro.workloads.registry import suite_names
+
+    requests = default_design_space().to_sweep(suite_names("mibench")).expand()
+    session = _table2_session()
+    evaluate_many(requests, session=session)
+    runs = []
+    for _ in range(WARM_SWEEP_REPEATS):
+        start = time.perf_counter()
+        evaluate_many(requests, session=session)
+        runs.append(time.perf_counter() - start)
+    elapsed = statistics.median(runs)
+    return elapsed, {"points": len(requests),
+                     "us_per_point": round(elapsed / len(requests) * 1e6, 3)}
 
 
 def bench_accel_vs_python() -> float:
@@ -732,9 +771,11 @@ def bench_long_workload_sampled() -> tuple[float, dict]:
     """Interval-sampled evaluation of a 100x spilled synthetic workload.
 
     The reported time is the sampled evaluation alone; the extras record
-    the sampling rate, the estimated CPI error, the exact-streaming wall
-    time it replaces (``speedup_vs_exact``) and the child's peak RSS —
-    the figure the bounded-memory CI leg asserts against.
+    the sampling rate, the estimated CPI error, the sampled and exact
+    CPIs and the true error between them (``true_error``, which the
+    compare gate holds to its reference), the exact-streaming wall time it
+    replaces (``speedup_vs_exact``) and the child's peak RSS — the figure
+    the bounded-memory CI leg asserts against.
     """
     import os
     import subprocess
@@ -757,6 +798,10 @@ def bench_long_workload_sampled() -> tuple[float, dict]:
         "scale": LONG_WORKLOAD_SCALE,
         "instructions": report["instructions"],
         "est_error": round(report["est_error"], 6),
+        "sampled_cpi": report["sampled_cpi"],
+        "exact_cpi": report["exact_cpi"],
+        "true_error": (abs(report["sampled_cpi"] - report["exact_cpi"])
+                       / report["exact_cpi"]),
         "peak_rss_mb": report["peak_rss_mb"],
         "exact_seconds": exact,
         "speedup_vs_exact": round(exact / sampled, 2) if sampled else None,
@@ -952,6 +997,7 @@ BENCHES = {
     "session_cached_rerun": bench_session_cached_rerun,
     "service_warm_eval": bench_service_warm_eval,
     "sweep_table2": bench_sweep_table2,
+    "warm_table2_sweep": bench_warm_table2_sweep,
     "accel_vs_python": bench_accel_vs_python,
     "simulate_table2": bench_simulate_table2,
     "simulate_table2_space": bench_simulate_table2_space,
@@ -1103,6 +1149,18 @@ def compare_results(reference: dict, current: dict, tolerance: float,
             regressions.append(
                 f"{name}[groups_pooled]: {new_pooled} vs reference "
                 f"{old_pooled} (warm groups went to the worker pool)"
+            )
+        # Sampling-accuracy gate: the true error of a sampled estimate is
+        # deterministic, so any growth is a change in the answer.
+        old_error = reference_results[name].get("true_error")
+        new_error = current_results[name].get("true_error")
+        if (isinstance(old_error, (int, float))
+                and isinstance(new_error, (int, float))
+                and new_error > old_error):
+            regressions.append(
+                f"{name}[true_error]: {new_error:g} vs reference "
+                f"{old_error:g} (the sampled estimate moved away from the "
+                "exact answer)"
             )
         old_stages = reference_results[name].get("stages") or {}
         new_stages = current_results[name].get("stages") or {}

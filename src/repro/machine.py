@@ -61,6 +61,10 @@ class MachineConfig:
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.width < 1:
             raise ValueError("width must be at least 1")
         if self.pipeline_stages < BACKEND_STAGES + 2:
@@ -139,6 +143,11 @@ class MachineConfig:
             f"{self.frequency_mhz} MHz, L2 {format_size(self.l2_size)} "
             f"{self.l2_associativity}-way, bpred {self.branch_predictor}"
         )
+
+
+#: Fields that hold whole numbers (cycles, bytes, entries, ways, MHz): a
+#: float or bool there is a malformed machine, not a rounding to make.
+_INT_FIELDS = tuple(f.name for f in fields(MachineConfig) if f.type == "int")
 
 
 #: The paper's default configuration (Table 2, middle column).

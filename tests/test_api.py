@@ -306,7 +306,10 @@ class TestBatch:
                 {"workload": {"name": "sha", "flags": "O9"}})])
 
     @pytest.mark.parametrize("override", [{"l1_hit_cycles": -3},
-                                          {"tlb_entries": 0}])
+                                          {"tlb_entries": 0},
+                                          {"width": 2.0},
+                                          {"width": True},
+                                          {"pipeline_stages": 9.5}])
     def test_out_of_range_machines_fail_alike_on_every_backend(self, override):
         messages = []
         for backend in ("analytical", "simulator"):
@@ -319,6 +322,18 @@ class TestBatch:
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
         assert next(iter(override)) in messages[0]
+
+    def test_non_integer_override_fails_after_its_integer_twin(self):
+        """``{"width": 2.0}`` equals ``{"width": 2}`` as a spec, but it is
+        still checked, and fails, in a batch that resolved its twin."""
+        requests = [
+            api.EvalRequest.parse({"workload": "sha", "backend": "simulator",
+                                   "machine": {"width": width}})
+            for width in (2, 2.0)
+        ]
+        with pytest.raises(ValueError,
+                           match=r"request\[1\]: width must be an integer"):
+            api.validate_requests(requests)
 
     def test_validation_errors_name_the_failing_batch_entry(self):
         requests = [

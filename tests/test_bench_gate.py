@@ -140,6 +140,33 @@ def test_routing_absent_on_one_side_passes_vacuously():
     assert compare_results(_routed(0.03, 0), _routed(0.03), 0.0) == []
 
 
+def _sampled(median: float, true_error: float | None = None) -> dict:
+    entry = {"median": median}
+    if true_error is not None:
+        entry.update(sampled_cpi=1.0 + true_error, exact_cpi=1.0,
+                     true_error=true_error)
+    return {"results": {"long_workload_sampled": entry}}
+
+
+def test_larger_sampled_true_error_is_a_regression():
+    regressions = compare_results(_sampled(0.5, 0.1), _sampled(0.5, 0.125),
+                                  1000.0)
+    assert regressions == [
+        "long_workload_sampled[true_error]: 0.125 vs reference 0.1 "
+        "(the sampled estimate moved away from the exact answer)"]
+    # Compared exactly: no tolerance applies to a deterministic value.
+    assert compare_results(_sampled(0.5, 0.1), _sampled(0.5, 0.1 + 1e-12),
+                           1000.0) != []
+    assert compare_results(_sampled(0.5, 0.125), _sampled(0.5, 0.1),
+                           0.0) == []
+    assert compare_results(_sampled(0.5, 0.1), _sampled(0.5, 0.1), 0.0) == []
+
+
+def test_true_error_absent_on_one_side_passes_vacuously():
+    assert compare_results(_sampled(0.5), _sampled(0.5, 0.125), 0.0) == []
+    assert compare_results(_sampled(0.5, 0.1), _sampled(0.5), 0.0) == []
+
+
 def _obs(median: float, pct: float | None = None,
          limit: float | None = 2.0) -> dict:
     entry: dict = {"median": median, "runs": [median]}

@@ -90,6 +90,18 @@ class TestMachineConfig:
             MachineConfig(**{field: -0.5})
         assert getattr(MachineConfig(**{field: 0.0}), field) == 0.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("width", 2.0), ("width", True), ("pipeline_stages", 9.5),
+        ("l2_size", 1.5e6), ("tlb_entries", "32"),
+    ])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MachineConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["l2_ns", "memory_ns", "tlb_miss_ns"])
+    def test_float_fields_accept_integers(self, field):
+        assert getattr(MachineConfig(**{field: 12}), field) == 12
+
     def test_backend_stages_constant(self):
         assert BACKEND_STAGES == 3
 

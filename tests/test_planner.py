@@ -55,25 +55,24 @@ def test_group_carries_resolved_machines_and_labels():
         EvalRequest(workload=WorkloadSpec("sha")),
     ]
     (group,) = plan_requests(requests, jobs=1)
-    labels = {label for _, _, label in group.machines}
+    labels = {entry.label for entry in group.machines}
     assert "paper_default+l2_size=1MB" in labels
-    for spec, machine, _ in group.machines:
-        assert spec.resolve() == machine
+    for entry in group.machines:
+        assert entry.spec.resolve() == entry.machine
 
 
 def test_requests_ordered_by_pass_signature_within_group():
     requests = _sweep_requests()
     (group,) = [g for g in plan_requests(requests, jobs=1)
                 if g.workload == "sha"]
-    machines = {spec: machine for spec, machine, _ in group.machines}
-
-    def l2_geometry(request):
-        machine = machines[request.machine]
+    def l2_geometry(position):
+        machine = group.machines[group.entries[position]].machine
         return (machine.l2_size // (machine.l2_associativity
                                     * machine.line_size),
                 machine.branch_predictor)
 
-    signatures = [l2_geometry(request) for request in group.requests]
+    signatures = [l2_geometry(position)
+                  for position in range(len(group.requests))]
     assert signatures == sorted(signatures)
 
 
@@ -83,6 +82,98 @@ def test_single_workload_sweep_splits_across_workers():
     assert len(groups) > 1
     seen = sorted(index for group in groups for index in group.indices)
     assert seen == list(range(len(requests)))
+
+
+def test_machine_label_does_not_depend_on_the_rest_of_the_batch():
+    """``12`` and ``12.0`` are equal specs that label differently; each
+    request keeps its own label whatever else its batch holds."""
+    def labels(*values):
+        requests = [EvalRequest(workload=WorkloadSpec("sha"),
+                                machine=MachineSpec.make(l2_ns=value))
+                    for value in values]
+        (group,) = plan_requests(requests)
+        return [group.machines[entry].label for entry in group.entries]
+
+    assert labels(12) == ["paper_default+l2_ns=12"]
+    assert labels(12, 12.0) == ["paper_default+l2_ns=12",
+                                "paper_default+l2_ns=12.0"]
+    assert labels(12.0, 12) == ["paper_default+l2_ns=12.0",
+                                "paper_default+l2_ns=12"]
+    results = evaluate_many([{"workload": "sha", "machine": {"l2_ns": value}}
+                             for value in (12.0, 12)])
+    assert [result.machine for result in results] == [
+        "paper_default+l2_ns=12.0", "paper_default+l2_ns=12"]
+
+
+def test_machine_table_holds_each_distinct_spec_once():
+    requests = default_design_space().to_sweep(["sha", "dijkstra"]).expand()
+    groups = plan_requests(requests)
+    (table,) = {group.machines for group in groups}
+    assert len(table) == 192
+    for group in groups:
+        for entry, request in zip(group.entries, group.requests):
+            assert table[entry].spec == request.machine
+            assert table[entry].machine is request.machine.resolve()
+
+
+def _mixed_batch():
+    """Aliased backends, power on and off, two windows, repeated specs,
+    and one machine given as a preset name and as equal overrides."""
+    import random
+
+    little = MachineSpec("little_5stage_600mhz")
+    specs = [MachineSpec(), little,
+             MachineSpec.from_machine(little.resolve()),
+             MachineSpec.make(l2_size="1MB", width=2)]
+    assert specs[2] != little and specs[2].resolve() == little.resolve()
+    requests = [
+        EvalRequest(workload=WorkloadSpec(name), machine=spec,
+                    backend=backend, with_power=with_power,
+                    mlp_window=window)
+        for name in ("sha", "dijkstra")
+        for spec in specs + specs[:2]
+        for backend, with_power, window in (
+            ("analytical", False, 64), ("model", True, 64),
+            ("analytical", True, 32), ("simulator", False, 64),
+            ("simulator", True, 32))
+    ]
+    random.Random(7).shuffle(requests)
+    return requests
+
+
+def test_mixed_batch_is_byte_identical_to_per_request_answers():
+    requests = _mixed_batch()
+    planned = evaluate_many(requests, jobs=1)
+    session = Session()
+    for request, result in zip(requests, planned):
+        alone = evaluate(request, session=session)
+        assert result.to_json() == alone.to_json()
+    assert {result.backend for result in planned} == {"analytical",
+                                                      "simulator"}
+
+
+def test_bad_distinct_spec_names_the_first_request_using_it():
+    first, second = MachineSpec(), MachineSpec("little_5stage_600mhz")
+    bad = MachineSpec.make(width=0)
+    specs = [first, second, first, second, first, bad,
+             MachineSpec.make(width=0), second]
+    requests = [EvalRequest(workload=WorkloadSpec("sha"), machine=spec)
+                for spec in specs]
+    # The bad spec is the batch's third distinct one, first used at 5.
+    with pytest.raises(ValueError, match=r"^request\[5\]: width must be"):
+        evaluate_many(requests)
+
+
+def test_pickled_spec_carries_no_cached_hash():
+    import pickle
+
+    spec = MachineSpec.make(l2_size="1MB", branch_predictor="hybrid_3.5kb")
+    hash(spec)
+    spec.resolve()
+    clone = pickle.loads(pickle.dumps(spec))
+    assert "_hash" not in clone.__dict__
+    assert "_resolution" not in clone.__dict__
+    assert clone == spec and hash(clone) == hash(spec)
 
 
 # ----------------------------------------------------------------------
