@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from repro.branch.predictors import make_predictor
 from repro.branch.profiler import profile_branches
-from repro.memory.hierarchy import CacheHierarchy
 from repro.memory.single_pass import StackDistanceProfiler
 from repro.pipeline.inorder import InOrderPipeline
 from repro.pipeline.ooo import OutOfOrderPipeline
-from repro.profiler.machine_stats import profile_machine
 from repro.profiler.program import profile_program
 from repro.workloads import get_workload
 from repro.workloads.compiler import InstructionScheduler, LoopUnroller
@@ -29,19 +27,6 @@ def test_functional_simulation_throughput():
 def test_program_profiling(sha_trace):
     profile = profile_program(sha_trace)
     assert profile.instructions == len(sha_trace)
-
-
-def test_machine_profiling(sha_trace, default_machine):
-    misses = profile_machine(sha_trace, default_machine)
-    assert misses.instructions == len(sha_trace)
-
-
-def test_cache_hierarchy_throughput(sha_trace, default_machine):
-    addresses = [dyn.mem_addr for dyn in sha_trace if dyn.mem_addr is not None]
-    hierarchy = CacheHierarchy(default_machine.memory_hierarchy_config())
-    for address in addresses:
-        hierarchy.access_data(address)
-    assert hierarchy.stats.data_accesses == len(addresses)
 
 
 def test_single_pass_profiler_throughput(sha_trace):

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import abc
 from array import array
+from itertools import compress
 from typing import NamedTuple, final
 
 from repro.accel.passes import (
@@ -51,7 +52,7 @@ from repro.accel.passes import (
 from repro.branch.predictors import make_predictor
 from repro.branch.profiler import BranchProfile, profile_control_stream
 from repro.isa.opcodes import OpClass
-from repro.memory.hierarchy import CacheHierarchy, HierarchyStats
+from repro.memory.hierarchy import HierarchyStats
 from repro.memory.single_pass import StackDistanceProfiler
 from repro.trace.trace import OP_CLASS_IDS, Trace
 
@@ -143,52 +144,132 @@ class Kernels(abc.ABC):
                         shared: dict | None = None) -> PipelineEvents:
         """Per-instruction miss-event columns of ``trace`` on ``machine``.
 
-        The reference replays a fresh :class:`CacheHierarchy` and branch
-        predictor in trace order, each instruction's fetch before its data
-        access — the one place the simulators' object replay lives.
-        Backends override it with a bit-identical computation.
+        Every cache and TLB is true LRU, so an access hits an ``a``-way
+        structure iff its stack distance ``d`` has ``0 <= d < a``.  The
+        reference takes :class:`StackDistanceProfiler` distances once per
+        ``(access stream, sets, block)`` and reads each structure's misses
+        off them; the unified L2 sees the interleaved L1-miss stream, each
+        instruction's fetch before its data access.  The branch predictor
+        is replayed in trace order, once per predictor.  Backends override
+        it with a bit-identical computation.
 
         ``shared`` is a dict a caller passes to every call it makes on one
-        trace (and on no other), so a backend can compute work that event
-        sets have in common — stack distances, control columns — once; it
-        lives as long as the caller keeps it.  The reference ignores it.
+        trace (and on no other): everything an event set computes that
+        depends on less than the whole event key — the memory-access
+        columns, each structure's distances and misses, the L1-miss stream
+        each L1 pair feeds the L2, each predictor's control column — is
+        memoized in it, so what is left per set is the L2 lookup of its
+        geometry and the latency assembly.  It lives as long as the caller
+        keeps it.
         """
-        hierarchy = CacheHierarchy(machine.memory_hierarchy_config())
-        predictor = make_predictor(machine.branch_predictor)
-        access_instruction = hierarchy.access_instruction
-        access_data = hierarchy.access_data
-        latency_of = hierarchy.latency_of
-        predict = predictor.predict
-        update = predictor.update
-        fetch: list[int] = []
-        data: list[int] = []
-        control: list[int] = []
+        if shared is None:
+            shared = {}
+
+        def memo(key, compute):
+            value = shared.get(key)
+            if value is None:
+                value = shared[key] = compute()
+            return value
+
+        n = len(trace)
         pcs = trace.pcs
-        mem_addrs = trace.mem_addrs
-        takens = trace.taken
-        for index, class_id in enumerate(trace.op_classes):
-            pc = pcs[index]
-            fetch.append(latency_of(*access_instruction(pc)))
-            if class_id == _LOAD_ID or class_id == _STORE_ID:
-                data.append(latency_of(*access_data(
-                    mem_addrs[index], is_store=class_id == _STORE_ID
-                )))
+
+        def columns():
+            memory_at = array("q", [
+                index for index, class_id in enumerate(trace.op_classes)
+                if class_id == _LOAD_ID or class_id == _STORE_ID
+            ])
+            mem_addrs = trace.mem_addrs
+            return memory_at, array("q", [mem_addrs[at] for at in memory_at])
+
+        memory_at, data_addrs = memo("columns", columns)
+
+        def lookup(stream, addrs, sets, block, ways):
+            """Misses of one LRU structure, one byte per access, read off
+            its stack distances.  ``stream`` names ``addrs`` in the memo."""
+            distances = memo((stream, sets, block), lambda: array(
+                "q", map(StackDistanceProfiler(sets, block).access, addrs)))
+            misses = memo((stream, sets, block, ways), lambda: bytes([
+                distance < 0 or distance >= ways for distance in distances]))
+            return misses
+
+        config = machine.memory_hierarchy_config()
+        l1i, l1d, l2 = config.l1i, config.l1d, config.l2
+        i_key = (l1i.sets, l1i.line_size, l1i.associativity)
+        d_key = (l1d.sets, l1d.line_size, l1d.associativity)
+        l1i_miss = lookup("fetch", pcs, *i_key)
+        l1d_miss = lookup("data", data_addrs, *d_key)
+        itlb_miss = lookup("fetch", pcs, 1, config.itlb.page_size,
+                           config.itlb.entries)
+        dtlb_miss = lookup("data", data_addrs, 1, config.dtlb.page_size,
+                           config.dtlb.entries)
+
+        def interleave():
+            # Sorting (position, side) merges the two L1-miss streams in
+            # trace order, an instruction's fetch before its data access.
+            accesses = [(at, INSTRUCTION_SIDE, pcs[at])
+                        for at in compress(range(n), l1i_miss)]
+            accesses += [(memory_at[slot], DATA_SIDE, data_addrs[slot])
+                         for slot in compress(range(len(memory_at)), l1d_miss)]
+            accesses.sort()
+            return (array("q", [access[0] for access in accesses]),
+                    bytes([access[1] for access in accesses]),
+                    array("q", [access[2] for access in accesses]))
+
+        l2_stream = ("l2", i_key, d_key)
+        positions, sides, l2_addrs = memo(l2_stream, interleave)
+        l2_miss = lookup(l2_stream, l2_addrs, l2.sets, l2.line_size,
+                         l2.associativity)
+
+        hit = config.l1_hit_cycles
+        walked = hit + config.tlb_miss_cycles
+        fetch = [walked if miss else hit for miss in itlb_miss]
+        data = [0] * n
+        for at, miss in zip(memory_at, dtlb_miss):
+            data[at] = walked if miss else hit
+        l2_hit = config.l2_hit_cycles
+        l2_missed = l2_hit + config.memory_cycles
+        il2_misses = 0
+        for at, side, miss in zip(positions, sides, l2_miss):
+            if side == INSTRUCTION_SIDE:
+                fetch[at] += l2_missed if miss else l2_hit
+                il2_misses += miss
             else:
-                data.append(0)
-            if class_id == _BRANCH_ID:
-                taken = takens[index] == 1
-                prediction = predict(pc)
-                update(pc, taken)
-                control.append(
-                    CONTROL_MISPREDICT if prediction != taken
-                    else CONTROL_TAKEN if taken else CONTROL_NONE
-                )
-            elif class_id == _JUMP_ID:
-                control.append(CONTROL_TAKEN)
-            else:
-                control.append(CONTROL_NONE)
-        return PipelineEvents(array("q", fetch), array("q", data),
-                              array("q", control), hierarchy.stats)
+                data[at] += l2_missed if miss else l2_hit
+
+        def control():
+            predictor = make_predictor(machine.branch_predictor)
+            predict = predictor.predict
+            update = predictor.update
+            codes = array("q", [CONTROL_NONE]) * n
+            takens = trace.taken
+            for index, class_id in enumerate(trace.op_classes):
+                if class_id == _BRANCH_ID:
+                    pc = pcs[index]
+                    taken = takens[index] == 1
+                    prediction = predict(pc)
+                    update(pc, taken)
+                    if prediction != taken:
+                        codes[index] = CONTROL_MISPREDICT
+                    elif taken:
+                        codes[index] = CONTROL_TAKEN
+                elif class_id == _JUMP_ID:
+                    codes[index] = CONTROL_TAKEN
+            return codes
+
+        stats = HierarchyStats(
+            instruction_accesses=n,
+            data_accesses=len(memory_at),
+            l1i_misses=l1i_miss.count(1),
+            l1d_misses=l1d_miss.count(1),
+            il2_misses=il2_misses,
+            dl2_misses=l2_miss.count(1) - il2_misses,
+            itlb_misses=itlb_miss.count(1),
+            dtlb_misses=dtlb_miss.count(1),
+        )
+        return PipelineEvents(
+            array("q", fetch), array("q", data),
+            memo(("control", machine.branch_predictor), control), stats)
 
     # ------------------------------------------------------------------
     # Chunk-resumable streams: the implementation of every pass.  Each

@@ -9,14 +9,15 @@ machine in order, drawing every profile through the shared
 paper's amortization lives there: the planner hands a backend all of a
 group's machines at once, and a single request is a one-machine list.
 
-Three estimators ship by default:
+Two estimators ship by default:
 
 * ``analytical`` — the mechanistic model fed by the single-pass
   stack-distance engine;
-* ``analytical_exact`` — the same model fed by a full trace replay
-  through the cache hierarchy (the engine's cross-check fallback);
 * ``simulator`` — the cycle-accurate in-order pipeline, one
   :meth:`~repro.runtime.session.Session.simulate_many` batch per call.
+
+Both take their miss events from the same per-access stack distances:
+every cache and TLB is true LRU, so those are exact.
 
 Backends register with :func:`register_backend` and are addressable by
 string from :class:`~repro.api.spec.EvalRequest`, so third-party
@@ -44,8 +45,6 @@ class BackendCapabilities:
     cpi_stack: bool = False
     #: Cycles come from cycle-accurate simulation, not a model.
     cycle_accurate: bool = False
-    #: Miss events come from exact replay rather than stack-distance math.
-    exact_miss_events: bool = False
     #: Honours ``with_power`` by attaching the power model.
     power: bool = True
 
@@ -53,7 +52,6 @@ class BackendCapabilities:
         return {
             "cpi_stack": self.cpi_stack,
             "cycle_accurate": self.cycle_accurate,
-            "exact_miss_events": self.exact_miss_events,
             "power": self.power,
         }
 
@@ -159,10 +157,12 @@ def _with_energy(points: list[PointEvaluation], program,
     return points
 
 
-class _MechanisticBackend(EvalBackend):
-    """Shared body of the two analytical backends (exact flag differs)."""
+@register_backend("analytical", aliases=("model",))
+class AnalyticalBackend(EvalBackend):
+    """Mechanistic model over single-pass stack-distance histograms."""
 
-    exact = False
+    name = "analytical"
+    capabilities = BackendCapabilities(cpi_stack=True)
 
     def evaluate(self, session: Session, workload: Workload,
                  machines: Sequence[MachineConfig], *,
@@ -172,8 +172,7 @@ class _MechanisticBackend(EvalBackend):
 
         program = session.program_profile(workload)
         profiles = session.miss_profiles(workload, machines,
-                                         mlp_window=mlp_window,
-                                         exact=self.exact)
+                                         mlp_window=mlp_window)
         predictions = get_kernels().predict_batch(program, profiles, machines)
         points = [PointEvaluation(machine, program.instructions, cycles,
                                   cpi_stack)
@@ -186,26 +185,7 @@ class _MechanisticBackend(EvalBackend):
                 with_power: bool = False, mlp_window: int = 64) -> bool:
         return (session.has_program_profile(workload)
                 and session.has_miss_profiles(workload, machines,
-                                              mlp_window=mlp_window,
-                                              exact=self.exact))
-
-
-@register_backend("analytical", aliases=("model",))
-class AnalyticalBackend(_MechanisticBackend):
-    """Mechanistic model over single-pass stack-distance histograms."""
-
-    name = "analytical"
-    capabilities = BackendCapabilities(cpi_stack=True)
-    exact = False
-
-
-@register_backend("analytical_exact", aliases=("exact",))
-class AnalyticalExactBackend(_MechanisticBackend):
-    """Mechanistic model over an exact cache/branch replay (fallback path)."""
-
-    name = "analytical_exact"
-    capabilities = BackendCapabilities(cpi_stack=True, exact_miss_events=True)
-    exact = True
+                                              mlp_window=mlp_window))
 
 
 @register_backend("simulator", aliases=("detailed",))
@@ -213,7 +193,7 @@ class SimulatorBackend(EvalBackend):
     """Cycle-accurate in-order pipeline simulation (the reference)."""
 
     name = "simulator"
-    capabilities = BackendCapabilities(cycle_accurate=True, exact_miss_events=True)
+    capabilities = BackendCapabilities(cycle_accurate=True)
 
     def evaluate(self, session: Session, workload: Workload,
                  machines: Sequence[MachineConfig], *,

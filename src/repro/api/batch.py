@@ -161,7 +161,7 @@ def validate_requests(requests: Sequence[EvalRequest]) -> None:
                         f"known: {known}"
                     )
                 workloads.add(workload)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             # Every message names the bad value AND lists the valid choices
             # (the registries do this for presets/backends); add which
             # request of the batch failed so a bad sweep is a one-read fix.

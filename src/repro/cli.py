@@ -541,11 +541,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         rows = [
             (name, *("yes" if flag else "no" for flag in (
                 capabilities.cpi_stack, capabilities.cycle_accurate,
-                capabilities.exact_miss_events, capabilities.power)))
+                capabilities.power)))
             for name, capabilities in capability_matrix()
         ]
         print(format_table(
-            ("backend", "cpi stack", "cycle accurate", "exact misses", "power"),
+            ("backend", "cpi stack", "cycle accurate", "power"),
             rows,
         ))
         preset_rows = []

@@ -1,4 +1,4 @@
-"""Set-associative LRU cache model."""
+"""Geometry of one set-associative cache level."""
 
 from __future__ import annotations
 
@@ -43,69 +43,3 @@ class CacheConfig:
     def describe(self) -> str:
         kib = self.size // 1024
         return f"{kib}KB {self.associativity}-way {self.line_size}B lines"
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters for one cache."""
-
-    accesses: int = 0
-    misses: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.accesses - self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-
-class Cache:
-    """A set-associative cache with true-LRU replacement.
-
-    Each set is an ordered list of tags, most recently used last.  The model
-    is a tag store only: no data is kept because only hit/miss behaviour
-    matters for performance modeling.
-    """
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self.stats = CacheStats()
-        self._sets: list[list[int]] = [[] for _ in range(config.sets)]
-        self._offset_bits = config.line_size.bit_length() - 1
-        self._set_mask = config.sets - 1
-
-    def _locate(self, address: int) -> tuple[int, int]:
-        line = address >> self._offset_bits
-        return line & self._set_mask, line
-
-    def access(self, address: int) -> bool:
-        """Access ``address``; return ``True`` on a hit and update LRU state."""
-        set_index, tag = self._locate(address)
-        ways = self._sets[set_index]
-        self.stats.accesses += 1
-        try:
-            ways.remove(tag)
-            hit = True
-        except ValueError:
-            hit = False
-            self.stats.misses += 1
-            if len(ways) >= self.config.associativity:
-                ways.pop(0)
-        ways.append(tag)
-        return hit
-
-    def probe(self, address: int) -> bool:
-        """Check for a hit without updating LRU state or counters."""
-        set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
-
-    def reset(self) -> None:
-        """Invalidate all lines and clear statistics."""
-        self.stats = CacheStats()
-        self._sets = [[] for _ in range(self.config.sets)]
-
-    def resident_lines(self) -> int:
-        """Number of valid lines currently cached (useful for invariants)."""
-        return sum(len(ways) for ways in self._sets)

@@ -1,10 +1,8 @@
-"""Translation lookaside buffer model (fully associative, LRU)."""
+"""Translation lookaside buffer geometry (fully associative, LRU)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.memory.cache import CacheStats
 
 
 @dataclass(frozen=True)
@@ -20,32 +18,3 @@ class TLBConfig:
             raise ValueError(f"{self.name}: needs at least one entry")
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
             raise ValueError(f"{self.name}: page size must be a power of two")
-
-
-class TLB:
-    """Fully associative TLB with LRU replacement."""
-
-    def __init__(self, config: TLBConfig):
-        self.config = config
-        self.stats = CacheStats()
-        self._entries: list[int] = []
-        self._page_shift = config.page_size.bit_length() - 1
-
-    def access(self, address: int) -> bool:
-        """Translate ``address``; return ``True`` on a TLB hit."""
-        page = address >> self._page_shift
-        self.stats.accesses += 1
-        try:
-            self._entries.remove(page)
-            hit = True
-        except ValueError:
-            hit = False
-            self.stats.misses += 1
-            if len(self._entries) >= self.config.entries:
-                self._entries.pop(0)
-        self._entries.append(page)
-        return hit
-
-    def reset(self) -> None:
-        self.stats = CacheStats()
-        self._entries = []

@@ -8,8 +8,8 @@ Two kinds of statistics are collected from a dynamic trace:
 * **Program–machine statistics** (depend on the cache/TLB/branch-predictor
   configuration): miss-event counts — :func:`profile_machine`, answered by
   the amortized single-pass :class:`SinglePassEngine` (one trace walk per
-  cache geometry, one branch replay per predictor) with an ``exact=True``
-  full-replay escape hatch.
+  cache geometry, one branch replay per predictor); every structure is
+  true LRU, so its stack-distance counts are exact.
 
 Every pass runs through the active :mod:`repro.accel` backend's
 chunk-resumable streams, which are the only implementation of each pass.

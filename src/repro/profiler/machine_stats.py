@@ -1,24 +1,20 @@
 """Program-machine statistics: miss-event counts for one configuration.
 
-By default the counts are assembled from the single-pass stack-distance
-engine (:mod:`repro.profiler.single_pass_engine`), which walks the trace
-once per cache geometry and once per branch predictor and answers every
-machine configuration from cached histograms.  ``exact=True`` falls back to
-the legacy replay path, which drives the trace through the same
-:class:`~repro.memory.hierarchy.CacheHierarchy` and branch predictor the
-detailed in-order simulator uses.  Both paths observe identical miss counts
-(the engine is bit-identical by the LRU stack inclusion property), so the
-model's prediction error measures modeling error, not measurement noise.
+The counts are assembled from the single-pass stack-distance engine
+(:mod:`repro.profiler.single_pass_engine`), which walks the trace once per
+cache geometry and once per branch predictor and answers every machine
+configuration from cached histograms.  Every cache and TLB is true LRU, so
+by the stack inclusion property the counts are exactly those of replaying
+the trace through the hierarchy, and they are the same miss events the
+detailed simulators see: the model's prediction error measures modeling
+error, not measurement noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.branch.predictors import make_predictor
-from repro.branch.profiler import BranchProfile, profile_branches
 from repro.machine import MachineConfig
-from repro.memory.hierarchy import AccessOutcome, CacheHierarchy
 from repro.trace.trace import Trace
 
 
@@ -61,57 +57,16 @@ class MissProfile:
 
 
 def profile_machine(trace: Trace, machine: MachineConfig,
-                    mlp_window: int = 64, *, exact: bool = False) -> MissProfile:
+                    mlp_window: int = 64) -> MissProfile:
     """Collect the miss-event counts of ``trace`` on ``machine``.
 
     ``mlp_window`` is the instruction window used to group data L2 misses
     into overlapping runs (an out-of-order core with a reorder buffer of that
     size could overlap them); the in-order model ignores it.
 
-    The default path answers from the single-pass engine cached on the trace
-    (one trace walk per cache geometry, amortized across configurations);
-    ``exact=True`` forces the legacy full replay through
-    :class:`CacheHierarchy` — useful as a cross-check or for replacement
-    policies the stack-distance argument does not cover.
+    The answer comes from the single-pass engine cached on the trace (one
+    trace walk per cache geometry, amortized across configurations).
     """
-    if exact:
-        return _profile_machine_replay(trace, machine, mlp_window)
     from repro.profiler.single_pass_engine import SinglePassEngine
 
     return SinglePassEngine.for_trace(trace).miss_profile(machine, mlp_window)
-
-
-def _profile_machine_replay(trace: Trace, machine: MachineConfig,
-                            mlp_window: int = 64) -> MissProfile:
-    """Legacy replay: drive the full trace through a fresh hierarchy."""
-    hierarchy = CacheHierarchy(machine.memory_hierarchy_config())
-    predictor = make_predictor(machine.branch_predictor)
-
-    profile = MissProfile(machine=machine, instructions=len(trace))
-    last_dl2_miss_seq: int | None = None
-
-    branch_stats: BranchProfile = profile_branches(trace, predictor)
-    profile.mispredictions = branch_stats.mispredictions
-    profile.taken_bubbles = branch_stats.taken_bubbles
-    profile.conditional_branches = branch_stats.conditional_branches
-
-    for dyn in trace:
-        outcome, itlb_miss = hierarchy.access_instruction(dyn.pc)
-        if dyn.instruction.is_memory:
-            data_outcome, dtlb_miss = hierarchy.access_data(
-                dyn.mem_addr or 0, is_store=dyn.is_store
-            )
-            if data_outcome is AccessOutcome.MEMORY:
-                if (last_dl2_miss_seq is None
-                        or dyn.seq - last_dl2_miss_seq > mlp_window):
-                    profile.dl2_miss_runs += 1
-                last_dl2_miss_seq = dyn.seq
-
-    stats = hierarchy.stats
-    profile.l1i_misses = stats.l1i_misses
-    profile.il2_misses = stats.il2_misses
-    profile.itlb_misses = stats.itlb_misses
-    profile.l1d_misses = stats.l1d_misses
-    profile.dl2_misses = stats.dl2_misses
-    profile.dtlb_misses = stats.dtlb_misses
-    return profile

@@ -1,10 +1,9 @@
 """Single-pass design-space profiling engine.
 
-The legacy profiler replays the full dynamic trace through a fresh
-:class:`~repro.memory.hierarchy.CacheHierarchy` and branch predictor for
-*every* machine configuration.  This engine exploits the LRU stack inclusion
-property [Hill & Smith; Mattson et al.] to profile each trace **once per
-cache geometry** instead:
+Replaying the full dynamic trace through a cache hierarchy and branch
+predictor costs one trace walk for *every* machine configuration.  This
+engine exploits the LRU stack inclusion property [Hill & Smith; Mattson et
+al.] to profile each trace **once per cache geometry** instead:
 
 * one *base pass* per L1/TLB front-end geometry walks the trace once,
   collecting stack-distance histograms for the L1I, the L1D and both
@@ -20,7 +19,8 @@ cache geometry** instead:
 Because every structure is true-LRU, an access with stack distance ``d``
 hits in an ``a``-way cache iff ``d < a`` — so the cached histograms answer
 miss counts for *all* associativities, sizes and TLB capacities in a design
-space without re-walking the trace, bit-identically to the legacy replay.
+space without re-walking the trace, bit-identically to a full replay (the
+object-replay hierarchy of the test suite checks exactly that).
 
 The engine takes either trace form and drives the active :mod:`repro.accel`
 backend's chunk-resumable streams over it.  A resident :class:`Trace` is

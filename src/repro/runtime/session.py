@@ -197,7 +197,7 @@ class Session:
         self._engine_synced: dict[tuple[str, str], int] = {}
         #: token -> (trace, profile); the trace reference pins id() stability.
         self._program_profiles: dict[object, tuple[Trace, ProgramProfile]] = {}
-        #: (token, miss key, mlp window, exact) -> (trace, MissProfile).
+        #: (token, miss key, mlp window) -> (trace, MissProfile).
         self._miss_profiles: dict[tuple, tuple[Trace, MissProfile]] = {}
         #: (token, machine) -> (trace, InOrderResult) of simulated points.
         self._simulations: dict[tuple, tuple[Trace, object]] = {}
@@ -450,17 +450,13 @@ class Session:
         self.stats.engine_state_saves += 1
 
     def miss_profile(self, workload: Workload | str, machine: MachineConfig,
-                     *, flags: str = "O3", mlp_window: int = 64,
-                     exact: bool = False) -> MissProfile:
+                     *, flags: str = "O3", mlp_window: int = 64) -> MissProfile:
         """Miss-event counts of ``workload`` on ``machine`` (memoized).
 
         Accepts a workload name (resolved through the session) or any
         :class:`Workload`; profiles of session-managed traces go through the
         persistent engine, so their cache-geometry histograms land on disk
-        and are never recomputed by later sessions.  ``exact=True`` answers
-        from a full trace replay instead of the stack-distance engine (the
-        ``analytical_exact`` backend's fallback); replay results are memoized
-        in process but not persisted.
+        and are never recomputed by later sessions.
 
         The memo is keyed by
         :func:`~repro.profiler.single_pass_engine.miss_key`, not the whole
@@ -471,13 +467,12 @@ class Session:
         if isinstance(workload, str):
             workload = self.workload(workload, flags)
         (profile,) = self.miss_profiles(workload, [machine],
-                                        mlp_window=mlp_window, exact=exact)
+                                        mlp_window=mlp_window)
         return profile
 
     def miss_profiles(self, workload: Workload,
                       machines: Sequence[MachineConfig], *,
-                      mlp_window: int = 64,
-                      exact: bool = False) -> list[MissProfile]:
+                      mlp_window: int = 64) -> list[MissProfile]:
         """:meth:`miss_profile` of each of ``machines``, in order; machines
         with equal :func:`~repro.profiler.single_pass_engine.miss_key` share
         the profile of the first of them."""
@@ -485,29 +480,23 @@ class Session:
         token = self._token(trace)
         profiles = []
         for machine in machines:
-            memo_key = (token, miss_key(machine), mlp_window, exact)
+            memo_key = (token, miss_key(machine), mlp_window)
             memo = self._miss_profiles.get(memo_key)
             if memo is None:
                 memo = (trace, self._build_miss_profile(
-                    workload, token, machine, mlp_window, exact))
+                    workload, token, machine, mlp_window))
                 self._miss_profiles[memo_key] = memo
             profiles.append(memo[1])
         return profiles
 
     def _build_miss_profile(self, workload: Workload, token,
-                            machine: MachineConfig, mlp_window: int,
-                            exact: bool) -> MissProfile:
+                            machine: MachineConfig,
+                            mlp_window: int) -> MissProfile:
         trace = workload.trace()
         self.stats.miss_profiles_built += 1
         started = time.perf_counter()
-        with span("session.miss_profile", workload=workload.name,
-                  exact=exact):
-            if exact:
-                from repro.profiler.machine_stats import profile_machine
-
-                profile = profile_machine(trace, machine, mlp_window,
-                                          exact=True)
-            elif isinstance(token, tuple):
+        with span("session.miss_profile", workload=workload.name):
+            if isinstance(token, tuple):
                 engine = self.engine(*token)
                 profile = engine.miss_profile(machine, mlp_window)
                 self._persist_engine(*token, engine)
@@ -562,10 +551,10 @@ class Session:
 
     def has_miss_profiles(self, workload: Workload,
                           machines: Sequence[MachineConfig], *,
-                          mlp_window: int = 64, exact: bool = False) -> bool:
+                          mlp_window: int = 64) -> bool:
         """Whether :meth:`miss_profiles` would answer from its memo."""
         token = self._token(workload.trace())
-        return all((token, miss_key(machine), mlp_window, exact)
+        return all((token, miss_key(machine), mlp_window)
                    in self._miss_profiles for machine in machines)
 
     def has_simulations(self, workload: Workload,
@@ -581,7 +570,7 @@ class Session:
         """The memo entries of ``(name, flags)`` that answering ``points``
         (``(machine, mlp_window)`` pairs) reads, as far as this session
         holds them: its program profile, the miss profiles of each point's
-        miss key and window (single-pass and exact) and the simulations.
+        miss key and window and the simulations.
 
         Returned as ``(key, value)`` lists without their trace pins: the
         picklable form in which a pool worker sends back the entries of
@@ -594,11 +583,10 @@ class Session:
         misses: dict[tuple, MissProfile] = {}
         simulations: dict[tuple, object] = {}
         for machine, mlp_window in dict.fromkeys(points):
-            key = miss_key(machine)
-            for exact in (False, True):
-                memo = self._miss_profiles.get((token, key, mlp_window, exact))
-                if memo is not None:
-                    misses[(token, key, mlp_window, exact)] = memo[1]
+            key = (token, miss_key(machine), mlp_window)
+            memo = self._miss_profiles.get(key)
+            if memo is not None:
+                misses[key] = memo[1]
             memo = self._simulations.get((token, machine))
             if memo is not None:
                 simulations[(token, machine)] = memo[1]

@@ -6,9 +6,9 @@ Storage is columnar (struct of arrays): a :class:`Trace` keeps one packed
 distinct static :class:`~repro.isa.instructions.Instruction` objects the
 ``static_index`` column points into.  The profilers and the design-space
 engine walk these arrays directly, and so do the pipeline simulators; the
-per-instruction :class:`DynamicInstruction` dataclass survives as a lazily
-materialized compatibility facade for the exact replay profiler and the
-tests.
+per-instruction :class:`DynamicInstruction` dataclass is a lazily
+materialized facade for record-at-a-time callers, among them the tests'
+object-replay oracles.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ class Trace:
                 mem_addrs.append(dyn.mem_addr)
             elif instruction.is_memory:
                 # A memory record without an address: store the address the
-                # memory system would see (the replay path uses ``addr or 0``),
-                # so profilers reading the column agree with the replay.
+                # memory system would see (the replay oracle uses ``addr or
+                # 0``), so profilers reading the column agree with it.
                 mem_addrs.append(0)
             else:
                 mem_addrs.append(NO_VALUE)

@@ -4,17 +4,18 @@ This is the cycle-accurate loop :class:`repro.pipeline.inorder.InOrderPipeline`
 ran before it was driven from precomputed event columns, kept unchanged so
 the column-driven simulator can be checked bit for bit against it.  It
 replays every instruction through a fresh
-:class:`~repro.memory.hierarchy.CacheHierarchy` and branch predictor and
+:class:`memory_oracle.CacheHierarchy` and branch predictor and
 walks the trace's :class:`~repro.trace.trace.DynamicInstruction` facade.
 """
 
 from __future__ import annotations
 
+from memory_oracle import CacheHierarchy
+
 from repro.branch.predictors import make_predictor
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import NUM_INT_REGS
 from repro.machine import BACKEND_STAGES, MachineConfig
-from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.inorder import InOrderResult
 from repro.trace.trace import Trace
 

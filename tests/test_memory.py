@@ -1,19 +1,30 @@
-"""Unit and property tests for caches, TLBs, the hierarchy and single-pass profiling."""
+"""Unit and property tests for caches, TLBs, the hierarchy and single-pass profiling.
+
+The object caches, TLBs and hierarchy are the test oracle's
+(``tests/memory_oracle.py``); the geometry and the stack-distance profiler
+are the package's own.
+"""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.memory import (
+from memory_oracle import (
+    TLB,
     AccessOutcome,
     Cache,
-    CacheConfig,
     CacheHierarchy,
+    profile_machine_replay,
+)
+
+from repro.memory import (
+    CacheConfig,
     MemoryHierarchyConfig,
     StackDistanceProfiler,
-    TLB,
     TLBConfig,
 )
+from repro.profiler.machine_stats import profile_machine
 
 
 class TestCacheConfig:
@@ -205,3 +216,27 @@ class TestStackDistanceProfiler:
         assert result.miss_rate(1) == pytest.approx(0.25)
         with pytest.raises(ValueError):
             result.misses(0)
+
+
+# ----------------------------------------------------------------------
+# Whole-workload checks on sha.
+# ----------------------------------------------------------------------
+def test_oracle_hierarchy_throughput(sha_trace, default_machine):
+    addresses = [dyn.mem_addr for dyn in sha_trace if dyn.mem_addr is not None]
+    config = default_machine.memory_hierarchy_config()
+    hierarchy = CacheHierarchy(config)
+    for address in addresses:
+        hierarchy.access_data(address)
+    assert hierarchy.stats.data_accesses == len(addresses)
+    # The data side alone is one L1D stream: its misses are the stack
+    # distances' misses at the L1D's associativity.
+    l1d = StackDistanceProfiler(config.l1d.sets, config.l1d.line_size)
+    assert hierarchy.stats.l1d_misses == l1d.profile(addresses).misses(
+        config.l1d.associativity)
+
+
+def test_machine_profiling_on_a_workload(sha_trace, default_machine):
+    misses = profile_machine(sha_trace, default_machine)
+    assert misses.instructions == len(sha_trace)
+    replayed = profile_machine_replay(sha_trace, default_machine)
+    assert dataclasses.asdict(misses) == dataclasses.asdict(replayed)

@@ -306,7 +306,7 @@ def test_mixed_backend_batches_still_plan_correctly():
     requests = [
         EvalRequest(workload=WorkloadSpec("sha"), backend="analytical"),
         EvalRequest(workload=WorkloadSpec("sha"), backend="simulator"),
-        EvalRequest(workload=WorkloadSpec("sha"), backend="analytical_exact"),
+        EvalRequest(workload=WorkloadSpec("sha"), backend="analytical"),
     ]
     planned = _serialized(evaluate_many(requests))
     assert planned == _unplanned(requests)
@@ -328,13 +328,13 @@ def test_simulator_points_are_booked_to_the_simulate_stage():
 
     requests = [
         EvalRequest(workload=WorkloadSpec("sha"), backend="simulator"),
-        EvalRequest(workload=WorkloadSpec("sha"), backend="analytical_exact"),
+        EvalRequest(workload=WorkloadSpec("sha"), backend="analytical"),
     ]
     session = Session()
     (group,) = plan_requests(requests)
     results, stages = evaluate_group_timed(session, group)
     assert [result.backend for result in results] == [
-        "simulator", "analytical_exact"]
+        "simulator", "analytical"]
     assert stages["simulate"] > 0.0
     assert stages["model"] > 0.0
     # Simulator-only batches book nothing to the model stage.
@@ -345,13 +345,12 @@ def test_simulator_points_are_booked_to_the_simulate_stage():
 
 def test_power_sweep_shares_miss_profiles_across_machines():
     requests = default_design_space().to_sweep(
-        ["sha"], backends=("analytical", "analytical_exact"),
-        with_power=True).expand()
+        ["sha"], backends=("analytical",), with_power=True).expand()
     session = Session()
     planned = _serialized(evaluate_many(requests, session=session))
-    # One profile per memory hierarchy and predictor, per backend: 16 + 16
-    # (one per point, 384, when power requests took a per-point loop).
-    assert session.stats.miss_profiles_built == 32
+    # One profile per memory hierarchy and predictor: 16 (one per point,
+    # 192, when power requests took a per-point loop).
+    assert session.stats.miss_profiles_built == 16
     assert planned == _unplanned(requests)
 
 
@@ -359,7 +358,7 @@ def test_exact_profiling_is_booked_to_the_profile_stage():
     from repro.api.planner import evaluate_group_timed
 
     requests = [
-        EvalRequest(workload=WorkloadSpec("sha"), backend="analytical_exact",
+        EvalRequest(workload=WorkloadSpec("sha"), backend="analytical",
                     machine=MachineSpec.make(width=width))
         for width in (1, 2)
     ]
@@ -383,7 +382,7 @@ def _routing_batch(workloads, machines, with_power=False):
                     backend=backend, with_power=with_power)
         for name in workloads
         for machine in machines
-        for backend in ("analytical", "analytical_exact", "simulator")
+        for backend in ("analytical", "simulator")
     ]
 
 
@@ -578,8 +577,8 @@ def test_worker_returns_its_group_entries_it_built_earlier():
     assert first[0] == again[0]
     program, misses, simulations = again[2]
     assert program == first[2][0] and len(program) == 1
-    # One miss key, single-pass and exact; two simulated machines.
-    assert len(misses) == 2 and len(simulations) == 2
+    # One miss key; two simulated machines.
+    assert len(misses) == 1 and len(simulations) == 2
     assert build_group(worker, group)[2] is None  # nothing shipped
 
 
@@ -607,7 +606,7 @@ def _build_counters(session) -> tuple:
 
 
 _SLICES = [(backend, with_power, mlp_window)
-           for backend in ("analytical", "analytical_exact", "simulator")
+           for backend in ("analytical", "simulator")
            for with_power in (False, True)
            for mlp_window in (32, 64)]
 

@@ -431,6 +431,22 @@ class TestServedEval:
         assert "unknown workload" in info.value.message
         assert "sha" in info.value.message  # valid choices are listed
 
+    def test_wrongly_typed_sweep_override_is_400_naming_its_request(
+            self, client):
+        sweep = {"workloads": ["sha"],
+                 "axes": {"l2_size": ["512KB", 1.5e6]}}
+        status, reply = client._request("POST", "/v1/sweep",
+                                        json.dumps(sweep).encode())
+        assert status == 400
+        assert json.loads(reply)["error"].startswith(
+            "request[1]: size must be an int or a string")
+
+    def test_replay_backend_name_is_400(self, client):
+        body = json.dumps({"workload": "sha", "backend": "exact"})
+        status, reply = client._request("POST", "/v1/eval", body.encode())
+        assert status == 400
+        assert "unknown evaluation backend" in json.loads(reply)["error"]
+
     def test_unknown_preset_is_400_listing_choices(self, client):
         with pytest.raises(ServiceError) as info:
             client.evaluate({"workload": "sha", "machine": "warp_drive"})

@@ -1,14 +1,15 @@
-"""Equivalence suite: single-pass engine vs. legacy replay profiling.
+"""Equivalence suite: single-pass engine vs. the object-replay oracle.
 
 The stack-distance engine must reproduce the *exact* per-configuration
 :class:`~repro.profiler.machine_stats.MissProfile` (L1I/L1D/L2/TLB miss
-counts, MLP miss runs and branch statistics) of the legacy replay path.
+counts, MLP miss runs and branch statistics) of a full replay through the
+test oracle's cache hierarchy (``tests/memory_oracle.py``).
 The suite sweeps every MiBench workload across the Figure 5 design space
 (its reduced form, the one ``figure5.run`` uses by default) and a set of
 off-space geometries (smaller L1s, different line size, tiny TLB) that the
 design space itself never varies.
 
-The legacy side is memoized on the miss-relevant configuration fields —
+The replay side is memoized on the miss-relevant configuration fields —
 width/depth/frequency do not influence miss counts — so the suite replays
 each distinct hierarchy once while still asserting equality for every
 (workload, configuration) pair.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from memory_oracle import profile_machine_replay
 
 from repro.dse.space import reduced_design_space
 from repro.machine import MachineConfig
@@ -67,7 +69,7 @@ def test_engine_matches_replay_across_figure5_space(name):
     for machine in reduced_design_space().to_sweep(()).configurations():
         key = _replay_key(machine)
         if key not in replayed:
-            replayed[key] = _counts(profile_machine(trace, machine, exact=True))
+            replayed[key] = _counts(profile_machine_replay(trace, machine))
         assert _counts(engine.miss_profile(machine)) == replayed[key], (
             f"{name}: single-pass profile diverges from replay on {machine.name}"
         )
@@ -77,23 +79,22 @@ def test_engine_matches_replay_across_figure5_space(name):
 @pytest.mark.parametrize("name", ("sha", "dijkstra", "tiffmedian"))
 def test_engine_matches_replay_off_space(name, machine):
     trace = get_workload(name).trace()
-    exact = profile_machine(trace, machine, exact=True)
+    replayed = profile_machine_replay(trace, machine)
     fast = profile_machine(trace, machine)
-    assert _counts(fast) == _counts(exact)
+    assert _counts(fast) == _counts(replayed)
 
 
 def test_engine_matches_replay_with_custom_mlp_window():
     trace = get_workload("tiffmedian").trace()
     machine = MachineConfig(l2_size=128 * 1024)
     for window in (1, 16, 256):
-        exact = profile_machine(trace, machine, mlp_window=window, exact=True)
+        replayed = profile_machine_replay(trace, machine, mlp_window=window)
         fast = profile_machine(trace, machine, mlp_window=window)
-        assert fast.dl2_miss_runs == exact.dl2_miss_runs
+        assert fast.dl2_miss_runs == replayed.dl2_miss_runs
 
 
-def test_negative_effective_addresses_match_replay():
-    # A raw -1 in the mem_addrs column is a genuine address, not a sentinel;
-    # the engine must feed it to the caches exactly like the replay path.
+def negative_address_trace():
+    """Loads from effective address -1 and 0, twice each."""
     from repro.isa import ProgramBuilder
     from repro.trace import FunctionalSimulator
 
@@ -103,10 +104,16 @@ def test_negative_effective_addresses_match_replay():
         b.lw(2, 1, -1)
         b.lw(3, 1, 0)
     b.halt()
-    trace = FunctionalSimulator(b.build()).run()
+    return FunctionalSimulator(b.build()).run()
+
+
+def test_negative_effective_addresses_match_replay():
+    # A raw -1 in the mem_addrs column is a genuine address, not a sentinel;
+    # the engine must feed it to the caches exactly like the replay path.
+    trace = negative_address_trace()
     machine = MachineConfig()
     assert _counts(profile_machine(trace, machine)) == _counts(
-        profile_machine(trace, machine, exact=True)
+        profile_machine_replay(trace, machine)
     )
 
 
@@ -146,7 +153,7 @@ def test_spec_suite_smoke_equivalence():
             continue
         trace = get_workload(name).trace()
         assert _counts(profile_machine(trace, machine)) == _counts(
-            profile_machine(trace, machine, exact=True)
+            profile_machine_replay(trace, machine)
         ), name
 
 
