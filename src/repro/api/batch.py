@@ -180,7 +180,7 @@ def evaluate_many(requests: Iterable["EvalRequest | Mapping"], *,
     requests are grouped by workload and ordered by pass signature, so
     each profiling pass is computed exactly once per trace across the
     whole batch — also under sharding, where each group goes to one worker
-    and traces the parent already holds ship through the data plane.
+    and traces the parent already holds ship to it as column bytes.
     Planning only changes *where* work happens: the results equal
     request-by-request :func:`evaluate`, byte for byte.
 
@@ -215,7 +215,9 @@ def _run_batch(session: Session,
     whose trace and every profile or simulation it reads are already in
     the parent session's memos runs here, in process; every other group
     is shipped to the worker pool, which sends back what it built so the
-    next request for it is answered here too.  A ``jobs=1`` session runs
+    next request for it is answered here too, and the work it counted
+    (compilations, profiles, event sets), which is added to this
+    session's counters.  A ``jobs=1`` session runs
     every group in process and never routes.
     """
     import time
@@ -254,16 +256,15 @@ def _run_batch(session: Session,
                 pooled.append(group)
         session.stats.groups_inline += len(groups) - len(pooled)
         session.stats.groups_pooled += len(pooled)
-        # Ship traces the parent already holds through the active data
-        # plane — a shared-memory segment handle the workers attach
-        # zero-copy, or raw column bytes on platforms without POSIX
-        # shared memory; cold traces are built (or cache-loaded) by the
-        # worker that owns them.
-        if pooled:
+        # Ship traces the parent already holds as raw column bytes; cold
+        # traces are built (or cache-loaded) by the worker that owns them.
+        # With the circuit breaker open every group runs here, in the
+        # session that holds the trace, so nothing ships.
+        if pooled and not session.health.breaker_open:
             started = time.perf_counter()
             pooled = [
-                group.with_payload(session.ship_trace(group.workload,
-                                                      group.flags))
+                group.with_payload(session.trace_payload(group.workload,
+                                                         group.flags))
                 for group in pooled
             ]
             elapsed = time.perf_counter() - started
@@ -283,8 +284,9 @@ def _run_batch(session: Session,
             for index in group.indices:
                 results[index] = _failed_result(parsed[index], outcome.error)
             continue
-        answers, stages, memos = outcome
+        answers, stages, memos, work = outcome
         collect(group, answers, stages)
+        session.stats.add(work)
         if memos is not None:
             session.install_memos(group.workload, group.flags, memos)
     elapsed = time.perf_counter() - started

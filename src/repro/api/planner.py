@@ -14,15 +14,12 @@ pass four times.  The planner regroups the batch before any work starts:
   the parent session can answer from its memos (:func:`group_is_warm`)
   runs in the parent; every other group becomes one work item
   (:func:`build_group`) for :meth:`Session.map_resilient`.  A trace the
-  parent already holds ships to the worker through the active data
-  plane — a zero-copy shared-memory
-  :class:`~repro.runtime.dataplane.SegmentHandle` the worker attaches, or
-  raw column bytes (``array.tobytes``/``frombytes`` — see
-  :meth:`~repro.trace.trace.Trace.to_payload`) on platforms without POSIX
-  shared memory — instead of a pickled object graph, and the worker sends
-  back its profiles and simulations for the group's keys, which the
-  parent installs; cold traces are built by the owning worker, keeping cold
-  batches as parallel as before;
+  parent already holds ships to the worker as raw column bytes
+  (``array.tobytes``/``frombytes`` — see
+  :meth:`~repro.trace.trace.Trace.to_payload`) instead of a pickled
+  object graph, and the worker sends back its profiles and simulations
+  for the group's keys, which the parent installs; cold traces are built
+  by the owning worker, keeping cold batches as parallel as before;
 * machines are resolved, labelled and signed **once per distinct spec**
   per batch, into one machine table its groups share, instead of once
   per request;
@@ -54,7 +51,6 @@ from repro.api.backends import BACKENDS, get_backend
 from repro.api.spec import EvalRequest, EvalResult, MachineSpec
 from repro.machine import MachineConfig
 from repro.obs.tracing import emit_span, span
-from repro.runtime.dataplane import SegmentHandle, attach_trace
 from repro.trace.trace import Trace
 from repro.trace.trace_schema import TRACE_SCHEMA_VERSION
 
@@ -114,11 +110,12 @@ class PlannedGroup:
     entries: tuple[int, ...]
     #: One backend call each, computed at planning time.
     slices: tuple[Slice, ...]
-    #: Trace transport: a shared-memory ``SegmentHandle``, a column-bytes
-    #: payload dict, or ``None`` (the worker builds/loads the trace).
-    payload: "SegmentHandle | dict | None" = None
+    #: The parent-held trace as a column-bytes payload
+    #: (:meth:`~repro.trace.trace.Trace.to_payload`), or ``None`` (the
+    #: worker builds or cache-loads the trace).
+    payload: dict | None = None
 
-    def with_payload(self, payload) -> "PlannedGroup":
+    def with_payload(self, payload: dict | None) -> "PlannedGroup":
         return replace(self, payload=payload)
 
     def slice_machines(self, piece: Slice) -> list[MachineEntry]:
@@ -231,21 +228,15 @@ def _install_group_trace(session, group: PlannedGroup) -> None:
     """Adopt the group's shipped trace into the session (the attach stage).
 
     A persistent pool worker that already holds the workload from an
-    earlier batch skips the transport entirely — neither the segment
-    attach nor the payload deserialization is repeated.
+    earlier batch skips the payload deserialization entirely.
     """
     if group.payload is None or session.has_workload(group.workload,
                                                      group.flags):
         return
-    if isinstance(group.payload, SegmentHandle):
-        if group.payload.schema_version != group.trace_version:
-            raise ValueError("planned group carries a mismatched trace segment")
-        trace = attach_trace(group.payload)
-    else:
-        if group.payload["schema_version"] != group.trace_version:
-            raise ValueError("planned group carries a mismatched trace payload")
-        trace = Trace.from_payload(group.payload)
-    session.adopt_trace(group.workload, group.flags, trace)
+    if group.payload["schema_version"] != group.trace_version:
+        raise ValueError("planned group carries a mismatched trace payload")
+    session.adopt_trace(group.workload, group.flags,
+                        Trace.from_payload(group.payload))
 
 
 def group_is_warm(session, group: PlannedGroup) -> bool:
@@ -265,25 +256,36 @@ def group_is_warm(session, group: PlannedGroup) -> bool:
 
 
 def build_group(session, group: PlannedGroup) -> tuple:
-    """The pool's work unit: :func:`evaluate_group_timed` plus its memos.
+    """The pool's work unit: :func:`evaluate_group_timed` plus its memos
+    and the work it counted.
 
-    Returns ``(results, stages, memos)``.  When the group's trace was
-    shipped from the parent, ``memos`` holds this session's entries for
-    the group's own keys
+    Returns ``(results, stages, memos, work)``.  When the group's trace
+    was shipped from the parent, ``memos`` holds this session's entries
+    for the group's own keys
     (:meth:`~repro.runtime.session.Session.memo_entries`: the program
     profile, the miss profiles and the simulations it read, whether built
     now or by an earlier group), which the parent installs and then
     answers later requests for itself; ``None`` otherwise (the parent
-    does not hold that trace).
+    does not hold that trace).  ``work`` is a pool worker session's
+    :class:`~repro.runtime.session.SessionStats` delta over the group
+    (:meth:`~repro.runtime.session.SessionStats.work_since`), which the
+    parent adds to its own counters; it is empty when the group ran in
+    the parent (``jobs=1``, or the circuit breaker's serial fallback),
+    whose session counted the work already.
     """
+    from repro.runtime.scheduler import worker_session
+
+    counting = session is worker_session()
+    before = session.stats.as_dict() if counting else None
     results, stages = evaluate_group_timed(session, group)
+    work = session.stats.work_since(before) if counting else {}
     memos = None
     if group.payload is not None:
         memos = session.memo_entries(
             group.workload, group.flags,
             [(group.machines[entry].machine, request.mlp_window)
              for entry, request in zip(group.entries, group.requests)])
-    return results, stages, memos
+    return results, stages, memos, work
 
 
 def evaluate_group(session, group: PlannedGroup) -> list[EvalResult]:
@@ -297,7 +299,7 @@ def evaluate_group_timed(
 ) -> tuple[list[EvalResult], dict[str, float]]:
     """:func:`evaluate_group` plus the per-stage timing breakdown.
 
-    The returned mapping accounts the group's wall time to the data-plane
+    The returned mapping accounts the group's wall time to the batch
     stages ``attach`` (trace transport into this session), ``profile``
     (the program and miss profiles any backend call built, read off
     :attr:`Session.profile_seconds`), ``simulate`` (the rest of the calls

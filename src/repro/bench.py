@@ -40,13 +40,10 @@ Times the paths every PR is expected to keep fast:
   reference for the same traces is ``simulate_table2``),
 * ``sharded_evaluate_many`` — all 19 MiBench workloads x 4 machine
   presets through ``evaluate_many`` sharded across a **persistent 4-worker
-  pool**, four consecutive batches over parent-held traces on the active
-  data plane (shared memory where available), with the per-stage
-  ship/attach/profile/model/collect breakdown recorded next to the median,
-* ``sharded_evaluate_many_payload`` — the identical sharded run forced
-  onto the column-bytes payload plane; the ship/attach stage deltas
-  against ``sharded_evaluate_many`` are the data-plane win (in both,
-  the batches after the first are answered in the parent from the
+  pool**, four consecutive batches over parent-held traces shipped as
+  column-bytes payloads, with the per-stage
+  ship/attach/profile/model/collect breakdown recorded next to the median
+  (the batches after the first are answered in the parent from the
   profiles the workers sent back),
 * ``warm_served_batches`` — ten served-size batches (2 MiBench workloads
   x 24 Table-2 points, perfbench's ``served_sweep`` request shape) on a
@@ -95,16 +92,16 @@ Times the paths every PR is expected to keep fast:
 Each benchmark runs ``--repeat`` times with the garbage collector paused
 around the timed region (collector pauses otherwise dominate the variance
 of sub-second runs) and the *median* is reported.  The output schema
-(``schema_version`` 8) records the Python version, job count, active
-kernel backend, resolved data plane and the per-stage gate floor
+(``schema_version`` 9) records the Python version, job count, active
+kernel backend and the per-stage gate floor
 (``stage_tolerance_ms``) next to the results; benchmarks with a stage
 breakdown carry it (from the median run) in their entry:
 
 .. code-block:: json
 
-    {"schema_version": 8, "python_version": "3.11.7", "jobs": 1,
+    {"schema_version": 9, "python_version": "3.11.7", "jobs": 1,
      "repeats": 3, "accel_backend": "numpy", "accel_speedup": 5.3,
-     "dataplane": "shm", "stage_tolerance_ms": 50.0,
+     "stage_tolerance_ms": 50.0,
      "results": {"trace_generation": {"median": ..., "runs": [...]},
                  "long_workload_sampled": {"median": ..., "runs": [...],
                                            "sampling_rate": 64,
@@ -112,7 +109,6 @@ breakdown carry it (from the median run) in their entry:
                                            "true_error": ...,
                                            "peak_rss_mb": ...},
                  "sharded_evaluate_many": {"median": ..., "runs": [...],
-                                           "dataplane": "shm",
                                            "stages": {"ship": ...}}}}
 
 ``--compare REFERENCE.json`` turns the run into a regression gate: after
@@ -154,7 +150,7 @@ from repro.runtime.session import Session
 from repro.workloads import get_workload
 
 #: Version of the BENCH_core.json layout.
-BENCH_SCHEMA_VERSION = 8
+BENCH_SCHEMA_VERSION = 9
 
 #: Allowed tracing overhead on the sharded hot path, in percent: the
 #: ``obs_overhead`` compare gate fails when ``overhead_pct`` exceeds this
@@ -433,12 +429,12 @@ def bench_simulate_table2_space() -> tuple[float, dict]:
     }
 
 
-def _timed_sharded_evaluate_many(plane: str) -> tuple[float, dict]:
+def bench_sharded_evaluate_many() -> tuple[float, dict]:
     """19 workloads x 4 presets, four batches over a persistent 4-way pool.
 
     The parent session holds every trace before the timed region starts
     (adopted from payloads — trace generation is benchmarked separately),
-    so the first batch exercises the full data plane: ship from the
+    so the first batch exercises the full transport: ship from the
     parent, attach in the workers, then the profiling and model work, and
     the workers send the profiles they built back to the parent.  The
     three batches after it are answered in the parent from those
@@ -447,7 +443,6 @@ def _timed_sharded_evaluate_many(plane: str) -> tuple[float, dict]:
     """
     from repro.api import EvalRequest, MachineSpec, WorkloadSpec, evaluate_many
     from repro.machine import MACHINE_PRESETS
-    from repro.runtime import dataplane
     from repro.runtime.session import pooled_session
     from repro.trace.trace import Trace
     from repro.workloads.registry import suite_names
@@ -459,33 +454,17 @@ def _timed_sharded_evaluate_many(plane: str) -> tuple[float, dict]:
         for name in names
         for preset in MACHINE_PRESETS.names()
     ]
-    previous = dataplane.active_mode()
-    dataplane.set_mode(plane)
-    try:
-        with pooled_session(None, 4) as session:
-            for name in names:
-                session.adopt_trace(
-                    name, "O3", Trace.from_payload(_TABLE2_PAYLOADS[name])
-                )
-            start = time.perf_counter()
-            for _ in range(4):
-                evaluate_many(requests, session=session)
-            elapsed = time.perf_counter() - start
-            extras = {"dataplane": session.dataplane_mode(),
-                      "stages": session.stages.as_dict()}
-    finally:
-        dataplane.set_mode(previous)
-    return elapsed, extras
-
-
-def bench_sharded_evaluate_many() -> tuple[float, dict]:
-    """Sharded batches on the preferred data plane (shared memory)."""
-    return _timed_sharded_evaluate_many("auto")
-
-
-def bench_sharded_evaluate_many_payload() -> tuple[float, dict]:
-    """The identical sharded batches forced onto column-bytes payloads."""
-    return _timed_sharded_evaluate_many("payload")
+    with pooled_session(None, 4) as session:
+        for name in names:
+            session.adopt_trace(
+                name, "O3", Trace.from_payload(_TABLE2_PAYLOADS[name])
+            )
+        start = time.perf_counter()
+        for _ in range(4):
+            evaluate_many(requests, session=session)
+        elapsed = time.perf_counter() - start
+        stages = session.stages.as_dict()
+    return elapsed, {"stages": stages}
 
 
 #: Warm served-batch shape: perfbench ``served_sweep``'s requests (2
@@ -874,8 +853,6 @@ def bench_degraded_mode_evaluate() -> tuple[float, dict]:
             pooled_session(warmup.cache.root, 4) as session:
         evaluate_many(requests, session=holding_traces(warmup))  # pooled
         holding_traces(session)
-        for name in names:
-            session.publish_trace(name)
         session.health.trip_breaker()
         start = time.perf_counter()
         evaluate_many(requests, session=session)
@@ -1002,7 +979,6 @@ BENCHES = {
     "simulate_table2": bench_simulate_table2,
     "simulate_table2_space": bench_simulate_table2_space,
     "sharded_evaluate_many": bench_sharded_evaluate_many,
-    "sharded_evaluate_many_payload": bench_sharded_evaluate_many_payload,
     "warm_served_batches": bench_warm_served_batches,
     "served_sweep_codec": bench_served_sweep_codec,
     "obs_overhead": bench_obs_overhead,
@@ -1019,7 +995,6 @@ _JOB_AWARE = {"session_cached_rerun", "api_batch_evaluate"}
 def run(output: Path, repeat: int = 3, jobs: int = 1,
         stage_tolerance_ms: float = DEFAULT_STAGE_TOLERANCE_MS) -> dict:
     from repro.accel import active_backend
-    from repro.runtime.dataplane import active_mode
 
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
@@ -1057,7 +1032,6 @@ def run(output: Path, repeat: int = 3, jobs: int = 1,
         "jobs": jobs,
         "repeats": repeat,
         "accel_backend": active_backend(),
-        "dataplane": active_mode(),
         "stage_tolerance_ms": stage_tolerance_ms,
         "results": results,
     }

@@ -2,14 +2,14 @@
 
 Before this module the runtime grew three parallel metric implementations
 — :class:`~repro.service.metrics.ServiceMetrics` (HTTP counters and
-latency windows), :class:`~repro.runtime.dataplane.StageTimings` (per-stage
+latency windows), :class:`~repro.runtime.session.StageTimings` (per-stage
 wall time) and :class:`~repro.runtime.session.SessionStats` (cache-hit
 counters) — none of which composed or exported.  All three are now thin
 adapters over one :class:`MetricsRegistry`, so every number the system
 tracks lives behind the same three instrument kinds:
 
 * :class:`Counter` — monotonically accumulating totals (requests served,
-  traces generated, seconds spent in a data-plane stage);
+  traces generated, seconds spent in a batch stage);
 * :class:`Gauge` — point-in-time values that move both ways (in-flight
   requests, queue depth);
 * :class:`Histogram` — observation distributions with cumulative buckets

@@ -20,8 +20,8 @@ Design constraints, in order:
    single ``os.write`` to an ``O_APPEND`` descriptor, which POSIX keeps
    atomic across the parent and spawned pool workers writing the same
    file.  Workers are configured through the pool initializer
-   (:func:`worker_config` / :func:`apply_worker_config`), mirroring how
-   the data-plane mode ships today — spawned children inherit nothing.
+   (:func:`worker_config` / :func:`apply_worker_config`), like the
+   fault plan — spawned children inherit nothing.
 3. **Perfetto-ready.**  Each line is a Chrome trace-event ``"X"``
    (complete) event — ``ts`` in wall-clock microseconds, ``dur`` from the
    monotonic clock, ``pid``/``tid`` real, span/trace ids under ``args`` —

@@ -4,10 +4,10 @@ Three pieces, all stdlib-only:
 
 * :mod:`repro.resilience.faults` — a seeded, env/CLI-configurable fault
   plan (``REPRO_FAULTS`` / ``--faults plan.json``) with injection points
-  registered at the real seams (worker entry, cache read/write, dataplane
-  publish/attach, HTTP accept/read/write, job-queue admission) that can
-  raise, delay, corrupt bytes, or kill the worker process — deterministic
-  per seed, so failures reproduce in CI;
+  registered at the real seams (worker entry, cache read/write, HTTP
+  accept/read/write, job-queue admission) that can raise, delay, corrupt
+  bytes, or kill the worker process — deterministic per seed, so
+  failures reproduce in CI;
 * :mod:`repro.resilience.containment` — the scheduler's failure policy:
   per-unit retry budgets with exponential backoff, bisection quarantine of
   poison units, and a consecutive-crash circuit breaker that degrades

@@ -52,8 +52,6 @@ POINTS = (
     "worker.entry",       # scheduler: a unit entering a pool worker
     "cache.read",         # ArtifactCache.load
     "cache.write",        # ArtifactCache.store (corrupt: bytes on disk)
-    "dataplane.publish",  # SegmentRegistry.publish
-    "dataplane.attach",   # attach_trace, after the segment is mapped
     "http.accept",        # server: a connection was accepted
     "http.read",          # server: about to read the request
     "http.write",         # server: about to write the response

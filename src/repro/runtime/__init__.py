@@ -6,11 +6,10 @@ drivers:
 * :mod:`repro.runtime.artifacts` — content-addressed on-disk cache for
   traces, program profiles and single-pass engine state;
 * :mod:`repro.runtime.session` — the :class:`Session` owning workload
-  compilation, trace generation and miss-profile reuse;
+  compilation, trace generation and miss-profile reuse, and its
+  per-stage batch timings;
 * :mod:`repro.runtime.scheduler` — persistent pre-warmed process-pool
   sharding of session work across workloads/configurations (``--jobs N``);
-* :mod:`repro.runtime.dataplane` — zero-copy shared-memory trace
-  transport (segments, refcounted registry, per-stage timings);
 * :mod:`repro.runtime.registry` — the declarative ``@experiment`` registry
   the CLI is built on;
 * :mod:`repro.runtime.result` / :mod:`repro.runtime.reporters` — the typed
@@ -18,12 +17,6 @@ drivers:
 """
 
 from repro.runtime.artifacts import ArtifactCache
-from repro.runtime.dataplane import (
-    SegmentHandle,
-    SegmentRegistry,
-    StageTimings,
-    attach_trace,
-)
 from repro.runtime.registry import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -35,15 +28,18 @@ from repro.runtime.registry import (
 from repro.runtime.reporters import render, render_many
 from repro.runtime.result import ExperimentResult
 from repro.runtime.scheduler import WorkerPool, session_map
-from repro.runtime.session import Session, SessionSpec, SessionStats, pooled_session
+from repro.runtime.session import (
+    Session,
+    SessionSpec,
+    SessionStats,
+    StageTimings,
+    pooled_session,
+)
 
 __all__ = [
     "ArtifactCache",
-    "SegmentHandle",
-    "SegmentRegistry",
     "StageTimings",
     "WorkerPool",
-    "attach_trace",
     "EXPERIMENTS",
     "ExperimentSpec",
     "ExperimentResult",

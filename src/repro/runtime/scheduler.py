@@ -5,15 +5,17 @@ module-level function (it is pickled by reference) and ``item`` a picklable
 work description — typically a planned sweep group or a benchmark name.
 Each worker process owns its own :class:`~repro.runtime.session.Session`
 bound to the same cache directory as the parent, so traces and profiling
-passes flow between processes through the on-disk artifact cache (or the
-shared-memory data plane) rather than through pickled arguments.
+passes flow between processes through the on-disk artifact cache rather
+than through pickled arguments; the one exception is a trace the parent
+already holds, which the sweep planner ships as column bytes
+(:meth:`~repro.trace.trace.Trace.to_payload`).
 
 The pool is **persistent and pre-warmed**: a session creates its
 :class:`WorkerPool` once and reuses it for every subsequent ``map`` call,
-so worker sessions keep their attached shared-memory segments, adopted
-traces and warm :class:`~repro.profiler.single_pass_engine.SinglePassEngine`
-passes between batches (a resident engine's kept L1-miss streams answer new
-L2 geometries without another trace walk) — a later request a
+so worker sessions keep their adopted traces and warm
+:class:`~repro.profiler.single_pass_engine.SinglePassEngine` passes
+between batches (a resident engine's kept L1-miss streams answer new L2
+geometries without another trace walk) — a later request a
 :mod:`repro.service` server sends to the pool pays zero pool spawn, zero
 trace transport and zero repeated profiling passes.  Pooled sweep groups
 whose trace the parent shipped also send back their profiles and
@@ -37,6 +39,8 @@ pool keeps dying trips a circuit breaker into serial in-process execution
 from __future__ import annotations
 
 import os
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, Iterable
 
@@ -46,23 +50,49 @@ from repro.resilience.containment import resilient_map, unit_label
 
 #: The per-process session of pool workers (created by the initializer).
 _WORKER_SESSION = None
+#: The worker's parent-death watcher thread (started once per process).
+_WATCHER: threading.Thread | None = None
+
+
+def start_parent_watch(parent_pid: int, interval: float = 1.0) -> None:
+    """Exit when the parent process disappears.
+
+    Pool workers call this from their initializer: a worker orphaned by a
+    parent crash re-parents (``getppid`` changes) and exits instead of
+    idling forever.
+    """
+    global _WATCHER
+    if _WATCHER is not None or os.getppid() != parent_pid:
+        return
+
+    def _watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(interval)
+        os._exit(2)
+
+    _WATCHER = threading.Thread(target=_watch, daemon=True,
+                                name="repro-parent-watch")
+    _WATCHER.start()
 
 
 def _worker_init(spec, parent_pid: int, obs_config=None,
                  faults_config=None) -> None:
     global _WORKER_SESSION
-    from repro.runtime import dataplane
 
     # Workers run their shard inline (nested pools would oversubscribe),
-    # so they never ship a trace and need no data plane of their own.
+    # so they never ship a trace themselves.
     _WORKER_SESSION = spec.create(jobs=1)
     # Pin the span sink and fault plan the parent resolved (spawned
     # workers cannot rely on inherited module state) and watch for the
-    # parent disappearing — an orphaned worker detaches its segments and
-    # exits.
+    # parent disappearing — an orphaned worker exits.
     tracing.apply_worker_config(obs_config)
     faults.apply_worker_config(faults_config)
-    dataplane.start_parent_watch(parent_pid)
+    start_parent_watch(parent_pid)
+
+
+def worker_session():
+    """This pool worker's session (``None`` outside pool workers)."""
+    return _WORKER_SESSION
 
 
 def _worker_call(payload):
@@ -79,8 +109,7 @@ class WorkerPool:
 
     Wraps the sole ``ProcessPoolExecutor`` of the tree.  Workers are
     initialized once with their own session, then reused across every
-    batch until :meth:`close` — the "pre-warmed" half of the data plane
-    refactor.
+    batch until :meth:`close`.
     """
 
     #: Pools constructed process-wide (the pool-churn regression tests

@@ -28,7 +28,7 @@ import tempfile
 import time
 import weakref
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.machine import MachineConfig
 from repro.obs.tracing import span
@@ -39,7 +39,6 @@ from repro.profiler.single_pass_engine import (
     SinglePassEngine,
     miss_key,
 )
-from repro.resilience.faults import InjectedFault
 from repro.runtime.artifacts import MISSING, ArtifactCache
 from repro.trace.trace import Trace
 from repro.trace.trace_schema import TRACE_SCHEMA_VERSION
@@ -82,6 +81,9 @@ SESSION_EVENTS = (
     "groups_pooled",
 )
 
+#: The counters of where a batch ran rather than of work done.
+ROUTING_EVENTS = ("groups_inline", "groups_pooled")
+
 
 class SessionStats:
     """Work counters; the warm-cache tests assert the zeros directly.
@@ -112,6 +114,19 @@ class SessionStats:
         return {event: int(self._family.labels(event=event).value)
                 for event in SESSION_EVENTS}
 
+    def work_since(self, before: Mapping[str, int]) -> dict[str, int]:
+        """The work counted since ``before`` (an earlier :meth:`as_dict`),
+        non-zero events only; the routing counters are left out, since
+        only the session that routes a batch counts them."""
+        return {event: count - before[event]
+                for event, count in self.as_dict().items()
+                if event not in ROUTING_EVENTS and count != before[event]}
+
+    def add(self, counts: Mapping[str, int]) -> None:
+        """Add ``counts`` (e.g. a pool worker's :meth:`work_since`)."""
+        for event, count in counts.items():
+            self._family.labels(event=event).inc(count)
+
 
 def _session_event_property(event: str) -> property:
     def _get(self) -> int:
@@ -126,6 +141,71 @@ def _session_event_property(event: str) -> property:
 for _event in SESSION_EVENTS:
     setattr(SessionStats, _event, _session_event_property(_event))
 del _event
+
+
+class StageTimings:
+    """Accumulated wall time per batch stage.
+
+    Stages: ``ship`` (parent copies parent-held traces into payload
+    bytes), ``attach`` (worker rebuilds a shipped trace), ``profile``
+    (single-pass engine passes + program profiles), ``model``
+    (mechanistic-model evaluation; scalar backends fold their profiling
+    in here) and ``collect`` (parent-side result reassembly), plus
+    ``simulate`` (the cycle-accurate simulator backend) for batches that
+    have simulator points — reported after the canonical five.  Worker
+    timings travel back with each group's results and are merged here.
+
+    A thin adapter over a :class:`~repro.obs.metrics.MetricsRegistry`
+    counter family (``stage_seconds_total{stage=...}``): passing the
+    session's registry makes the stage totals show up in the Prometheus
+    exposition for free, while this class keeps the canonical ordering
+    and rounding the reports rely on.
+    """
+
+    ORDER = ("ship", "attach", "profile", "model", "collect")
+
+    __slots__ = ("_family",)
+
+    def __init__(self, registry=None):
+        from repro.obs.metrics import MetricsRegistry
+
+        if registry is None:
+            registry = MetricsRegistry()
+        self._family = registry.counter(
+            "stage_seconds_total",
+            "Accumulated wall time per batch stage.",
+            labels=("stage",),
+        )
+
+    def add(self, stage: str, seconds: float) -> None:
+        self._family.labels(stage=stage).inc(seconds)
+
+    def _raw(self) -> dict[str, float]:
+        return {child.label_values[0]: child.value
+                for child in self._family.children()}
+
+    def merge(self, stages: "Mapping[str, float] | StageTimings | None") -> None:
+        if not stages:
+            return
+        items = stages._raw() if isinstance(stages, StageTimings) else stages
+        for stage, seconds in items.items():
+            self.add(stage, seconds)
+
+    def clear(self) -> None:
+        self._family.reset()
+
+    def __bool__(self) -> bool:
+        return any(child.value for child in self._family.children())
+
+    def __iter__(self) -> Iterator[tuple[str, float]]:
+        return iter(self.as_dict().items())
+
+    def as_dict(self) -> dict[str, float]:
+        """Seconds per stage, canonical order first, rounded for reports."""
+        raw = self._raw()
+        ordered = [stage for stage in self.ORDER if stage in raw]
+        ordered += sorted(set(raw) - set(self.ORDER))
+        return {stage: round(raw[stage], 6) for stage in ordered}
 
 
 class _IntervalProfileCache:
@@ -153,8 +233,6 @@ class Session:
 
     def __init__(self, cache_dir=None, jobs: int = 1):
         from repro.obs.metrics import MetricsRegistry
-        from repro.runtime.dataplane import StageTimings
-
         from repro.resilience.containment import PoolHealth, RetryPolicy
 
         if jobs < 1:
@@ -182,13 +260,6 @@ class Session:
         #: The persistent worker pool (created on first sharded map).
         self._pool = None
         self._pool_finalizer = None
-        #: Shared-memory segment registry (created on first publish).
-        self._segments = None
-        self._segments_finalizer = None
-        #: (name, flags) -> SegmentHandle of published traces.
-        self._segment_handles: dict[tuple[str, str], object] = {}
-        #: Set when shared memory failed at runtime: fall back to payloads.
-        self._dataplane_failed = False
         self._workloads: dict[tuple[str, str], Workload] = {}
         #: id(trace) -> (name, flags) for traces this session manages.
         self._trace_tokens: dict[int, tuple[str, str]] = {}
@@ -312,84 +383,6 @@ class Session:
         if workload is None:
             return None
         return workload.trace().to_payload()
-
-    # ------------------------------------------------------------------
-    # Data plane: shared-memory publishing.
-    # ------------------------------------------------------------------
-    def _segment_registry(self):
-        from repro.runtime.dataplane import (
-            SegmentRegistry,
-            shared_memory_available,
-        )
-
-        if self._segments is None:
-            if self._dataplane_failed or not shared_memory_available():
-                self._dataplane_failed = True
-                return None
-            self._segments = SegmentRegistry()
-            self._segments_finalizer = weakref.finalize(
-                self, SegmentRegistry.close, self._segments
-            )
-        return self._segments
-
-    def publish_trace(self, name: str, flags: str = "O3"):
-        """The :class:`~repro.runtime.dataplane.SegmentHandle` of a
-        parent-held trace, publishing it into shared memory on first use.
-
-        Memoized per ``(name, flags)``: across every later batch — and,
-        through the service's shared session, across every later request —
-        the same segment is reused and only the tiny handle travels.
-        Returns ``None`` when the trace is not loaded (same contract as
-        :meth:`trace_payload`) or when shared memory is unusable (the
-        caller falls back to payload shipping).
-        """
-        key = (name, flags)
-        handle = self._segment_handles.get(key)
-        if handle is not None:
-            return handle
-        workload = self._workloads.get(key)
-        if workload is None:
-            return None
-        registry = self._segment_registry()
-        if registry is None:
-            return None
-        try:
-            handle = registry.publish(workload.trace())
-        except (OSError, InjectedFault):
-            # /dev/shm full or withdrawn mid-run (or a fault-plan rule at
-            # the publish seam): degrade to payloads and report it
-            # (dataplane_mode()) instead of failing the batch.
-            self._dataplane_failed = True
-            return None
-        self._segment_handles[key] = handle
-        return handle
-
-    def ship_trace(self, name: str, flags: str = "O3"):
-        """Transport form of a parent-held trace for pool workers.
-
-        The active data plane decides the form: a shared-memory
-        :class:`~repro.runtime.dataplane.SegmentHandle` (``shm``) or raw
-        column bytes (``payload``), with automatic degradation when shared
-        memory is unavailable or fails.  ``None`` when this session does
-        not hold the trace (the worker builds or cache-loads it).
-        """
-        from repro.runtime.dataplane import active_mode
-
-        if active_mode() == "shm" and not self._dataplane_failed:
-            handle = self.publish_trace(name, flags)
-            if handle is not None:
-                return handle
-        return self.trace_payload(name, flags)
-
-    def dataplane_mode(self) -> str:
-        """The data plane this session actually uses (``shm``/``payload``).
-
-        Reported in ``/v1/metrics`` and ``repro bench``: ``payload`` once
-        publishing a shared-memory segment has failed in this session.
-        """
-        from repro.runtime.dataplane import active_mode
-
-        return "payload" if self._dataplane_failed else active_mode()
 
     def trace(self, name: str, flags: str = "O3") -> Trace:
         return self.workload(name, flags).trace()
@@ -643,8 +636,8 @@ class Session:
 
         Workers stay alive across every :meth:`map` call — and, for the
         service's shared session, across requests — holding their adopted
-        traces, attached shared-memory segments and warm single-pass
-        engine state, so only the first batch pays spawn and transport.
+        traces and warm single-pass engine state, so only the first batch
+        pays spawn and transport.
         """
         from repro.runtime.scheduler import WorkerPool
 
@@ -665,21 +658,13 @@ class Session:
             pool.close()
 
     def close(self) -> None:
-        """Release pooled workers and published shared-memory segments.
+        """Release the pooled workers.
 
-        Idempotent; also run by GC finalizers and — last resort — the data
-        plane's ``atexit`` hook, so segments cannot outlive the process
-        even when a caller forgets.  :func:`pooled_session` closes its
-        session on exit.
+        Idempotent; also run by the pool's GC finalizer, so workers do not
+        outlive a session a caller forgot to close.  :func:`pooled_session`
+        closes its session on exit.
         """
         self.reset_pool()
-        segments, self._segments = self._segments, None
-        if self._segments_finalizer is not None:
-            self._segments_finalizer.detach()
-            self._segments_finalizer = None
-        self._segment_handles.clear()
-        if segments is not None:
-            segments.close()
 
     def map(self, fn: Callable, items: Iterable) -> list:
         """Apply a module-level ``fn(session, item)`` across ``items``.
@@ -719,7 +704,6 @@ class Session:
     def summary(self) -> dict:
         """Counters for the CLI's end-of-run session report."""
         return {**self.stats.as_dict(),
-                "dataplane": self.dataplane_mode(),
                 "stages": self.stages.as_dict(),
                 "artifact_cache": self.cache.stats.as_dict(),
                 "resilience": self.health.as_dict()}
@@ -740,7 +724,7 @@ def pooled_session(cache_dir=None, jobs: int = 1) -> Iterator[Session]:
                 tempfile.TemporaryDirectory(prefix="repro-cache-")
             )
         session = Session(cache_dir=cache_dir, jobs=jobs)
-        # LIFO: the pool and shared-memory segments are released before
-        # the temporary cache directory the workers were bound to.
+        # LIFO: the pool is released before the temporary cache
+        # directory its workers were bound to.
         stack.callback(session.close)
         yield session

@@ -542,7 +542,6 @@ class EvalServer:
         from repro.accel import active_backend
 
         payload["accel_backend"] = active_backend()
-        payload["dataplane"] = self.session.dataplane_mode()
         return 200, _json_body(payload)
 
     def _render_prometheus(self) -> tuple[int, bytes, str]:

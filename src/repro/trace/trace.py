@@ -313,8 +313,8 @@ class Trace:
         counter = getattr(column, "count", None)
         if counter is not None:
             return counter(target)
-        # memoryview column (shared-memory attached trace): one byte per
-        # element, so counting the raw bytes counts the elements.
+        # memoryview column (a ChunkedTrace chunk): one byte per element,
+        # so counting the raw bytes counts the elements.
         return column.tobytes().count(target.to_bytes(1, "little"))
 
     def instruction_mix(self) -> dict[OpClass, int]:

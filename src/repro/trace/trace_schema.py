@@ -1,10 +1,10 @@
 """Single source of truth for the columnar trace layout.
 
 Every component that serializes, ships or memory-maps trace columns — the
-payload transport in :mod:`repro.trace.trace`, the shared-memory data plane in
-:mod:`repro.runtime.dataplane`, the on-disk spill store and the portable
-ingestion format in :mod:`repro.trace.store` — consumes :data:`TRACE_COLUMNS`
-from here, so the column set and element types cannot drift between layers.
+payload transport in :mod:`repro.trace.trace`, the on-disk spill store and
+the portable ingestion format in :mod:`repro.trace.store` — consumes
+:data:`TRACE_COLUMNS` from here, so the column set and element types cannot
+drift between layers.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ COLUMN_TYPECODES: dict[str, str] = dict(TRACE_COLUMNS)
 def column_typecode(column) -> str:
     """``array.typecode``, or the format of a ``memoryview`` column.
 
-    Traces attached through the shared-memory data plane or mapped from a
-    spill store carry ``memoryview`` casts of a mapped buffer instead of
-    ``array`` objects; both expose the same element type, under different
-    attribute names.
+    The chunks of a :class:`~repro.trace.trace.ChunkedTrace` — memory-mapped
+    from a spill store, or sliced from an in-memory trace — carry
+    ``memoryview`` columns instead of ``array`` objects; both expose the
+    same element type, under different attribute names.
     """
     typecode = getattr(column, "typecode", None)
     return typecode if typecode is not None else column.format

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -544,7 +545,9 @@ class TestEvalCLI:
         request_file.write_text(json.dumps({
             "workloads": ["sha", "dijkstra"],
             "machines": ["paper_default", "big_l2_1mb"],
+            "backends": ["analytical", "simulator"],
         }))
+        work = {}
         for jobs, routed in (("1", "groups_inline=0 groups_pooled=0"),
                              ("2", "groups_inline=0 groups_pooled=2")):
             stderr = io.StringIO()
@@ -553,6 +556,18 @@ class TestEvalCLI:
                 assert cli_main(["eval", str(request_file),
                                  "--jobs", jobs]) == 0
             assert routed in stderr.getvalue()
+            work[jobs] = {
+                event: re.search(rf"\b{event}=(\d+)", stderr.getvalue())[1]
+                for event in ("workloads_compiled", "traces_generated",
+                              "miss_profiles_built", "sim_event_sets_built",
+                              "sim_timing_loops_run")
+            }
+        # The pool workers' work is counted in the parent's report, the
+        # same as when the parent does it all.
+        assert work["2"] == work["1"]
+        assert work["2"]["traces_generated"] == "2"
+        assert work["2"]["miss_profiles_built"] != "0"
+        assert work["2"]["sim_event_sets_built"] != "0"
 
     def test_eval_backends_flag(self):
         output = self._run(["eval", "--backends"])

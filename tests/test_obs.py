@@ -31,7 +31,6 @@ from repro.obs.report import (
     to_chrome_trace,
 )
 from repro.obs.tracing import TraceContext
-from repro.runtime import dataplane
 from repro.runtime.session import pooled_session
 
 
@@ -483,10 +482,8 @@ class TestTracingInvariance:
     @pytest.fixture(autouse=True)
     def _restore_backends(self):
         previous_accel = accel.active_backend()
-        previous_plane = dataplane.active_mode()
         yield
         accel.set_backend(previous_accel)
-        dataplane.set_mode(previous_plane)
 
     def _on_off(self, tmp_path, run):
         tracing.configure(None)
@@ -508,9 +505,7 @@ class TestTracingInvariance:
         )
         assert off == on
 
-    @pytest.mark.parametrize("plane", ["shm", "payload"])
-    def test_sharded_output_identical_on_both_planes(self, tmp_path, plane):
-        dataplane.set_mode(plane)
+    def test_sharded_output_identical(self, tmp_path):
         requests = _requests()
 
         def run():

@@ -177,7 +177,7 @@ def test_pickled_spec_carries_no_cached_hash():
 
 
 # ----------------------------------------------------------------------
-# Zero-copy trace transport.
+# Trace transport: column-bytes payloads.
 # ----------------------------------------------------------------------
 def test_trace_payload_round_trip():
     trace = get_workload("sha").trace()
@@ -223,67 +223,20 @@ def test_adopted_trace_skips_compilation_in_the_worker():
     assert worker.stats.traces_generated == 0
 
 
+def test_group_payload_schema_mismatch_rejected():
+    parent = Session()
+    (group,) = plan_requests(
+        [EvalRequest(workload=WorkloadSpec("sha"))], jobs=1)
+    stale = dict(parent.workload("sha").trace().to_payload(),
+                 schema_version=-1)
+    with pytest.raises(ValueError, match="mismatched trace payload"):
+        evaluate_group(Session(), group.with_payload(stale))
+
+
 def test_adopt_trace_rejects_unknown_flags():
     trace = get_workload("sha").trace()
     with pytest.raises(ValueError, match="compiler flags"):
         Session().adopt_trace("sha", "O9", trace)
-
-
-def test_segment_handle_payload_attaches_without_compilation():
-    from repro.runtime.dataplane import (
-        SegmentRegistry,
-        detach_all,
-        shared_memory_available,
-    )
-
-    if not shared_memory_available():
-        pytest.skip("POSIX shared memory unavailable")
-    parent = Session()
-    registry = SegmentRegistry()
-    try:
-        handle = registry.publish(parent.workload("sha").trace())
-        requests = [
-            EvalRequest(workload=WorkloadSpec("sha"),
-                        machine=MachineSpec(preset))
-            for preset in ("paper_default", "big_l2_1mb")
-        ]
-        (group,) = plan_requests(requests, jobs=1)
-        worker = Session()
-        results = evaluate_group(worker, group.with_payload(handle))
-        assert len(results) == len(requests)
-        assert worker.stats.workloads_compiled == 0
-        assert worker.stats.traces_generated == 0
-        # Same answers as the payload-dict transport.
-        payload_results = evaluate_group(
-            Session(), group.with_payload(parent.trace_payload("sha")))
-        assert ([r.to_dict() for r in results]
-                == [r.to_dict() for r in payload_results])
-    finally:
-        detach_all()
-        registry.close()
-
-
-def test_segment_handle_schema_mismatch_rejected():
-    from dataclasses import replace
-
-    from repro.runtime.dataplane import (
-        SegmentRegistry,
-        shared_memory_available,
-    )
-
-    if not shared_memory_available():
-        pytest.skip("POSIX shared memory unavailable")
-    parent = Session()
-    registry = SegmentRegistry()
-    try:
-        handle = registry.publish(parent.workload("sha").trace())
-        (group,) = plan_requests(
-            [EvalRequest(workload=WorkloadSpec("sha"))], jobs=1)
-        stale = replace(handle, schema_version=-1)
-        with pytest.raises(ValueError, match="mismatched trace segment"):
-            evaluate_group(Session(), group.with_payload(stale))
-    finally:
-        registry.close()
 
 
 # ----------------------------------------------------------------------
@@ -467,11 +420,15 @@ def test_rerun_after_a_pooled_batch_is_answered_in_the_parent():
         session = _warm_pool_session(stack)
         first = _serialized(evaluate_many(requests, session=session))
         assert session.stats.groups_pooled == 2
-        assert session.stats.miss_profiles_built == 0  # the pool built them
+        # The pool built them (16 miss keys a trace), and they are
+        # counted here; the parent profiled nothing itself.
+        assert session.stats.miss_profiles_built == 32
+        assert session.profile_seconds == 0.0
         again = _serialized(evaluate_many(requests, session=session))
         assert session.stats.groups_inline == 2
         assert session.stats.groups_pooled == 2
-        assert session.stats.miss_profiles_built == 0
+        assert session.stats.miss_profiles_built == 32
+        assert session.profile_seconds == 0.0
     assert first == again
 
 
@@ -490,7 +447,9 @@ def test_power_needs_profiles_beyond_the_simulations():
                                             session=session))
         assert session.stats.groups_inline == 0
         assert session.stats.groups_pooled == 4
-        assert session.stats.miss_profiles_built == 0
+        # The workers built the energy's miss profiles, not the parent.
+        assert session.stats.miss_profiles_built == 2
+        assert session.profile_seconds == 0.0
     assert powered == _serialized(evaluate_many(simulated(True),
                                                 session=Session()))
 
@@ -582,6 +541,26 @@ def test_worker_returns_its_group_entries_it_built_earlier():
     assert build_group(worker, group)[2] is None  # nothing shipped
 
 
+def test_worker_reports_the_work_it_counted(monkeypatch):
+    """A pool worker's group returns its counter delta; a group run in
+    the parent returns none, since the parent counted it already."""
+    from repro.api.planner import build_group
+    from repro.runtime import scheduler
+
+    requests = _routing_batch(("sha",), _machines("256KB"), with_power=True)
+    (group,) = plan_requests(requests)
+    parent = Session()
+    assert build_group(parent, group)[3] == {}
+    assert parent.stats.traces_generated == 1
+    worker = Session()
+    monkeypatch.setattr(scheduler, "_WORKER_SESSION", worker)
+    work = build_group(worker, group)[3]
+    assert work["traces_generated"] == 1
+    assert work["miss_profiles_built"] == 1
+    assert "groups_pooled" not in work and "groups_inline" not in work
+    assert build_group(worker, group)[3] == {}  # nothing new to build
+
+
 def test_parent_that_loads_the_trace_later_answers_it_inline():
     from repro.runtime.session import pooled_session
 
@@ -595,7 +574,7 @@ def test_parent_that_loads_the_trace_later_answers_it_inline():
         warm = _serialized(evaluate_many(requests, session=session))
         assert (session.stats.groups_inline,
                 session.stats.groups_pooled) == (1, 2)
-        assert session.stats.miss_profiles_built == 0
+        assert session.profile_seconds == 0.0  # the pool built them all
     assert warm == cold
 
 

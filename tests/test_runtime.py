@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
+import signal
+
 import pytest
 
+from repro import accel
+from repro.api import evaluate_many
 from repro.machine import DEFAULT_MACHINE, MachineConfig
 from repro.runtime import ArtifactCache, ExperimentResult, Session
 from repro.runtime.artifacts import MISSING
 from repro.runtime.reporters import render, render_csv, render_text
 from repro.runtime.scheduler import session_map
+from repro.runtime.session import StageTimings, pooled_session
 
 
 # ----------------------------------------------------------------------------
@@ -277,6 +285,143 @@ class TestScheduler:
         assert len(results) == 1
         # Inline execution used the parent session, observable via its stats.
         assert session.stats.miss_profiles_built == 1
+
+
+# ----------------------------------------------------------------------------
+# Sharded evaluation over the persistent pool.
+# ----------------------------------------------------------------------------
+def _requests(workloads=("sha", "dijkstra"),
+              presets=("paper_default", "big_l2_1mb")):
+    from repro.api.spec import EvalRequest, MachineSpec, WorkloadSpec
+
+    return [
+        EvalRequest(workload=WorkloadSpec(name), machine=MachineSpec(preset))
+        for name in workloads
+        for preset in presets
+    ]
+
+
+def _serialized(results) -> str:
+    return json.dumps([result.to_dict() for result in results])
+
+
+class TestShardedParity:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_sharded_evaluate_many_is_byte_identical_to_serial(self, backend):
+        if backend not in [name for name, usable
+                           in accel.available_backends().items() if usable]:
+            pytest.skip(f"kernel backend {backend} unavailable")
+        requests = _requests()
+        previous = accel.active_backend()
+        accel.set_backend(backend)
+        try:
+            serial = _serialized(evaluate_many(requests, session=Session()))
+            with pooled_session(None, 4) as session:
+                for name in ("sha", "dijkstra"):
+                    session.workload(name)  # parent-held: exercises ship
+                sharded = _serialized(evaluate_many(requests,
+                                                    session=session))
+            assert sharded == serial
+        finally:
+            accel.set_backend(previous)
+
+    def test_stage_breakdown_recorded_for_sharded_batches(self):
+        with pooled_session(None, 2) as session:
+            for name in ("sha", "dijkstra"):
+                session.workload(name)
+            evaluate_many(_requests(), session=session)
+            stages = session.stages.as_dict()
+        assert set(StageTimings.ORDER) <= set(stages)
+        assert list(stages)[:5] == list(StageTimings.ORDER)
+        assert all(seconds >= 0.0 for seconds in stages.values())
+
+    def test_warm_pool_persists_across_batches(self):
+        from repro.runtime.scheduler import WorkerPool
+
+        with pooled_session(None, 2) as session:
+            # The parent does not hold the trace, so it cannot answer the
+            # second batch itself: both batches go to the pool.
+            requests = _requests(workloads=("sha",))
+            first = _serialized(evaluate_many(requests, session=session))
+            pool = session.pool()
+            created = WorkerPool.created_total
+            second = _serialized(evaluate_many(requests, session=session))
+            assert first == second
+            assert session.pool() is pool  # same workers, still warm
+            assert WorkerPool.created_total == created
+
+
+def _crash_once(session, item):
+    """SIGKILL this worker unless the marker file says we already did."""
+    marker, name = item
+    if marker and not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write(str(os.getpid()))
+        os.kill(os.getpid(), signal.SIGKILL)
+    profile = session.miss_profile(name, DEFAULT_MACHINE)
+    return (name, profile.instructions, profile.mispredictions)
+
+
+class TestCrashSafety:
+    def test_sigkilled_worker_mid_batch_retries(self, tmp_path):
+        marker = str(tmp_path / "crashed")
+        with pooled_session(None, 2) as session:
+            session.workload("sha")
+            items = [(marker if index == 0 else "", name)
+                     for index, name in enumerate(("sha", "qsort",
+                                                   "dijkstra"))]
+            results = session.map(_crash_once, items)
+            assert os.path.exists(marker)  # the crash really happened
+            expected = [_crash_once(Session(), ("", name))
+                        for _, name in items]
+            assert results == expected
+
+    def test_fresh_pool_after_reset_pool_answers_the_same(self):
+        with pooled_session(None, 2) as session:
+            session.workload("sha")
+            # Another MLP window: the profiles this batch builds do not
+            # answer the batch below, which must reach the fresh pool.
+            evaluate_many([dataclasses.replace(request, mlp_window=32)
+                           for request in _requests(workloads=("sha",))],
+                          session=session)
+            pool = session.pool()
+            session.reset_pool()  # all workers exit
+            again = _serialized(
+                evaluate_many(_requests(workloads=("sha",)),
+                              session=session))
+            assert session.pool() is not pool
+            assert session.stats.groups_inline == 0  # both reached a pool
+            assert again == _serialized(
+                evaluate_many(_requests(workloads=("sha",)),
+                              session=Session()))
+
+
+class TestStageTimings:
+    def test_accumulates_and_orders_canonically(self):
+        timings = StageTimings()
+        assert not timings
+        timings.add("model", 0.25)
+        timings.add("ship", 0.5)
+        timings.add("ship", 0.25)
+        timings.merge({"attach": 0.125})
+        assert timings
+        assert timings.as_dict() == {"ship": 0.75, "attach": 0.125,
+                                     "model": 0.25}
+
+    def test_merge_accepts_other_timings_and_none(self):
+        first = StageTimings()
+        first.add("profile", 1.0)
+        second = StageTimings()
+        second.merge(first)
+        second.merge(None)
+        second.merge({})
+        assert second.as_dict() == {"profile": 1.0}
+
+    def test_clear_resets(self):
+        timings = StageTimings()
+        timings.add("collect", 1.0)
+        timings.clear()
+        assert timings.as_dict() == {}
 
 
 # ----------------------------------------------------------------------------

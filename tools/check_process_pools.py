@@ -4,8 +4,9 @@
 The persistent warm worker pool (:mod:`repro.runtime.scheduler`) is the
 tree's single point of process-pool ownership — that is what makes the
 "request N+1 pays zero pool spawn" guarantee checkable, and what keeps
-every pool worker wired to the shared-memory data plane's lifecycle
-hooks (mode pinning, parent-death sentinel, segment detach at exit).  A
+every pool worker wired to the scheduler's worker initializer (the
+span sink and fault plan the parent resolved, the parent-death
+sentinel).  A
 ``ProcessPoolExecutor`` constructed anywhere else under ``src/`` would
 silently reintroduce per-call pool churn, so this checker fails the lint
 step when one appears.
