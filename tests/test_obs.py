@@ -505,7 +505,7 @@ class TestTracingInvariance:
         )
         assert off == on
 
-    def test_sharded_output_identical(self, tmp_path):
+    def test_pooled_output_identical(self, tmp_path):
         requests = _requests()
 
         def run():
