@@ -34,7 +34,7 @@ from repro.api.backends import (
     BACKENDS,
     BackendCapabilities,
     EvalBackend,
-    PointEvaluation,
+    SliceAnswer,
     backend_names,
     capability_matrix,
     get_backend,
@@ -64,7 +64,7 @@ __all__ = [
     "EvalRequest",
     "EvalResult",
     "MachineSpec",
-    "PointEvaluation",
+    "SliceAnswer",
     "SweepRequest",
     "WorkloadSpec",
     "backend_names",

@@ -3,8 +3,8 @@
 A backend answers "how long does workload W take on each of these
 machines" from already-resolved objects (a
 :class:`~repro.workloads.base.Workload` and a list of
-:class:`~repro.machine.MachineConfig`), one :class:`PointEvaluation` per
-machine in order, drawing every profile through the shared
+:class:`~repro.machine.MachineConfig`), as one :class:`SliceAnswer` —
+columns in machine order — drawing every profile through the shared
 :class:`~repro.runtime.session.Session`.  A list is the unit because the
 paper's amortization lives there: the planner hands a backend all of a
 group's machines at once, and a single request is a one-machine list.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.machine import MachineConfig
 from repro.registry import Registry
@@ -56,38 +56,23 @@ class BackendCapabilities:
         }
 
 
-@dataclass(slots=True)
-class PointEvaluation:
-    """In-process outcome of one backend call (pre-serialization).
+class SliceAnswer(NamedTuple):
+    """A backend's answer for a list of machines, as columns in their order.
 
-    The :mod:`repro.api.batch` facade and the planner flatten it into the
-    JSON-round-trippable :class:`~repro.api.spec.EvalResult`.
+    The planner turns it into one :class:`~repro.api.spec.EvalResult` per
+    machine; the columns are parallel to the machines the backend was
+    given.
     """
 
-    machine: MachineConfig
+    #: Dynamic instruction count of the workload (one trace per call).
     instructions: int
-    cycles: float
-    #: CPI component name -> cycles (None for cycle-accurate backends).
-    cpi_stack: dict[str, float] | None = None
-    energy_joules: float | None = None
-
-    @property
-    def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def execution_time_seconds(self) -> float:
-        return self.cycles * self.machine.cycle_ns * 1e-9
-
-    @property
-    def edp(self) -> float | None:
-        if self.energy_joules is None:
-            return None
-        return self.energy_joules * self.execution_time_seconds
+    #: Predicted or simulated cycles, one per machine.
+    cycles: list[float]
+    #: CPI component name -> cycles, one per machine (``None`` for
+    #: cycle-accurate backends).
+    cpi_stacks: list[dict[str, float]] | None = None
+    #: Energy in joules, one per machine (``None`` without power).
+    energies: list[float] | None = None
 
 
 #: Registry of backend *instances* (backends are stateless; all state lives
@@ -129,9 +114,9 @@ class EvalBackend(abc.ABC):
     def evaluate(self, session: Session, workload: Workload,
                  machines: Sequence[MachineConfig], *,
                  with_power: bool = False,
-                 mlp_window: int = 64) -> list[PointEvaluation]:
+                 mlp_window: int = 64) -> SliceAnswer:
         """Answer ``workload`` on each of ``machines`` through the session,
-        one :class:`PointEvaluation` per machine, in order."""
+        as one :class:`SliceAnswer` whose columns follow ``machines``."""
 
     def is_warm(self, session: Session, workload: Workload,
                 machines: Sequence[MachineConfig], *,
@@ -146,15 +131,13 @@ class EvalBackend(abc.ABC):
         return False
 
 
-def _with_energy(points: list[PointEvaluation], program,
-                 profiles) -> list[PointEvaluation]:
-    """Attach the power model's energy at each point's cycle count."""
+def _energies(machines, program, profiles, cycles) -> list[float]:
+    """The power model's energy of each machine at its cycle count."""
     from repro.power.model import PowerModel
 
-    for point, misses in zip(points, profiles, strict=True):
-        point.energy_joules = PowerModel(point.machine).energy(
-            program, misses, point.cycles).total
-    return points
+    return [PowerModel(machine).energy(program, misses, point_cycles).total
+            for machine, misses, point_cycles
+            in zip(machines, profiles, cycles, strict=True)]
 
 
 @register_backend("analytical", aliases=("model",))
@@ -167,18 +150,17 @@ class AnalyticalBackend(EvalBackend):
     def evaluate(self, session: Session, workload: Workload,
                  machines: Sequence[MachineConfig], *,
                  with_power: bool = False,
-                 mlp_window: int = 64) -> list[PointEvaluation]:
+                 mlp_window: int = 64) -> SliceAnswer:
         from repro.accel import get_kernels
 
         program = session.program_profile(workload)
         profiles = session.miss_profiles(workload, machines,
                                          mlp_window=mlp_window)
-        predictions = get_kernels().predict_batch(program, profiles, machines)
-        points = [PointEvaluation(machine, program.instructions, cycles,
-                                  cpi_stack)
-                  for machine, (cycles, cpi_stack) in zip(machines,
-                                                          predictions)]
-        return _with_energy(points, program, profiles) if with_power else points
+        cycles, stacks = get_kernels().predict_batch(program, profiles,
+                                                     machines)
+        energies = (_energies(machines, program, profiles, cycles)
+                    if with_power else None)
+        return SliceAnswer(program.instructions, cycles, stacks, energies)
 
     def is_warm(self, session: Session, workload: Workload,
                 machines: Sequence[MachineConfig], *,
@@ -198,19 +180,19 @@ class SimulatorBackend(EvalBackend):
     def evaluate(self, session: Session, workload: Workload,
                  machines: Sequence[MachineConfig], *,
                  with_power: bool = False,
-                 mlp_window: int = 64) -> list[PointEvaluation]:
-        points = [PointEvaluation(machine, simulated.instructions,
-                                  float(simulated.cycles))
-                  for machine, simulated in zip(
-                      machines, session.simulate_many(workload, machines))]
+                 mlp_window: int = 64) -> SliceAnswer:
+        instructions = len(workload.trace())  # what the simulator retires
+        cycles = [float(result.cycles)
+                  for result in session.simulate_many(workload, machines)]
         if not with_power:
-            return points
+            return SliceAnswer(instructions, cycles)
         # Energy uses the same profile-driven activity counts as the
         # analytical estimate, scaled by the simulated cycle count —
         # identical to the paper's detailed-EDP procedure.
-        return _with_energy(points, session.program_profile(workload),
-                            session.miss_profiles(workload, machines,
-                                                  mlp_window=mlp_window))
+        return SliceAnswer(instructions, cycles, None, _energies(
+            machines, session.program_profile(workload),
+            session.miss_profiles(workload, machines, mlp_window=mlp_window),
+            cycles))
 
     def is_warm(self, session: Session, workload: Workload,
                 machines: Sequence[MachineConfig], *,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping, Sequence
 
-from repro.api.backends import BACKENDS, PointEvaluation, get_backend
+from repro.api.backends import BACKENDS, get_backend
 from repro.api.spec import EvalRequest, EvalResult, MachineSpec
 from repro.api.sweep import SweepRequest
 from repro.runtime.session import Session
@@ -65,35 +65,20 @@ def _failed_result(request: EvalRequest, error: str) -> EvalResult:
     )
 
 
-def _point_result(request: EvalRequest, backend: str, workload, label: str,
-                  point: PointEvaluation) -> EvalResult:
-    """The served form of one backend answer to ``request`` (``backend``
-    is the canonical name of the backend that answered)."""
-    return EvalResult(
-        request=request,
-        backend=backend,
-        workload=workload.name,
-        machine=label,
-        instructions=point.instructions,
-        cycles=point.cycles,
-        seconds=point.execution_time_seconds,
-        cpi_stack=point.cpi_stack,
-        energy_joules=point.energy_joules,
-    )
-
-
 def _evaluate_one(session: Session, request: EvalRequest) -> EvalResult:
     """One request through its backend (module-level: process-pool unit)."""
+    from repro.api.planner import machine_entry, slice_results
+
     backend = get_backend(request.backend)
     workload = request.workload.resolve(session)
-    machine = request.machine.resolve()
-    (point,) = backend.evaluate(
-        session, workload, [machine],
+    entry = machine_entry(request.machine)
+    answer = backend.evaluate(
+        session, workload, [entry.machine],
         with_power=request.with_power, mlp_window=request.mlp_window,
     )
-    return _point_result(request, BACKENDS.canonical(request.backend),
-                         workload, _machine_label(request.machine, machine),
-                         point)
+    (result,) = slice_results([request], BACKENDS.canonical(request.backend),
+                              workload.name, [entry], answer)
+    return result
 
 
 def evaluate(request: "EvalRequest | Mapping", *,
@@ -284,9 +269,8 @@ def _run_batch(session: Session,
             for index in group.indices:
                 results[index] = _failed_result(parsed[index], outcome.error)
             continue
-        answers, stages, memos, work = outcome
+        answers, stages, memos = outcome
         collect(group, answers, stages)
-        session.stats.add(work)
         if memos is not None:
             session.install_memos(group.workload, group.flags, memos)
     elapsed = time.perf_counter() - started

@@ -21,20 +21,33 @@ pass four times.  The planner regroups the batch before any work starts:
   for the group's keys, which the parent installs; cold traces are built
   by the owning worker, keeping cold batches as parallel as before;
 * machines are resolved, labelled and signed **once per distinct spec**
-  per batch, into one machine table its groups share, instead of once
-  per request;
+  (:func:`machine_entry`, memoized per process), into one machine table
+  the batch's groups share, instead of once per request; planning itself
+  is a few ``map`` passes over the requests and one sort;
 * a group is answered by one
   :meth:`~repro.api.backends.EvalBackend.evaluate` call per ``(backend,
   with_power, mlp_window)`` slice, found at planning time, with the
   slice's machines as a list:
-  the analytical backends share one miss profile per memory hierarchy
-  and predictor and evaluate the model once for the list, the simulator
-  shares event columns and timing loops — byte-identical to one call
-  per request.
+  the analytical backend reads one miss profile per distinct memory
+  hierarchy and predictor and evaluates Eq. 1 once for the list, the
+  simulator shares event columns and timing loops — byte-identical to
+  one call per request;
+* a backend answers a slice in columns (:class:`~repro.api.backends.
+  SliceAnswer`: instructions, cycles, stacks, energies) and
+  :func:`slice_results` builds each :class:`~repro.api.spec.EvalResult`
+  once, reading the label and clock period from the machine table.
 
-Groups larger than a fair share are split along pass-signature boundaries
-when the batch has fewer groups than workers, so a single-workload sweep
-still saturates the pool.
+Where a warm point's time goes: ``warm_table2_sweep`` in
+``BENCH_core.json`` records the per-point microseconds of parsing and
+validation, planning, group evaluation (Eq. 1, its stack dict and sum,
+and one result per point) and the unattributed rest.
+
+Analytical groups larger than a fair share are split along
+pass-signature boundaries when the batch has fewer groups than workers,
+so a single-workload sweep still saturates the pool.  A group with a
+cycle-accurate slice is never split: its simulations share one trace,
+one set of event columns and one set of timing loops, and two workers
+would each build them.
 
 Everything is order-preserving: results are reassembled into request
 order, so planned output is byte-identical to the unplanned path at any
@@ -44,12 +57,16 @@ job count.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from repro.api.backends import BACKENDS, get_backend
+from repro.api.backends import BACKENDS, SliceAnswer, get_backend
 from repro.api.spec import EvalRequest, EvalResult, MachineSpec
-from repro.machine import MachineConfig
+from repro.machine import MACHINE_PRESETS, MachineConfig
 from repro.obs.tracing import emit_span, span
 from repro.trace.trace import Trace
 from repro.trace.trace_schema import TRACE_SCHEMA_VERSION
@@ -72,12 +89,37 @@ def _pass_signature(machine: MachineConfig) -> tuple:
 class MachineEntry(NamedTuple):
     """One distinct machine of a batch: resolved, labelled and signed once."""
 
+    #: The first spec of this value (and override types) labelled.
     spec: MachineSpec
     machine: MachineConfig
     #: The result label (:func:`repro.api.batch._machine_label`).
     label: str
     #: :func:`_pass_signature` of ``machine``.
     signature: tuple
+    #: ``machine.cycle_ns``, which turns a result's cycles into seconds.
+    cycle_ns: float
+
+
+def machine_entry(spec: MachineSpec) -> MachineEntry:
+    """The table entry of ``spec``: its machine, label and signature.
+
+    Memoized per process like :meth:`MachineSpec.resolve`, keyed by the
+    preset's registered factory, the spec and its override values' types
+    (see :func:`repro.api.spec._resolved`): labelling renders every
+    override, which would otherwise cost each batch a few microseconds
+    per distinct machine.
+    """
+    return _machine_entry(MACHINE_PRESETS.get(spec.preset), spec,
+                          tuple(map(type, map(itemgetter(1), spec.items))))
+
+
+@lru_cache(maxsize=4096)
+def _machine_entry(factory, spec: MachineSpec, types: tuple) -> MachineEntry:
+    from repro.api.batch import _machine_label
+
+    machine = spec.resolve()
+    return MachineEntry(spec, machine, _machine_label(spec, machine),
+                        _pass_signature(machine), machine.cycle_ns)
 
 
 class Slice(NamedTuple):
@@ -120,8 +162,14 @@ class PlannedGroup:
 
     def slice_machines(self, piece: Slice) -> list[MachineEntry]:
         """The table entries of ``piece``'s requests, in its order."""
-        machines, entries = self.machines, self.entries
-        return [machines[entries[position]] for position in piece.positions]
+        return list(map(self.machines.__getitem__,
+                        map(self.entries.__getitem__, piece.positions)))
+
+
+_MACHINE = attrgetter("machine")
+_WORKLOAD = attrgetter("workload")
+_WINDOW = attrgetter("mlp_window")
+_SLICE_KEY = attrgetter("backend", "with_power", "mlp_window")
 
 
 def plan_requests(requests, *, jobs: int = 1) -> list[PlannedGroup]:
@@ -131,47 +179,68 @@ def plan_requests(requests, *, jobs: int = 1) -> list[PlannedGroup]:
     is resolved, labelled and given its pass signature once, in one
     machine table.  The table keys a spec by its value and its override
     values' types, so equal specs that label differently (``12`` and
-    ``12.0``) keep their own entries.
+    ``12.0``) keep their own entries.  The per-request work is a handful
+    of column passes (``map`` over the requests) and one sort: the
+    machine table, the traces and the sort keys are found per distinct
+    spec, workload and window object, and each request's sort key —
+    trace, then pass signature, then window — is one integer, so the
+    groups come out of the sort as contiguous runs.
     """
-    from repro.api.batch import _machine_label
-
+    specs = list(map(_MACHINE, requests))
+    spec_ids = list(map(id, specs))
+    # Spec and workload objects by identity: a sweep repeats one spec
+    # object per workload and one workload object per machine, and the
+    # batch keeps every object alive while it plans.
     table: list[MachineEntry] = []
-    by_key: dict[tuple, int] = {}
-    # Spec objects by identity: a sweep repeats one spec object per
-    # workload, and the batch keeps every object alive while it plans.
-    by_object: dict[int, int] = {}
-    entry_of: list[int] = []
-    by_trace: dict[tuple[str, str], list[int]] = {}
-    for index, request in enumerate(requests):
-        spec = request.machine
-        position = by_object.get(id(spec))
+    by_entry: dict[int, int] = {}
+    position_of: dict[int, int] = {}
+    for spec_id, spec in dict(zip(spec_ids, specs)).items():
+        entry = machine_entry(spec)
+        position = by_entry.get(id(entry))
         if position is None:
-            key = (spec, tuple(type(value) for _, value in spec.items))
-            position = by_key.get(key)
-            if position is None:
-                position = by_key[key] = len(table)
-                machine = spec.resolve()
-                table.append(MachineEntry(spec, machine,
-                                          _machine_label(spec, machine),
-                                          _pass_signature(machine)))
-            by_object[id(spec)] = position
-        entry_of.append(position)
-        by_trace.setdefault(
-            (request.workload.name, request.workload.flags), []
-        ).append(index)
+            position = by_entry[id(entry)] = len(table)
+            table.append(entry)
+        position_of[spec_id] = position
     machines = tuple(table)
+    entry_of = list(map(position_of.__getitem__, spec_ids))
 
-    # Sort key per request: its machine's signature rank, then its window.
+    # Traces in order of first appearance.
+    workloads = list(map(_WORKLOAD, requests))
+    workload_ids = list(map(id, workloads))
+    traces: dict[tuple[str, str], int] = {}
+    trace_of: dict[int, int] = {}
+    for workload_id, workload in dict(zip(workload_ids, workloads)).items():
+        trace_of[workload_id] = traces.setdefault(
+            (workload.name, workload.flags), len(traces))
+
+    # Sort key: trace, then signature rank, then window, in one integer.
+    windows = list(map(_WINDOW, requests))
+    window_rank = {window: order
+                   for order, window in enumerate(sorted(set(windows)))}
     signatures = sorted({entry.signature for entry in machines})
-    rank = {signature: order for order, signature in enumerate(signatures)}
-    ranks = [rank[entry.signature] for entry in machines]
-    keys = [(ranks[position], request.mlp_window)
-            for position, request in zip(entry_of, requests)]
+    signature_rank = {signature: order * len(window_rank)
+                      for order, signature in enumerate(signatures)}
+    entry_part = [signature_rank[entry.signature] for entry in machines]
+    stride = len(signatures) * len(window_rank)
+    trace_part = {workload_id: trace * stride
+                  for workload_id, trace in trace_of.items()}
+    keys = [trace_part[workload_id] + entry_part[entry] + window_rank[window]
+            for workload_id, entry, window
+            in zip(workload_ids, entry_of, windows)]
+    ordered = sorted(range(len(keys)), key=keys.__getitem__)
 
     groups: list[PlannedGroup] = []
-    for (name, flags), indices in by_trace.items():
-        ordered = sorted(indices, key=keys.__getitem__)
-        for chunk in _fair_chunks(ordered, keys, len(by_trace), jobs):
+    end = 0
+    for (name, flags), trace in traces.items():
+        start = end
+        end = bisect_left(ordered, (trace + 1) * stride, lo=start,
+                          key=keys.__getitem__)
+        run = ordered[start:end]
+        chunks = [run]
+        if jobs > len(traces) and not _cycle_accurate(
+                map(requests.__getitem__, run)):
+            chunks = _fair_chunks(run, keys, len(traces), jobs)
+        for chunk in chunks:
             members = tuple(map(requests.__getitem__, chunk))
             groups.append(PlannedGroup(
                 workload=name, flags=flags,
@@ -188,24 +257,35 @@ def plan_requests(requests, *, jobs: int = 1) -> list[PlannedGroup]:
 def _slices(requests) -> tuple[Slice, ...]:
     """Group positions by ``(canonical backend, with_power, mlp_window)``:
     one :meth:`~repro.api.backends.EvalBackend.evaluate` call each."""
-    canonical: dict[str, str] = {}
+    keys = list(map(_SLICE_KEY, requests))
+    if keys.count(keys[0]) == len(keys):  # one slice: the common case
+        by_key = {keys[0]: range(len(keys))}
+    else:
+        by_key = {}
+        for position, key in enumerate(keys):
+            by_key.setdefault(key, []).append(position)
     slices: dict[tuple, list[int]] = {}
-    for position, request in enumerate(requests):
-        backend = canonical.get(request.backend)
-        if backend is None:
-            backend = canonical[request.backend] = BACKENDS.canonical(
-                request.backend)
-        slices.setdefault((backend, request.with_power, request.mlp_window),
-                          []).append(position)
-    return tuple(Slice(*key, tuple(positions))
+    for (backend, with_power, window), positions in by_key.items():
+        slices.setdefault((BACKENDS.canonical(backend), with_power, window),
+                          []).extend(positions)
+    # An alias and its canonical name share one slice, in request order.
+    return tuple(Slice(*key, tuple(sorted(positions)))
                  for key, positions in slices.items())
 
 
+def _cycle_accurate(requests) -> bool:
+    """Whether a cycle-accurate backend answers any of ``requests``: such
+    a group stays whole, so its simulations share one trace, one set of
+    event columns and one set of timing loops."""
+    return any(get_backend(name).capabilities.cycle_accurate
+               for name in set(map(attrgetter("backend"), requests)))
+
+
 def _fair_chunks(ordered, keys, group_count: int, jobs: int):
-    """Split one group along sort-key boundaries (``keys[index]``) when
-    workers outnumber groups, so small batches of large sweeps still fill
-    the pool."""
-    if jobs <= group_count or len(ordered) <= 1:
+    """Split one analytical group along sort-key boundaries
+    (``keys[index]``) when workers outnumber groups, so small batches of
+    large sweeps still fill the pool."""
+    if len(ordered) <= 1:
         return [ordered]
     parts = min(-(-jobs // group_count), len(ordered))
     size = -(-len(ordered) // parts)
@@ -256,36 +336,27 @@ def group_is_warm(session, group: PlannedGroup) -> bool:
 
 
 def build_group(session, group: PlannedGroup) -> tuple:
-    """The pool's work unit: :func:`evaluate_group_timed` plus its memos
-    and the work it counted.
+    """The pool's work unit: :func:`evaluate_group_timed` plus its memos.
 
-    Returns ``(results, stages, memos, work)``.  When the group's trace
-    was shipped from the parent, ``memos`` holds this session's entries
-    for the group's own keys
+    Returns ``(results, stages, memos)``.  When the group's trace was
+    shipped from the parent, ``memos`` holds this session's entries for
+    the group's own keys
     (:meth:`~repro.runtime.session.Session.memo_entries`: the program
     profile, the miss profiles and the simulations it read, whether built
     now or by an earlier group), which the parent installs and then
     answers later requests for itself; ``None`` otherwise (the parent
-    does not hold that trace).  ``work`` is a pool worker session's
-    :class:`~repro.runtime.session.SessionStats` delta over the group
-    (:meth:`~repro.runtime.session.SessionStats.work_since`), which the
-    parent adds to its own counters; it is empty when the group ran in
-    the parent (``jobs=1``, or the circuit breaker's serial fallback),
-    whose session counted the work already.
+    does not hold that trace).  The work a pool worker counted for the
+    group reaches the parent's counters with its result, as for every
+    pooled unit (:class:`~repro.runtime.scheduler.WorkerPool`).
     """
-    from repro.runtime.scheduler import worker_session
-
-    counting = session is worker_session()
-    before = session.stats.as_dict() if counting else None
     results, stages = evaluate_group_timed(session, group)
-    work = session.stats.work_since(before) if counting else {}
     memos = None
     if group.payload is not None:
         memos = session.memo_entries(
             group.workload, group.flags,
             [(group.machines[entry].machine, request.mlp_window)
              for entry, request in zip(group.entries, group.requests)])
-    return results, stages, memos, work
+    return results, stages, memos
 
 
 def evaluate_group(session, group: PlannedGroup) -> list[EvalResult]:
@@ -318,8 +389,6 @@ def evaluate_group_timed(
 def _evaluate_group_body(
     session, group: PlannedGroup
 ) -> tuple[list[EvalResult], dict[str, float]]:
-    from repro.api.batch import _point_result
-
     stages: dict[str, float] = {}
     started = time.perf_counter()
     _install_group_trace(session, group)
@@ -339,8 +408,8 @@ def _evaluate_group_body(
         # loops, the session's profiling — nest under it.
         with span(f"planner.{stage}", workload=group.workload,
                   points=len(entries)):
-            points = backend.evaluate(
-                session, workload, [entry.machine for entry in entries],
+            answer = backend.evaluate(
+                session, workload, list(map(_MACHINE, entries)),
                 with_power=piece.with_power, mlp_window=piece.mlp_window,
             )
         elapsed = time.perf_counter() - started
@@ -349,10 +418,41 @@ def _evaluate_group_body(
             stages["profile"] = stages.get("profile", 0.0) + profiled
             emit_span("planner.profile", profiled, workload=group.workload)
         stages[stage] = stages.get(stage, 0.0) + elapsed - profiled
-        requests = group.requests
-        for position, entry, point in zip(piece.positions, entries, points,
-                                          strict=True):
-            results[position] = _point_result(requests[position],
-                                              piece.backend, workload,
-                                              entry.label, point)
+        answers = slice_results(
+            list(map(group.requests.__getitem__, piece.positions)),
+            piece.backend, workload.name, entries, answer)
+        if len(answers) == len(results):
+            results = answers  # one slice answers the whole group, in order
+        else:
+            for position, result in zip(piece.positions, answers):
+                results[position] = result
     return results, stages
+
+
+def slice_results(requests, backend: str, workload: str, entries,
+                  answer: SliceAnswer) -> list[EvalResult]:
+    """One :class:`~repro.api.spec.EvalResult` per request of a slice,
+    from the backend's column ``answer`` (``backend`` is the canonical
+    name of the backend that answered, ``entries`` the requests' machine
+    table entries)."""
+    cycles = answer.cycles
+    stacks = answer.cpi_stacks
+    energies = answer.energies
+    for name, column in (("cycles", cycles), ("cpi_stacks", stacks),
+                         ("energies", energies)):
+        if column is not None and len(column) != len(entries):
+            raise ValueError(
+                f"backend {backend!r} answered {len(column)} {name} "
+                f"for {len(entries)} machines")
+    if stacks is None:
+        stacks = repeat(None)
+    if energies is None:
+        energies = repeat(None)
+    instructions = answer.instructions
+    return [
+        EvalResult(request, backend, workload, entry.label, instructions,
+                   point_cycles, point_cycles * entry.cycle_ns * 1e-9,
+                   stack, energy)
+        for request, entry, point_cycles, stack, energy
+        in zip(requests, entries, cycles, stacks, energies)
+    ]

@@ -25,8 +25,10 @@ Times the paths every PR is expected to keep fast:
   ``jobs=1`` session that has already answered it once: every profile is
   in the session's memos, so the timed part is the batch path itself
   (validation, planning, the model and result assembly); the median of
-  ``WARM_SWEEP_REPEATS`` re-sweeps, recorded with ``points`` and
-  ``us_per_point``,
+  ``WARM_SWEEP_REPEATS`` re-sweeps, recorded with ``points``,
+  ``us_per_point`` and the median of each phase per point
+  (``phase_us_per_point``: parse and validate, plan, group evaluation,
+  unattributed),
 * ``accel_vs_python``      — the identical sweep forced onto the
   pure-Python kernel backend; ``sweep_table2``'s median divided into this
   one is the kernel-layer speedup (reported as ``accel_speedup``),
@@ -135,6 +137,7 @@ Run via ``repro-experiments bench`` (``make bench``); :func:`run` and
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import platform
@@ -346,12 +349,51 @@ def bench_sweep_table2() -> float:
 WARM_SWEEP_REPEATS = 7
 
 
+@contextlib.contextmanager
+def _phase_clock():
+    """Time the phases of the ``evaluate_many`` calls inside the block.
+
+    Wraps the planner's ``plan_requests`` and ``evaluate_group_timed``
+    (``evaluate_many`` looks both up when it runs) and yields a dict that
+    collects when planning first started (``plan_started``, a
+    ``perf_counter`` reading: everything before it is parsing and
+    validation), the planning time (``plan``) and the summed group
+    evaluation time (``groups``).
+    """
+    from repro.api import planner
+
+    clock = {"plan_started": None, "plan": 0.0, "groups": 0.0}
+    plan, group = planner.plan_requests, planner.evaluate_group_timed
+
+    def timed(phase, fn):
+        def wrapper(*args, **kwargs):
+            started = time.perf_counter()
+            if phase == "plan" and clock["plan_started"] is None:
+                clock["plan_started"] = started
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                clock[phase] += time.perf_counter() - started
+        return wrapper
+
+    planner.plan_requests = timed("plan", plan)
+    planner.evaluate_group_timed = timed("groups", group)
+    try:
+        yield clock
+    finally:
+        planner.plan_requests, planner.evaluate_group_timed = plan, group
+
+
 def bench_warm_table2_sweep() -> tuple[float, dict]:
     """The Table-2 sweep re-answered on a warm ``jobs=1`` session.
 
     One untimed sweep fills the session's memos; each timed re-sweep then
     builds nothing, so it measures what the batch path costs per point on
-    top of Eq. 1.
+    top of Eq. 1.  Each re-sweep is also split into phases — parse and
+    validate, plan, group evaluation (the backends, Eq. 1 and the
+    results) and the unattributed rest (result collection, stage
+    bookkeeping, spans) — whose medians are recorded in microseconds per
+    point (``phase_us_per_point``).
     """
     from repro.api import evaluate_many
     from repro.dse.space import default_design_space
@@ -361,13 +403,28 @@ def bench_warm_table2_sweep() -> tuple[float, dict]:
     session = _table2_session()
     evaluate_many(requests, session=session)
     runs = []
+    phases: dict[str, list[float]] = {
+        "parse_validate": [], "plan": [], "groups": [], "unattributed": []}
     for _ in range(WARM_SWEEP_REPEATS):
-        start = time.perf_counter()
-        evaluate_many(requests, session=session)
-        runs.append(time.perf_counter() - start)
+        with _phase_clock() as clock:
+            start = time.perf_counter()
+            evaluate_many(requests, session=session)
+            elapsed = time.perf_counter() - start
+        runs.append(elapsed)
+        parse_validate = clock["plan_started"] - start
+        phases["parse_validate"].append(parse_validate)
+        phases["plan"].append(clock["plan"])
+        phases["groups"].append(clock["groups"])
+        phases["unattributed"].append(
+            elapsed - parse_validate - clock["plan"] - clock["groups"])
     elapsed = statistics.median(runs)
-    return elapsed, {"points": len(requests),
-                     "us_per_point": round(elapsed / len(requests) * 1e6, 3)}
+    return elapsed, {
+        "points": len(requests),
+        "us_per_point": round(elapsed / len(requests) * 1e6, 3),
+        "phase_us_per_point": {
+            phase: round(statistics.median(times) / len(requests) * 1e6, 3)
+            for phase, times in phases.items()},
+    }
 
 
 def bench_accel_vs_python() -> float:

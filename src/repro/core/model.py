@@ -19,23 +19,32 @@ reported by the paper.
 
 Eq. 1 lives here once, in two parts: a :class:`PenaltyRow` per machine —
 the cycles charged per event, built from the :mod:`repro.core.penalties`
-functions and cached — and :func:`_components`, which multiplies a
-profile's counts by a row's charges in stacking order.
+functions and cached — and :func:`_stack`, which multiplies a profile's
+counts by a row's charges in stacking order.
 :meth:`InOrderMechanisticModel.predict` evaluates one point and
-:func:`predict_many` one program on a list of machines; every kernel
-backend answers batches through the latter, and the sampled estimator
-reads its per-event charges from the same row.
+:func:`predict_many` one program on a list of machines, in columns; every
+kernel backend answers batches through the latter, and the sampled
+estimator reads its per-event charges from the same row.
+
+A warm design-space sweep pays for Eq. 1 per distinct input, not per
+point: :func:`predict_many` reads each machine's row from a memo keyed by
+the machine object (a batch's machine table holds one object per distinct
+machine, so the read is an ``id()`` instead of a hash over the machine's
+fields), each distinct miss profile's counts once, and the program's terms
+once per width.  Per point only Eq. 1's products, the filtered stack dict
+and its builtin ``sum`` remain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 from repro.core import penalties
 from repro.core.cpi_stack import CPIComponent, CPIStack
-from repro.machine import MachineConfig
+from repro.machine import MachineConfig, MachineMemo
 from repro.profiler.machine_stats import MissProfile, profile_machine
 from repro.profiler.program import ProgramProfile, profile_program
 
@@ -142,38 +151,65 @@ def _program_terms(program: ProgramProfile, row: PenaltyRow) -> tuple:
             program.divides, program.loads + program.stores, unit, long_, load)
 
 
-#: The CPI-stack components of Eq. 1, in stacking order.
-_STACK_ORDER = (
-    CPIComponent.BASE, CPIComponent.MUL, CPIComponent.DIV,
-    CPIComponent.L1_HIT_EXTRA, CPIComponent.DL1_MISS, CPIComponent.IL1_MISS,
-    CPIComponent.IL2_MISS, CPIComponent.DL2_MISS, CPIComponent.ITLB_MISS,
-    CPIComponent.DTLB_MISS, CPIComponent.BPRED_MISS, CPIComponent.BPRED_TAKEN,
-    CPIComponent.DEP_UNIT, CPIComponent.DEP_LONG, CPIComponent.DEP_LOAD,
-)
-_STACK_NAMES = tuple(component.value for component in _STACK_ORDER)
+def _counts(misses: MissProfile) -> tuple:
+    """The miss-event counts Eq. 1 charges, in stacking order."""
+    return (misses.l1d_misses, misses.l1i_misses, misses.il2_misses,
+            misses.dl2_misses, misses.itlb_misses, misses.dtlb_misses,
+            misses.mispredictions, misses.taken_bubbles)
 
 
-def _components(terms: tuple, misses: MissProfile,
-                row: PenaltyRow) -> tuple[float, ...]:
-    """Eq. 1 term by term, in stacking order: each count times its charge."""
+def _stack(terms: tuple, counts: tuple, row: PenaltyRow) -> dict[str, float]:
+    """Eq. 1 term by term, in stacking order: each count times its charge.
+
+    Returns the CPI stack as :class:`~repro.core.cpi_stack.CPIComponent`
+    value -> cycles, keeping only the components above zero.  Written out
+    term by term because this runs once per design point: a loop over the
+    components costs a warm sweep about half again as much.
+    """
     base, multiplies, divides, data_accesses, unit, long_, load = terms
-    return (
-        base,
-        multiplies * row.multiplies,
-        divides * row.divides,
-        data_accesses * row.data_accesses,
-        misses.l1d_misses * row.l1d_misses,
-        misses.l1i_misses * row.l1i_misses,
-        misses.il2_misses * row.il2_misses,
-        misses.dl2_misses * row.dl2_misses,
-        misses.itlb_misses * row.itlb_misses,
-        misses.dtlb_misses * row.dtlb_misses,
-        misses.mispredictions * row.mispredictions,
-        misses.taken_bubbles * row.taken_bubbles,
-        unit,
-        long_,
-        load,
-    )
+    (l1d_misses, l1i_misses, il2_misses, dl2_misses, itlb_misses,
+     dtlb_misses, mispredictions, taken_bubbles) = counts
+    (_, per_multiply, per_divide, per_access, per_l1d, per_l1i, per_il2,
+     per_dl2, per_itlb, per_dtlb, per_misprediction, per_taken, _) = row
+    stack = {}
+    if base > 0:
+        stack["base"] = base
+    if (cycles := multiplies * per_multiply) > 0:
+        stack["mul"] = cycles
+    if (cycles := divides * per_divide) > 0:
+        stack["div"] = cycles
+    if (cycles := data_accesses * per_access) > 0:
+        stack["l1_hit_extra"] = cycles
+    if (cycles := l1d_misses * per_l1d) > 0:
+        stack["dl1_miss"] = cycles
+    if (cycles := l1i_misses * per_l1i) > 0:
+        stack["il1_miss"] = cycles
+    if (cycles := il2_misses * per_il2) > 0:
+        stack["il2_miss"] = cycles
+    if (cycles := dl2_misses * per_dl2) > 0:
+        stack["dl2_miss"] = cycles
+    if (cycles := itlb_misses * per_itlb) > 0:
+        stack["itlb_miss"] = cycles
+    if (cycles := dtlb_misses * per_dtlb) > 0:
+        stack["dtlb_miss"] = cycles
+    if (cycles := mispredictions * per_misprediction) > 0:
+        stack["bpred_miss"] = cycles
+    if (cycles := taken_bubbles * per_taken) > 0:
+        stack["bpred_taken"] = cycles
+    if unit > 0:
+        stack["dep_unit"] = unit
+    if long_ > 0:
+        stack["dep_long"] = long_
+    if load > 0:
+        stack["dep_load"] = load
+    return stack
+
+
+_WIDTH = attrgetter("width")
+
+#: The full model's row of each machine object (see the module docstring).
+_full_rows = MachineMemo(
+    lambda machine: _penalty_row(machine, True, True, True))
 
 
 class InOrderMechanisticModel:
@@ -214,10 +250,9 @@ class InOrderMechanisticModel:
         """Evaluate the model (Eq. 1) and return the predicted CPI stack."""
         row = self.penalty_row
         stack = CPIStack(name=program.name, instructions=program.instructions)
-        for component, cycles in zip(
-            _STACK_ORDER, _components(_program_terms(program, row), misses, row)
-        ):
-            stack.add(component, cycles)
+        for name, cycles in _stack(_program_terms(program, row),
+                                   _counts(misses), row).items():
+            stack.add(CPIComponent(name), cycles)
         return ModelResult(name=program.name, machine=self.machine,
                            instructions=program.instructions, stack=stack)
 
@@ -228,28 +263,34 @@ class InOrderMechanisticModel:
         return self.predict(program, misses)
 
 
-def predict_many(program: ProgramProfile, profiles,
-                 machines) -> list[tuple[float, dict[str, float]]]:
+def predict_many(program: ProgramProfile, profiles, machines
+                 ) -> tuple[list[float], list[dict[str, float]]]:
     """The model for one program on many machines, in served form.
 
-    ``profiles`` and ``machines`` are parallel lists.  Each result is
-    ``(cycles, cpi_stack)``, the stack mapping component names to cycles
-    in stacking order — bit for bit the cycles and stack of
-    :meth:`InOrderMechanisticModel.predict` on that point.  The program's
-    terms are computed once per width.
+    ``profiles`` and ``machines`` are parallel lists.  The answer is two
+    columns in machine order: the cycles, and the CPI stacks, each
+    mapping component names to cycles in stacking order (components of
+    at most zero left out) — bit for bit the cycles and stack of
+    :meth:`InOrderMechanisticModel.predict` on that point, the cycles
+    being the builtin ``sum`` of the stack.  Each machine's row is read
+    from the per-object memo, each distinct miss profile's counts once
+    and the program's terms once per width; the columns are lined up with
+    ``map``, so per point only Eq. 1's products, the stack and its sum
+    cost interpreted work.
     """
-    terms_by_width: dict[int, tuple] = {}
-    results = []
-    for misses, machine in zip(profiles, machines, strict=True):
-        row = _penalty_row(machine, True, True, True)  # the full model
-        terms = terms_by_width.get(row.width)
-        if terms is None:
-            terms = terms_by_width[row.width] = _program_terms(program, row)
-        stack = {name: cycles for name, cycles
-                 in zip(_STACK_NAMES, _components(terms, misses, row))
-                 if cycles > 0}
-        results.append((sum(stack.values()), stack))
-    return results
+    rows = _full_rows(machines)
+    if len(rows) != len(profiles):
+        raise ValueError(f"{len(profiles)} miss profiles for "
+                         f"{len(rows)} machines")
+    profile_ids = list(map(id, profiles))
+    counts_of = {profile_id: _counts(misses) for profile_id, misses
+                 in dict(zip(profile_ids, profiles)).items()}
+    widths = list(map(_WIDTH, rows))
+    terms_of = {width: _program_terms(program, row)
+                for width, row in dict(zip(widths, rows)).items()}
+    stacks = list(map(_stack, map(terms_of.__getitem__, widths),
+                      map(counts_of.__getitem__, profile_ids), rows))
+    return list(map(sum, map(dict.values, stacks))), stacks
 
 
 def predict_workload(workload, machine: MachineConfig,

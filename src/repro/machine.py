@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from typing import Mapping
 
 from repro.isa.opcodes import OpClass
@@ -152,6 +153,46 @@ _INT_FIELDS = tuple(f.name for f in fields(MachineConfig) if f.type == "int")
 
 #: The paper's default configuration (Table 2, middle column).
 DEFAULT_MACHINE = MachineConfig(name="default")
+
+
+class MachineMemo:
+    """A value derived from a machine, memoized per machine *object*.
+
+    Calling the memo with a list of machines returns ``derive(machine)``
+    of each, in order.  Hashing a :class:`MachineConfig` hashes all of its
+    fields, once per lookup; a batch's machine table resolves each
+    distinct machine to one object (and
+    :meth:`~repro.api.spec.MachineSpec.resolve` shares it across
+    batches), so a lookup by ``id()`` answers every point of a sweep
+    after the first batch.  Each entry pins its machine, so an id is
+    never reused while cached; the memo is emptied when it holds
+    ``maxsize`` entries.  Nothing is stored on the machine, so nothing
+    rides along when it is pickled.
+    """
+
+    def __init__(self, derive, maxsize: int = 4096):
+        self._derive = derive
+        self._maxsize = maxsize
+        #: id(machine) -> (machine, derive(machine)).
+        self._memo: dict[int, tuple[MachineConfig, object]] = {}
+
+    def __call__(self, machines: list) -> list:
+        ids = list(map(id, machines))
+        found = list(map(self._memo.get, ids))
+        if None in found:
+            for position, known in enumerate(found):
+                if known is None:
+                    machine = machines[position]
+                    found[position] = (self._memo.get(id(machine))
+                                       or self._add(machine))
+        return list(map(itemgetter(1), found))
+
+    def _add(self, machine: MachineConfig) -> tuple:
+        if len(self._memo) >= self._maxsize:
+            self._memo.clear()
+        known = (machine, self._derive(machine))
+        self._memo[id(machine)] = known
+        return known
 
 
 def area_proxy(machine: MachineConfig) -> float:

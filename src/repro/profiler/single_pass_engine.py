@@ -41,7 +41,7 @@ from repro.accel import BaseGeometry, Kernels, get_kernels
 from repro.accel.kernels import PredictorBranchStream
 from repro.branch.predictors import make_predictor
 from repro.branch.profiler import BranchProfile
-from repro.machine import MachineConfig
+from repro.machine import MachineConfig, MachineMemo
 from repro.profiler.dependences import MAX_DISTANCE
 from repro.profiler.machine_stats import MissProfile
 from repro.profiler.program import ProgramProfile
@@ -83,6 +83,11 @@ def miss_key(machine: MachineConfig) -> tuple:
         machine.l2_size, machine.l2_associativity,
         machine.branch_predictor,
     )
+
+
+#: :func:`miss_key` of each of a list of machines, memoized per machine
+#: object (see :class:`~repro.machine.MachineMemo`).
+miss_keys = MachineMemo(miss_key)
 
 
 def branch_stream(kernels: Kernels, predictor_spec: str):

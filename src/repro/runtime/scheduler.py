@@ -90,18 +90,37 @@ def _worker_init(spec, parent_pid: int, obs_config=None,
     start_parent_watch(parent_pid)
 
 
-def worker_session():
-    """This pool worker's session (``None`` outside pool workers)."""
-    return _WORKER_SESSION
-
-
 def _worker_call(payload):
+    """Run one unit in this worker: ``(result, work)``, where ``work`` is
+    the unit's :meth:`~repro.runtime.session.SessionStats.work_since`
+    delta, which the parent adds to its own counters."""
     # Envelopes carry the parent's trace context (or None) so a worker's
     # spans parent under the span that dispatched the batch.
     fn, item, wire_ctx = payload
     faults.fire("worker.entry", key=unit_label(item))
+    stats = _WORKER_SESSION.stats
+    before = stats.as_dict()
     with tracing.attach(tracing.TraceContext.from_wire(wire_ctx)):
-        return fn(_WORKER_SESSION, item)
+        result = fn(_WORKER_SESSION, item)
+    return result, stats.work_since(before)
+
+
+class _PooledUnit:
+    """A submitted unit's future, answering its result without the
+    worker's counters, which it adds to the parent's once."""
+
+    __slots__ = ("_future", "_stats")
+
+    def __init__(self, future: Future, stats):
+        self._future = future
+        self._stats = stats
+
+    def result(self):
+        result, work = self._future.result()
+        if self._stats is not None:  # read twice: add once
+            self._stats.add(work)
+            self._stats = None
+        return result
 
 
 class WorkerPool:
@@ -116,12 +135,15 @@ class WorkerPool:
     #: assert this stays flat across warm service requests).
     created_total = 0
 
-    def __init__(self, spec, jobs: int):
+    def __init__(self, spec, jobs: int, stats):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         type(self).created_total += 1
         self.spec = spec
         self.jobs = jobs
+        #: The parent's :class:`~repro.runtime.session.SessionStats`, to
+        #: which each unit's worker counters are added.
+        self.stats = stats
         self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=jobs, initializer=_worker_init,
             initargs=(spec, os.getpid(), tracing.worker_config(),
@@ -136,15 +158,7 @@ class WorkerPool:
         ctx = tracing.current_context()
         return ctx.to_wire() if ctx else None
 
-    def map(self, fn: Callable, items: list) -> list:
-        if self._executor is None:
-            raise RuntimeError("worker pool is closed")
-        wire_ctx = self._wire_context()
-        return list(self._executor.map(
-            _worker_call, [(fn, item, wire_ctx) for item in items]
-        ))
-
-    def submit_all(self, fn: Callable, items: list) -> list[Future]:
+    def submit_all(self, fn: Callable, items: list) -> list[_PooledUnit]:
         """One future per item (same order), so a worker crash only voids
         the units that had not finished — the containment layer's lever:
         completed futures keep their results across a ``BrokenExecutor``,
@@ -153,7 +167,9 @@ class WorkerPool:
         if self._executor is None:
             raise RuntimeError("worker pool is closed")
         wire_ctx = self._wire_context()
-        return [self._executor.submit(_worker_call, (fn, item, wire_ctx))
+        return [_PooledUnit(self._executor.submit(_worker_call,
+                                                  (fn, item, wire_ctx)),
+                            self.stats)
                 for item in items]
 
     def close(self) -> None:

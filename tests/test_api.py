@@ -16,7 +16,7 @@ import re
 import pytest
 
 from repro import api
-from repro.api.backends import BACKENDS, BackendCapabilities, EvalBackend, PointEvaluation
+from repro.api.backends import BACKENDS, BackendCapabilities, EvalBackend, SliceAnswer
 from repro.api.batch import results_table
 from repro.cli import main as cli_main
 from repro.dse.space import reduced_design_space
@@ -240,10 +240,8 @@ class TestBackends:
             def evaluate(self, session, workload, machines, *,
                          with_power=False, mlp_window=64):
                 instructions = len(workload.trace())
-                return [PointEvaluation(machine=machine,
-                                        instructions=instructions,
-                                        cycles=2.0 * instructions)
-                        for machine in machines]
+                return SliceAnswer(instructions=instructions,
+                                   cycles=[2.0 * instructions] * len(machines))
 
         try:
             result = api.evaluate(_request(backend="constant_cpi"),

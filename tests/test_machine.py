@@ -8,6 +8,7 @@ from repro.machine import (
     DEFAULT_MACHINE,
     MACHINE_PRESETS,
     MachineConfig,
+    MachineMemo,
     format_size,
     machine_from_spec,
     parse_size,
@@ -231,3 +232,58 @@ class TestMachineSpecs:
     def test_unknown_parameter_is_a_clear_error(self):
         with pytest.raises(ValueError, match="unknown machine parameters"):
             machine_from_spec({"l2_sise": "1MB"})
+
+
+class TestMachineMemo:
+    def test_answers_each_machine_in_order(self):
+        calls = []
+
+        def derive(machine):
+            calls.append(machine)
+            return machine.width * 10
+
+        memo = MachineMemo(derive)
+        narrow, wide = MachineConfig(width=1), MachineConfig(width=4)
+        assert memo([narrow, wide, narrow]) == [10, 40, 10]
+        assert memo([wide]) == [40]
+        assert calls == [narrow, wide]  # once per object
+        # An equal machine is another object: derived again.
+        assert memo([MachineConfig(width=1)]) == [10]
+        assert len(calls) == 3
+
+    def test_full_memo_is_emptied_not_wrong(self):
+        memo = MachineMemo(lambda machine: machine.width, maxsize=2)
+        machines = [MachineConfig(width=width) for width in range(1, 6)]
+        assert memo(machines) == [1, 2, 3, 4, 5]
+        assert memo(machines[::-1]) == [5, 4, 3, 2, 1]
+
+    def test_concurrent_callers_always_get_their_machines_values(self):
+        """Threads sharing one small memo (so it is emptied while others
+        read it) never see another machine's value, even as short-lived
+        machines are freed and their ids reused."""
+        import sys
+        import threading
+
+        memo = MachineMemo(lambda machine: machine.width, maxsize=8)
+        errors = []
+
+        def hammer(seed: int) -> None:
+            for round_ in range(300):
+                machines = [MachineConfig(width=1 + (seed + round_ + k) % 7)
+                            for k in range(5)]
+                if memo(machines) != [m.width for m in machines]:
+                    errors.append(seed)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []

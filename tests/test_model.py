@@ -14,6 +14,7 @@ from repro.machine import MachineConfig
 from repro.pipeline import InOrderPipeline
 from repro.profiler import profile_machine, profile_program
 from repro.runtime.session import Session
+from repro.trace.trace import Trace
 from repro.workloads import get_workload, mibench_suite
 
 
@@ -211,15 +212,22 @@ def _bits(cycles, stack):
     return cycles.hex(), [(name, value.hex()) for name, value in stack.items()]
 
 
-def _assert_matches_predict(program, profiles, machines):
-    batched = predict_many(program, profiles, machines)
-    assert len(batched) == len(machines)
-    for (cycles, stack), misses, machine in zip(batched, profiles, machines):
+def _assert_matches_predict(columns, program, profiles, machines):
+    """``predict_many``'s columns are ``predict`` point by point: cycles
+    ``==`` and bit for bit, stack items in stacking order, and the cycles
+    exactly the builtin ``sum`` of the stack."""
+    cycles, stacks = columns
+    assert len(cycles) == len(stacks) == len(machines)
+    for point_cycles, stack, misses, machine in zip(cycles, stacks, profiles,
+                                                    machines):
         scalar = InOrderMechanisticModel(machine).predict(program, misses)
-        assert _bits(cycles, stack) == _bits(scalar.cycles, {
-            component.value: value
-            for component, value in scalar.stack.cycles.items()
-        }), machine
+        expected = [(component.value, value)
+                    for component, value in scalar.stack.cycles.items()]
+        assert point_cycles == scalar.cycles, machine
+        assert list(stack.items()) == expected, machine
+        assert _bits(point_cycles, stack) == _bits(scalar.cycles,
+                                                   dict(expected)), machine
+        assert point_cycles == sum(stack.values())
 
 
 class TestPredictMany:
@@ -227,7 +235,35 @@ class TestPredictMany:
 
     @pytest.mark.parametrize("name", PARITY_WORKLOADS)
     def test_table2_machines(self, table2_points, name):
-        _assert_matches_predict(*table2_points[name])
+        program, profiles, machines = table2_points[name]
+        _assert_matches_predict(predict_many(program, profiles, machines),
+                                program, profiles, machines)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_table2_machines_per_kernel_backend(self, backend):
+        """All 192 Table-2 machines x the parity workloads, with profiles
+        built and the model called through each kernel backend."""
+        from repro import accel
+
+        if not accel.available_backends()[backend]:
+            pytest.skip(f"{backend} kernel backend not installed")
+        previous = accel.active_backend()
+        accel.set_backend(backend)
+        try:
+            kernels = accel.get_kernels()
+            session = Session()
+            machines = default_design_space().to_sweep(()).configurations()
+            for name in PARITY_WORKLOADS:
+                # A fresh trace object: its engine passes start cold.
+                workload = session.adopt_trace(name, "O3", Trace.from_payload(
+                    get_workload(name).trace().to_payload()))
+                program = session.program_profile(workload)
+                profiles = session.miss_profiles(workload, machines)
+                _assert_matches_predict(
+                    kernels.predict_batch(program, profiles, machines),
+                    program, profiles, machines)
+        finally:
+            accel.set_backend(previous)
 
     @settings(max_examples=40, deadline=None)
     @given(machines=st.lists(st.builds(
@@ -246,7 +282,15 @@ class TestPredictMany:
         # The model reads counts, not geometry: one profile serves every
         # drawn timing.
         program, misses = sha_profiles
-        _assert_matches_predict(program, [misses] * len(machines), machines)
+        profiles = [misses] * len(machines)
+        _assert_matches_predict(predict_many(program, profiles, machines),
+                                program, profiles, machines)
+
+    def test_mismatched_columns_are_rejected(self, sha_profiles,
+                                             default_machine):
+        program, misses = sha_profiles
+        with pytest.raises(ValueError, match="2 miss profiles for 1"):
+            predict_many(program, [misses, misses], [default_machine])
 
     def test_numpy_backend_has_no_model_copy(self):
         numpy_kernels = pytest.importorskip(
@@ -263,8 +307,8 @@ class TestPredictMany:
         vectorized = numpy_kernels.NumpyKernels().predict_batch(
             program, profiles, machines
         )
-        assert ([_bits(*result) for result in reference]
-                == [_bits(*result) for result in vectorized])
+        assert ([_bits(*point) for point in zip(*reference)]
+                == [_bits(*point) for point in zip(*vectorized)])
 
 
 #: Machine latencies every model term charges as count x max(0, latency - c).

@@ -475,7 +475,7 @@ def test_third_party_backend_still_goes_to_the_pool(monkeypatch):
         BACKENDS,
         BackendCapabilities,
         EvalBackend,
-        PointEvaluation,
+        SliceAnswer,
         register_backend,
     )
 
@@ -487,8 +487,8 @@ def test_third_party_backend_still_goes_to_the_pool(monkeypatch):
         def evaluate(self, session, workload, machines, *,
                      with_power=False, mlp_window=64):
             instructions = len(workload.trace())
-            return [PointEvaluation(machine, instructions, 2.0 * instructions)
-                    for machine in machines]
+            return SliceAnswer(instructions,
+                               [2.0 * instructions] * len(machines))
 
     counter = _SubmitCounter(monkeypatch)
     requests = [
@@ -542,23 +542,62 @@ def test_worker_returns_its_group_entries_it_built_earlier():
 
 
 def test_worker_reports_the_work_it_counted(monkeypatch):
-    """A pool worker's group returns its counter delta; a group run in
-    the parent returns none, since the parent counted it already."""
+    """A pool worker returns each unit's counter delta with its result; a
+    unit run in the parent returns none, since the parent counted it."""
     from repro.api.planner import build_group
     from repro.runtime import scheduler
 
     requests = _routing_batch(("sha",), _machines("256KB"), with_power=True)
     (group,) = plan_requests(requests)
     parent = Session()
-    assert build_group(parent, group)[3] == {}
+    assert len(build_group(parent, group)) == 3
     assert parent.stats.traces_generated == 1
     worker = Session()
     monkeypatch.setattr(scheduler, "_WORKER_SESSION", worker)
-    work = build_group(worker, group)[3]
+    results, work = scheduler._worker_call((build_group, group, None))
+    assert results[0] == build_group(parent, group)[0]
     assert work["traces_generated"] == 1
     assert work["miss_profiles_built"] == 1
     assert "groups_pooled" not in work and "groups_inline" not in work
-    assert build_group(worker, group)[3] == {}  # nothing new to build
+    # Nothing new to build.
+    assert scheduler._worker_call((build_group, group, None))[1] == {}
+
+
+def _trace_count(session, name: str) -> int:
+    """Pool unit: build ``name``'s trace in the worker's session."""
+    session.workload(name)
+    return session.stats.traces_generated
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_session_map_counts_every_pooled_units_work(jobs):
+    """Plain :meth:`Session.map` units (the experiment drivers) report the
+    work their workers did, as a ``jobs=1`` run does."""
+    from repro.runtime.session import pooled_session
+
+    with pooled_session(None, jobs) as session:
+        session.map(_trace_count, ["sha", "dijkstra"])
+        assert session.stats.traces_generated == 2
+
+
+def test_mixed_sweep_group_is_never_split():
+    """A group with a simulator slice stays whole at any job count, so its
+    trace is built once and its timing loops are shared."""
+    requests = reduced_design_space().to_sweep(
+        ["sha"], backends=("analytical", "simulator"),
+        with_power=True).expand()
+    for jobs in (1, 2, 4):
+        (group,) = plan_requests(requests, jobs=jobs)
+        assert len(group.requests) == len(requests)
+    counters = {}
+    for jobs in (1, 2):
+        from repro.runtime.session import pooled_session
+
+        with pooled_session(None, jobs) as session:
+            evaluate_many(requests, session=session)
+            counters[jobs] = (session.stats.traces_generated,
+                              session.stats.sim_timing_loops_run)
+    assert counters[2] == counters[1] == (1, 6)
 
 
 def test_parent_that_loads_the_trace_later_answers_it_inline():
