@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.api.backends import BACKENDS, get_backend
 from repro.api.spec import EvalRequest, EvalResult, MachineSpec
 from repro.api.sweep import SweepRequest
+from repro.machine import SIZE_FIELDS, format_size, parse_size
 from repro.runtime.session import Session
 
 
@@ -31,8 +32,6 @@ def _machine_label(spec: MachineSpec, machine) -> str:
     :func:`~repro.machine.format_size`, so ``1048576``, ``"1024KB"`` and
     ``"1MB"`` all label as ``l2_size=1MB``.
     """
-    from repro.machine import SIZE_FIELDS, format_size, parse_size
-
     overrides = spec.overrides
     if "name" in overrides or not overrides:
         return machine.name

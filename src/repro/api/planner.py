@@ -21,9 +21,8 @@ pass four times.  The planner regroups the batch before any work starts:
   for the group's keys, which the parent installs; cold traces are built
   by the owning worker, keeping cold batches as parallel as before;
 * machines are resolved, labelled and signed **once per distinct spec**
-  (:func:`machine_entry`, memoized per process), into one machine table
-  the batch's groups share, instead of once per request; planning itself
-  is a few ``map`` passes over the requests and one sort;
+  per batch, into one machine table its groups share, instead of once
+  per request;
 * a group is answered by one
   :meth:`~repro.api.backends.EvalBackend.evaluate` call per ``(backend,
   with_power, mlp_window)`` slice, found at planning time, with the
@@ -57,16 +56,14 @@ job count.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from repro.api.backends import BACKENDS, SliceAnswer, get_backend
+from repro.api.batch import _machine_label
 from repro.api.spec import EvalRequest, EvalResult, MachineSpec
-from repro.machine import MACHINE_PRESETS, MachineConfig
+from repro.machine import MachineConfig
 from repro.obs.tracing import emit_span, span
 from repro.trace.trace import Trace
 from repro.trace.trace_schema import TRACE_SCHEMA_VERSION
@@ -101,22 +98,7 @@ class MachineEntry(NamedTuple):
 
 
 def machine_entry(spec: MachineSpec) -> MachineEntry:
-    """The table entry of ``spec``: its machine, label and signature.
-
-    Memoized per process like :meth:`MachineSpec.resolve`, keyed by the
-    preset's registered factory, the spec and its override values' types
-    (see :func:`repro.api.spec._resolved`): labelling renders every
-    override, which would otherwise cost each batch a few microseconds
-    per distinct machine.
-    """
-    return _machine_entry(MACHINE_PRESETS.get(spec.preset), spec,
-                          tuple(map(type, map(itemgetter(1), spec.items))))
-
-
-@lru_cache(maxsize=4096)
-def _machine_entry(factory, spec: MachineSpec, types: tuple) -> MachineEntry:
-    from repro.api.batch import _machine_label
-
+    """The table entry of ``spec``: its machine, label and signature."""
     machine = spec.resolve()
     return MachineEntry(spec, machine, _machine_label(spec, machine),
                         _pass_signature(machine), machine.cycle_ns)
@@ -162,14 +144,8 @@ class PlannedGroup:
 
     def slice_machines(self, piece: Slice) -> list[MachineEntry]:
         """The table entries of ``piece``'s requests, in its order."""
-        return list(map(self.machines.__getitem__,
-                        map(self.entries.__getitem__, piece.positions)))
-
-
-_MACHINE = attrgetter("machine")
-_WORKLOAD = attrgetter("workload")
-_WINDOW = attrgetter("mlp_window")
-_SLICE_KEY = attrgetter("backend", "with_power", "mlp_window")
+        machines, entries = self.machines, self.entries
+        return [machines[entries[position]] for position in piece.positions]
 
 
 def plan_requests(requests, *, jobs: int = 1) -> list[PlannedGroup]:
@@ -179,67 +155,48 @@ def plan_requests(requests, *, jobs: int = 1) -> list[PlannedGroup]:
     is resolved, labelled and given its pass signature once, in one
     machine table.  The table keys a spec by its value and its override
     values' types, so equal specs that label differently (``12`` and
-    ``12.0``) keep their own entries.  The per-request work is a handful
-    of column passes (``map`` over the requests) and one sort: the
-    machine table, the traces and the sort keys are found per distinct
-    spec, workload and window object, and each request's sort key —
-    trace, then pass signature, then window — is one integer, so the
-    groups come out of the sort as contiguous runs.
+    ``12.0``) keep their own entries.  One pass over the requests builds
+    the table and the per-trace index lists; each trace's requests are
+    then sorted by pass signature and window, so a group's passes come
+    out as contiguous runs.
     """
-    specs = list(map(_MACHINE, requests))
-    spec_ids = list(map(id, specs))
-    # Spec and workload objects by identity: a sweep repeats one spec
-    # object per workload and one workload object per machine, and the
-    # batch keeps every object alive while it plans.
     table: list[MachineEntry] = []
-    by_entry: dict[int, int] = {}
-    position_of: dict[int, int] = {}
-    for spec_id, spec in dict(zip(spec_ids, specs)).items():
-        entry = machine_entry(spec)
-        position = by_entry.get(id(entry))
+    by_key: dict[tuple, int] = {}
+    # Spec objects by identity: a sweep repeats one spec object per
+    # workload, and the batch keeps every object alive while it plans.
+    by_object: dict[int, int] = {}
+    entry_of: list[int] = []
+    by_trace: dict[tuple[str, str], list[int]] = {}
+    for index, request in enumerate(requests):
+        spec = request.machine
+        position = by_object.get(id(spec))
         if position is None:
-            position = by_entry[id(entry)] = len(table)
-            table.append(entry)
-        position_of[spec_id] = position
+            key = (spec, tuple(type(value) for _, value in spec.items))
+            position = by_key.get(key)
+            if position is None:
+                position = by_key[key] = len(table)
+                table.append(machine_entry(spec))
+            by_object[id(spec)] = position
+        entry_of.append(position)
+        by_trace.setdefault(
+            (request.workload.name, request.workload.flags), []
+        ).append(index)
     machines = tuple(table)
-    entry_of = list(map(position_of.__getitem__, spec_ids))
 
-    # Traces in order of first appearance.
-    workloads = list(map(_WORKLOAD, requests))
-    workload_ids = list(map(id, workloads))
-    traces: dict[tuple[str, str], int] = {}
-    trace_of: dict[int, int] = {}
-    for workload_id, workload in dict(zip(workload_ids, workloads)).items():
-        trace_of[workload_id] = traces.setdefault(
-            (workload.name, workload.flags), len(traces))
-
-    # Sort key: trace, then signature rank, then window, in one integer.
-    windows = list(map(_WINDOW, requests))
-    window_rank = {window: order
-                   for order, window in enumerate(sorted(set(windows)))}
+    # Sort key per request: its machine's signature rank, then its window.
     signatures = sorted({entry.signature for entry in machines})
-    signature_rank = {signature: order * len(window_rank)
-                      for order, signature in enumerate(signatures)}
-    entry_part = [signature_rank[entry.signature] for entry in machines]
-    stride = len(signatures) * len(window_rank)
-    trace_part = {workload_id: trace * stride
-                  for workload_id, trace in trace_of.items()}
-    keys = [trace_part[workload_id] + entry_part[entry] + window_rank[window]
-            for workload_id, entry, window
-            in zip(workload_ids, entry_of, windows)]
-    ordered = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = {signature: order for order, signature in enumerate(signatures)}
+    ranks = [rank[entry.signature] for entry in machines]
+    keys = [(ranks[position], request.mlp_window)
+            for position, request in zip(entry_of, requests)]
 
     groups: list[PlannedGroup] = []
-    end = 0
-    for (name, flags), trace in traces.items():
-        start = end
-        end = bisect_left(ordered, (trace + 1) * stride, lo=start,
-                          key=keys.__getitem__)
-        run = ordered[start:end]
-        chunks = [run]
-        if jobs > len(traces) and not _cycle_accurate(
-                map(requests.__getitem__, run)):
-            chunks = _fair_chunks(run, keys, len(traces), jobs)
+    for (name, flags), indices in by_trace.items():
+        ordered = sorted(indices, key=keys.__getitem__)
+        chunks = [ordered]
+        if jobs > len(by_trace) and not _cycle_accurate(
+                map(requests.__getitem__, ordered)):
+            chunks = _fair_chunks(ordered, keys, len(by_trace), jobs)
         for chunk in chunks:
             members = tuple(map(requests.__getitem__, chunk))
             groups.append(PlannedGroup(
@@ -257,19 +214,16 @@ def plan_requests(requests, *, jobs: int = 1) -> list[PlannedGroup]:
 def _slices(requests) -> tuple[Slice, ...]:
     """Group positions by ``(canonical backend, with_power, mlp_window)``:
     one :meth:`~repro.api.backends.EvalBackend.evaluate` call each."""
-    keys = list(map(_SLICE_KEY, requests))
-    if keys.count(keys[0]) == len(keys):  # one slice: the common case
-        by_key = {keys[0]: range(len(keys))}
-    else:
-        by_key = {}
-        for position, key in enumerate(keys):
-            by_key.setdefault(key, []).append(position)
+    canonical: dict[str, str] = {}
     slices: dict[tuple, list[int]] = {}
-    for (backend, with_power, window), positions in by_key.items():
-        slices.setdefault((BACKENDS.canonical(backend), with_power, window),
-                          []).extend(positions)
-    # An alias and its canonical name share one slice, in request order.
-    return tuple(Slice(*key, tuple(sorted(positions)))
+    for position, request in enumerate(requests):
+        backend = canonical.get(request.backend)
+        if backend is None:
+            backend = canonical[request.backend] = BACKENDS.canonical(
+                request.backend)
+        slices.setdefault((backend, request.with_power, request.mlp_window),
+                          []).append(position)
+    return tuple(Slice(*key, tuple(positions))
                  for key, positions in slices.items())
 
 
@@ -278,7 +232,7 @@ def _cycle_accurate(requests) -> bool:
     a group stays whole, so its simulations share one trace, one set of
     event columns and one set of timing loops."""
     return any(get_backend(name).capabilities.cycle_accurate
-               for name in set(map(attrgetter("backend"), requests)))
+               for name in {request.backend for request in requests})
 
 
 def _fair_chunks(ordered, keys, group_count: int, jobs: int):
@@ -409,7 +363,7 @@ def _evaluate_group_body(
         with span(f"planner.{stage}", workload=group.workload,
                   points=len(entries)):
             answer = backend.evaluate(
-                session, workload, list(map(_MACHINE, entries)),
+                session, workload, [entry.machine for entry in entries],
                 with_power=piece.with_power, mlp_window=piece.mlp_window,
             )
         elapsed = time.perf_counter() - started
@@ -419,13 +373,10 @@ def _evaluate_group_body(
             emit_span("planner.profile", profiled, workload=group.workload)
         stages[stage] = stages.get(stage, 0.0) + elapsed - profiled
         answers = slice_results(
-            list(map(group.requests.__getitem__, piece.positions)),
+            [group.requests[position] for position in piece.positions],
             piece.backend, workload.name, entries, answer)
-        if len(answers) == len(results):
-            results = answers  # one slice answers the whole group, in order
-        else:
-            for position, result in zip(piece.positions, answers):
-                results[position] = result
+        for position, result in zip(piece.positions, answers):
+            results[position] = result
     return results, stages
 
 

@@ -93,21 +93,28 @@ def _worker_init(spec, parent_pid: int, obs_config=None,
 def _worker_call(payload):
     """Run one unit in this worker: ``(result, work)``, where ``work`` is
     the unit's :meth:`~repro.runtime.session.SessionStats.work_since`
-    delta, which the parent adds to its own counters."""
+    delta, which the parent adds to its own counters.  A unit that raises
+    carries its delta back on the exception (``worker_work``), so the work
+    it did before failing is counted too, as it would be in the parent."""
     # Envelopes carry the parent's trace context (or None) so a worker's
     # spans parent under the span that dispatched the batch.
     fn, item, wire_ctx = payload
     faults.fire("worker.entry", key=unit_label(item))
     stats = _WORKER_SESSION.stats
     before = stats.as_dict()
-    with tracing.attach(tracing.TraceContext.from_wire(wire_ctx)):
-        result = fn(_WORKER_SESSION, item)
+    try:
+        with tracing.attach(tracing.TraceContext.from_wire(wire_ctx)):
+            result = fn(_WORKER_SESSION, item)
+    except Exception as error:
+        error.worker_work = stats.work_since(before)
+        raise
     return result, stats.work_since(before)
 
 
 class _PooledUnit:
-    """A submitted unit's future, answering its result without the
-    worker's counters, which it adds to the parent's once."""
+    """A submitted unit's future, answering its result (or raising its
+    error) without the worker's counters, which it adds to the parent's
+    once."""
 
     __slots__ = ("_future", "_stats")
 
@@ -116,11 +123,18 @@ class _PooledUnit:
         self._stats = stats
 
     def result(self):
-        result, work = self._future.result()
+        try:
+            result, work = self._future.result()
+        except Exception as error:
+            self._count(getattr(error, "worker_work", {}))
+            raise
+        self._count(work)
+        return result
+
+    def _count(self, work) -> None:
         if self._stats is not None:  # read twice: add once
             self._stats.add(work)
             self._stats = None
-        return result
 
 
 class WorkerPool:

@@ -580,6 +580,26 @@ def test_session_map_counts_every_pooled_units_work(jobs):
         assert session.stats.traces_generated == 2
 
 
+def _trace_count_or_fail(session, name: str) -> int:
+    """Pool unit: build ``name``'s trace, then fail for ``dijkstra``."""
+    count = _trace_count(session, name)
+    if name == "dijkstra":
+        raise RuntimeError(f"{name} failed after its trace was built")
+    return count
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_session_map_counts_a_failing_units_work(jobs):
+    """A pooled unit that raises after building a trace still reports
+    that work to the parent, as the same unit run inline does."""
+    from repro.runtime.session import pooled_session
+
+    with pooled_session(None, jobs) as session:
+        with pytest.raises(RuntimeError, match="after its trace was built"):
+            session.map(_trace_count_or_fail, ["sha", "dijkstra"])
+        assert session.stats.traces_generated == 2
+
+
 def test_mixed_sweep_group_is_never_split():
     """A group with a simulator slice stays whole at any job count, so its
     trace is built once and its timing loops are shared."""
