@@ -63,8 +63,10 @@ Times the paths every PR is expected to keep fast:
   in a subprocess; the entry records the sampling rate, the estimated CPI
   error, the sampled and exact CPIs with the true error between them
   (``true_error``, their absolute difference over the exact CPI), the
-  child's peak RSS and the exact-streaming wall time the sampled
-  evaluation replaces (``speedup_vs_exact``),
+  chunk updates of the sampled call (``chunk_walks``), the time of a
+  nested re-sample at twice the rate on the same interval cache
+  (``resample_seconds``), the child's peak RSS and the exact-streaming
+  wall time the sampled evaluation replaces (``speedup_vs_exact``),
 * ``synthetic_store_write`` — the synthetic generator writing perfbench's
   ``long_trace`` store shape (10x the in-memory default: 200k rows in
   16,384-row chunks) into a fresh spill store, best of 3 writes; the
@@ -125,8 +127,8 @@ beyond the tolerance, or ``matched_exhaustive_best`` flipping from true
 to false, fails the gate exactly like a wall-clock regression.  So does
 ``warm_served_batches`` sending more groups to the pool
 (``groups_pooled``) than its reference, and ``long_workload_sampled``
-with a larger ``true_error`` than its reference (deterministic, so
-compared exactly).  So is
+with a larger ``true_error`` or more ``chunk_walks`` than its reference
+(both deterministic, so compared exactly).  So is
 observability overhead: ``obs_overhead``'s ``overhead_pct`` exceeding its
 recorded ``overhead_limit_pct`` while being worse than the reference
 fails the gate.
@@ -737,16 +739,19 @@ def _long_workload_child() -> None:
     """Subprocess body of ``long_workload_sampled`` (clean-RSS measurement).
 
     Generates a ``LONG_WORKLOAD_SCALE``x synthetic workload straight into a
-    spill store, evaluates it by interval sampling and once exactly through
-    the streaming engine, and prints one JSON line with both wall times,
-    the sampled CPI's estimated error and the process peak RSS.  Runs in
-    its own process so the peak reflects the streamed evaluation, not
-    whatever the parent benchmarked before.
+    spill store, evaluates it by interval sampling, re-samples it at twice
+    the rate on the first call's interval cache, and evaluates it once
+    exactly through the streaming engine.  Prints one JSON line with the
+    three wall times, the chunk updates of one sampled call, the sampled
+    CPI's estimated error and the process peak RSS.  Runs in its own
+    process so the peak reflects the streamed evaluation, not whatever the
+    parent benchmarked before.
     """
     import sys as _sys
     import tempfile as _tempfile
 
     from repro.core.model import InOrderMechanisticModel
+    from repro.profiler import sampling
     from repro.profiler.sampling import sample_evaluate
     from repro.profiler.single_pass_engine import SinglePassEngine
     from repro.workloads.synthetic import (
@@ -768,15 +773,40 @@ def _long_workload_child() -> None:
         get_kernels()
         # Min over inner repeats on both sides: the phases are ~100ms and
         # ~1s, so a single scheduler hiccup otherwise dominates the ratio.
-        sampled_seconds = float("inf")
+        sampled_seconds = resample_seconds = float("inf")
         for _ in range(3):
+            cache: dict = {}
             start = time.perf_counter()
             sampled = sample_evaluate(chunked, DEFAULT_MACHINE,
                                       rate=LONG_WORKLOAD_RATE,
                                       warmup=LONG_WORKLOAD_WARMUP,
-                                      warming=LONG_WORKLOAD_WARMING)
-            sampled_seconds = min(sampled_seconds,
-                                  time.perf_counter() - start)
+                                      warming=LONG_WORKLOAD_WARMING,
+                                      cache=cache)
+            middle = time.perf_counter()
+            sample_evaluate(chunked, DEFAULT_MACHINE,
+                            rate=2 * LONG_WORKLOAD_RATE,
+                            warmup=LONG_WORKLOAD_WARMUP,
+                            warming=LONG_WORKLOAD_WARMING, cache=cache)
+            sampled_seconds = min(sampled_seconds, middle - start)
+            resample_seconds = min(resample_seconds,
+                                   time.perf_counter() - middle)
+
+        # Chunk updates of one sampled call, counted outside the timing.
+        walks = [0]
+        update = sampling._StreamSet.update
+
+        def counted(streams, chunk):
+            walks[0] += 1
+            update(streams, chunk)
+
+        sampling._StreamSet.update = counted
+        try:
+            sample_evaluate(chunked, DEFAULT_MACHINE,
+                            rate=LONG_WORKLOAD_RATE,
+                            warmup=LONG_WORKLOAD_WARMUP,
+                            warming=LONG_WORKLOAD_WARMING)
+        finally:
+            sampling._StreamSet.update = update
 
         exact_seconds = float("inf")
         for _ in range(3):
@@ -793,6 +823,8 @@ def _long_workload_child() -> None:
     peak_rss_mb = _peak_rss_mb()
     print(json.dumps({
         "sampled_seconds": sampled_seconds,
+        "resample_seconds": resample_seconds,
+        "chunk_walks": walks[0],
         "exact_seconds": exact_seconds,
         "instructions": len(chunked),
         "sampled_cpi": sampled.cpi,
@@ -809,9 +841,12 @@ def bench_long_workload_sampled() -> tuple[float, dict]:
     The reported time is the sampled evaluation alone; the extras record
     the sampling rate, the estimated CPI error, the sampled and exact
     CPIs and the true error between them (``true_error``, which the
-    compare gate holds to its reference), the exact-streaming wall time it
-    replaces (``speedup_vs_exact``) and the child's peak RSS — the figure
-    the bounded-memory CI leg asserts against.
+    compare gate holds to its reference), the chunk updates of the
+    sampled call (``chunk_walks``, deterministic and gated like
+    ``true_error``), a nested re-sample at twice the rate on the same
+    interval cache (``resample_seconds``), the exact-streaming wall time
+    it replaces (``speedup_vs_exact``) and the child's peak RSS — the
+    figure the bounded-memory CI leg asserts against.
     """
     import os
     import subprocess
@@ -839,6 +874,8 @@ def bench_long_workload_sampled() -> tuple[float, dict]:
         "true_error": (abs(report["sampled_cpi"] - report["exact_cpi"])
                        / report["exact_cpi"]),
         "peak_rss_mb": report["peak_rss_mb"],
+        "chunk_walks": report["chunk_walks"],
+        "resample_seconds": report["resample_seconds"],
         "exact_seconds": exact,
         "speedup_vs_exact": round(exact / sampled, 2) if sampled else None,
     }
@@ -1180,6 +1217,16 @@ def compare_results(reference: dict, current: dict, tolerance: float,
             regressions.append(
                 f"{name}[groups_pooled]: {new_pooled} vs reference "
                 f"{old_pooled} (warm groups went to the worker pool)"
+            )
+        # Sampling-work gate: the chunk updates of a sampled call are
+        # deterministic, so any growth is a stream walk that came back.
+        old_walks = reference_results[name].get("chunk_walks")
+        new_walks = current_results[name].get("chunk_walks")
+        if (isinstance(old_walks, int) and isinstance(new_walks, int)
+                and new_walks > old_walks):
+            regressions.append(
+                f"{name}[chunk_walks]: {new_walks} vs reference "
+                f"{old_walks} (the sampled evaluation streams more chunks)"
             )
         # Sampling-accuracy gate: the true error of a sampled estimate is
         # deterministic, so any growth is a change in the answer.

@@ -13,7 +13,10 @@ The estimator:
 * the first ``warmup`` chunks are a **census**: they are streamed exactly
   (carried caches and predictor state, chunk by chunk), so their per-chunk
   counts carry no error at all — and they double as the calibration set
-  below;
+  below.  Census chunk ``i`` streamed from the trace start is exactly the
+  warmed interval with window ``0..i``, so each census chunk is an
+  ordinary interval record, cached under that interval's key: a re-sample
+  whose census records all hit walks no census chunk;
 * after the warmup prefix, every ``rate``-th chunk is profiled as a
   **warmed interval**: the ``warming`` chunks preceding it are streamed
   through the chunk-resumable kernels to warm caches, TLBs and predictor
@@ -28,9 +31,11 @@ The estimator:
   Each biased metric has a *window* bounding the residual (its cold-miss
   count within the measured chunk; see :class:`_Calibration`), and the
   census measures where in the window the truth sits: every census chunk
-  past the first is profiled both ways (exactly in stream, and as a warmed
-  interval with the same ``warming``), and the measured bias fraction is
-  applied to every sampled interval;
+  past the first ``warming + 1`` is profiled both ways (exactly in stream,
+  and as a warmed interval with the same ``warming``; up to ``warming``
+  the warmed window reaches the trace start, so the census record is that
+  interval and measures a zero bias without a second walk), and the
+  measured bias fraction is applied to every sampled interval;
 * the reported per-metric relative error combines the calibration
   uncertainty (spread of the bias fraction across census chunks, floored —
   the census sits at the start of the trace and the sampled region may
@@ -248,22 +253,10 @@ def _chunk_program(chunk) -> ProgramProfile:
     )
 
 
-def profile_interval(chunked: ChunkedTrace, index: int,
-                     machine: MachineConfig, mlp_window: int = 64,
-                     warming: int = 1) -> IntervalRecord:
-    """Profile chunk ``index`` after warming on its predecessors.
-
-    The ``warming`` chunks before ``index`` (clipped at the trace start)
-    are streamed through the kernels for state only; the measured chunk's
-    counts are the difference of cumulative snapshots around it.
-    """
-    streams = _StreamSet(machine, mlp_window)
-    for position in range(max(0, index - warming), index):
-        streams.update(chunked.chunk(position))
-    before_counts, before_cold, before_runs = streams.snapshot()
-    chunk = chunked.chunk(index)
-    streams.update(chunk)
-    after_counts, after_cold, after_runs = streams.snapshot()
+def _record(machine: MachineConfig, chunk, before, after) -> IntervalRecord:
+    """The record of ``chunk`` from the stream snapshots around it."""
+    before_counts, before_cold, before_runs = before
+    after_counts, after_cold, after_runs = after
     counts = {
         metric: after_counts[metric] - before_counts[metric]
         for metric in MISS_METRICS
@@ -290,33 +283,52 @@ def profile_interval(chunked: ChunkedTrace, index: int,
     )
 
 
-def _census_counts(chunked: ChunkedTrace, plan: SamplingPlan,
-                   machine: MachineConfig,
-                   mlp_window: int) -> list[tuple[dict[str, int], int]]:
-    """Exact per-chunk (metric counts, dl2 miss runs) for ``plan.census``.
+def profile_interval(chunked: ChunkedTrace, index: int,
+                     machine: MachineConfig, mlp_window: int = 64,
+                     warming: int = 1) -> IntervalRecord:
+    """Profile chunk ``index`` after warming on its predecessors.
 
-    One pass of the chunk-resumable streams over the warmup prefix only;
-    cumulative counts are snapshotted after every chunk and differenced.
+    The ``warming`` chunks before ``index`` (clipped at the trace start)
+    are streamed through the kernels for state only; the measured chunk's
+    counts are the difference of cumulative snapshots around it.
     """
-    if not plan.census:
-        return []
     streams = _StreamSet(machine, mlp_window)
-    per_chunk: list[tuple[dict[str, int], int]] = []
-    previous: dict[str, int] = {metric: 0 for metric in MISS_METRICS}
-    previous_runs = 0
-    for index in plan.census:
-        streams.update(chunked.chunk(index))
-        cumulative, _, runs = streams.snapshot()
-        per_chunk.append((
-            {
-                metric: cumulative[metric] - previous[metric]
-                for metric in MISS_METRICS
-            },
-            runs - previous_runs,
-        ))
-        previous = cumulative
-        previous_runs = runs
-    return per_chunk
+    for position in range(max(0, index - warming), index):
+        streams.update(chunked.chunk(position))
+    before = streams.snapshot()
+    chunk = chunked.chunk(index)
+    streams.update(chunk)
+    return _record(machine, chunk, before, streams.snapshot())
+
+
+def _census_records(chunked: ChunkedTrace, census: tuple[int, ...],
+                    machine: MachineConfig,
+                    mlp_window: int) -> list[IntervalRecord]:
+    """One record per census chunk, from one pass over the census prefix.
+
+    Census chunk ``i`` streamed from the trace start is exactly the warmed
+    interval with window ``0..i``, so its record equals
+    ``profile_interval(chunked, i, machine, mlp_window, warming=i)`` and
+    lives under that interval's cache key.
+    """
+    streams = _StreamSet(machine, mlp_window)
+    before = streams.snapshot()
+    records = []
+    for index in census:
+        chunk = chunked.chunk(index)
+        streams.update(chunk)
+        after = streams.snapshot()
+        records.append(_record(machine, chunk, before, after))
+        before = after
+    return records
+
+
+def _load(cache, key: str) -> IntervalRecord | None:
+    """The cached record at ``key``, or None if absent or stale."""
+    record = cache.get(key)
+    if record is None or record.schema_version != SAMPLING_SCHEMA_VERSION:
+        return None
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -367,28 +379,26 @@ class _Calibration:
     half: dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def measure(cls, census: list[tuple[dict[str, int], int]],
-                records: dict[int, IntervalRecord]) -> "_Calibration":
+    def measure(cls, census: list[IntervalRecord],
+                warmed: list[IntervalRecord]) -> "_Calibration":
         """Compare streamed vs warmed counts over census chunks 1..w-1.
 
-        Chunk 0 is excluded: its stream starts cold, so its warmed profile
-        is already exact and measures nothing.
+        ``warmed[k]`` is census chunk ``k + 1`` profiled as a warmed
+        interval.  Chunk 0 is excluded: its stream starts cold, so its
+        warmed profile is already exact and measures nothing.
         """
         samples: dict[str, list[float]] = {}
-        for position in range(1, len(census)):
-            record = records.get(position)
-            if record is None:
-                continue
-            exact, _ = census[position]
+        for exact, record in zip(census[1:], warmed):
             for metric in MISS_METRICS:
                 window = cls._window(record, metric)
                 if window <= 0:
                     continue
-                warmed = getattr(record.misses, metric)
+                streamed = getattr(exact.misses, metric)
+                value = getattr(record.misses, metric)
                 if metric == "taken_bubbles":
-                    bias = (exact[metric] - warmed) / window
+                    bias = (streamed - value) / window
                 else:
-                    bias = (warmed - exact[metric]) / window
+                    bias = (value - streamed) / window
                 samples.setdefault(metric, []).append(
                     min(1.0, max(0.0, bias))
                 )
@@ -537,59 +547,69 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
     mapping-like object (``get`` + ``__setitem__``) used to memoize
     per-interval records content-addressed by warming-window digest,
     machine fingerprint and MLP window — a plain dict works, as does the
-    artifact cache's facade.  Re-sampling at a nested rate reuses every
-    interval the two plans share.
+    artifact cache's facade.  Census records are cached too, so
+    re-sampling at a nested rate reuses the census and every interval the
+    two plans share.  ``cache_misses`` counts the records this call built,
+    census records included; ``cache_hits`` counts those read from the
+    cache.
     """
     plan = systematic_plan(chunked.num_chunks, rate, warmup)
-    hits = misses_count = 0
+    # ``built`` counts records this call profiled, census records
+    # included; ``hits`` counts records read from the cache.
+    hits = built = 0
 
     def interval_record(index: int) -> IntervalRecord:
-        nonlocal hits, misses_count
-        record = None
+        nonlocal hits, built
         key = None
         if cache is not None:
             key = interval_cache_key(chunked, index, machine, mlp_window,
                                      warming)
-            record = cache.get(key)
-            if record is not None and (
-                record.schema_version != SAMPLING_SCHEMA_VERSION
-            ):
-                record = None
-        if record is None:
-            misses_count += 1
-            record = profile_interval(chunked, index, machine, mlp_window,
-                                      warming)
-            if cache is not None:
-                cache[key] = record
-        else:
-            hits += 1
+            record = _load(cache, key)
+            if record is not None:
+                hits += 1
+                return record
+        built += 1
+        record = profile_interval(chunked, index, machine, mlp_window,
+                                  warming)
+        if cache is not None:
+            cache[key] = record
         return record
 
-    census_counts = _census_counts(chunked, plan, machine, mlp_window)
-    census_records = {
-        position: interval_record(index)
-        for position, index in enumerate(plan.census)
-        if position > 0  # position 0's warmed profile is its exact profile
-    }
-    calibration = _Calibration.measure(census_counts, census_records)
-    selected_records = [
-        (index, interval_record(index)) for index in plan.selected
+    # The census is read from the cache only when every record hits; any
+    # miss re-walks the whole prefix, which builds all of them at once.
+    census_keys = [] if cache is None else [
+        interval_cache_key(chunked, index, machine, mlp_window,
+                           warming=index)
+        for index in plan.census
     ]
+    census = [_load(cache, key) for key in census_keys]
+    if len(census) == len(plan.census) and None not in census:
+        hits += len(census)
+    else:
+        census = _census_records(chunked, plan.census, machine, mlp_window)
+        built += len(census)
+        for key, record in zip(census_keys, census):
+            cache[key] = record
+    # Census chunks 1.. as warmed intervals: up to ``warming`` the window
+    # reaches the trace start, so the census record is that interval.
+    warmed = [
+        census[index] if index <= warming else interval_record(index)
+        for index in plan.census[1:]
+    ]
+    calibration = _Calibration.measure(census, warmed)
+    selected_records = [interval_record(index) for index in plan.selected]
 
     # ------------------------------------------------------------------
     # Weighted, calibrated aggregates (floats are fine: MissProfile is not
     # frozen and the model is linear in every count).
     # ------------------------------------------------------------------
-    census_instructions = sum(
-        chunked.chunk_bounds(index)[1] - chunked.chunk_bounds(index)[0]
-        for index in plan.census
-    )
+    census_instructions = sum(record.instructions for record in census)
     # Weight by instructions, not chunks: the weighted sample then covers
     # exactly the workload's true length, so the aggregate counts estimate
     # workload totals directly (no ragged-last-chunk skew).
     true_instructions = len(chunked)
     selected_instructions = sum(
-        record.instructions for _, record in selected_records
+        record.instructions for record in selected_records
     )
     if selected_instructions:
         weight = (true_instructions - census_instructions) / selected_instructions
@@ -601,35 +621,28 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
         instructions=total_instructions,
         **{
             metric: (
-                sum(counts[metric] for counts, _ in census_counts)
+                sum(getattr(record.misses, metric) for record in census)
                 + weight * sum(
                     calibration.correct(record, metric)
-                    for _, record in selected_records
+                    for record in selected_records
                 )
             )
             for metric in MISS_METRICS
         },
         dl2_miss_runs=(
-            sum(runs for _, runs in census_counts)
+            sum(record.misses.dl2_miss_runs for record in census)
             + weight * sum(
-                record.misses.dl2_miss_runs for _, record in selected_records
+                record.misses.dl2_miss_runs for record in selected_records
             )
         ),
     )
     mix_counts: dict = {}
     mix_total = 0.0
     dependencies = DependencyProfile()
-    # Census witnesses already carry their chunk's program (built inside
-    # ``profile_interval``); only position 0 needs a fresh pass.
-    census_programs = [
-        census_records[position].program if position in census_records
-        else _chunk_program(chunked.chunk(index))
-        for position, index in enumerate(plan.census)
-    ]
     weighted_programs = [
-        (1.0, program) for program in census_programs
+        (1.0, record.program) for record in census
     ] + [
-        (weight, record.program) for _, record in selected_records
+        (weight, record.program) for record in selected_records
     ]
     for weight, chunk_program in weighted_programs:
         mix_total += weight * chunk_program.mix.total
@@ -682,7 +695,7 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
 
     estimated_cycles = result.cycles
     allowance_cycles = weight * sum(
-        cycles_halfwidth(record) for _, record in selected_records
+        cycles_halfwidth(record) for record in selected_records
     )
     cold_bias_fraction = (
         allowance_cycles / estimated_cycles if estimated_cycles else 0.0
@@ -692,24 +705,12 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
     # counts (and modelled cycles) are real observations of chunk-to-chunk
     # variability, which matters most when only one or two chunks were
     # sampled.  Chunk 0 is excluded — its cold start makes it atypical.
-    census_cycles = []
-    for position, (counts, runs) in enumerate(census_counts):
-        chunk_misses = MissProfile(
-            machine=machine,
-            instructions=census_programs[position].instructions,
-            dl2_miss_runs=runs,
-            **counts,
-        )
-        census_cycles.append(
-            InOrderMechanisticModel(machine)
-            .predict(census_programs[position], chunk_misses)
-            .cycles
-        )
     witnesses: dict[str, list[float]] = {
-        metric: [float(counts[metric]) for counts, _ in census_counts[1:]]
+        metric: [float(getattr(record.misses, metric))
+                 for record in census[1:]]
         for metric in MISS_METRICS
     }
-    witnesses["cpi"] = list(census_cycles[1:])
+    witnesses["cpi"] = [record.cycles for record in census[1:]]
 
     est_rel_error: dict[str, float] = {}
     count = len(selected_records)
@@ -735,11 +736,11 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
         if not plan.exact and count:
             values = [
                 calibration.correct(record, metric)
-                for _, record in selected_records
+                for record in selected_records
             ]
             allowance = weight * sum(
                 calibration.halfwidth(record, metric)
-                for _, record in selected_records
+                for record in selected_records
             )
             # Shot-noise floor for sparse event counts: observing k events
             # bounds the underlying Poisson rate no tighter than
@@ -762,7 +763,7 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
     cpi_error = 0.0
     if not plan.exact and count and estimated_cycles:
         cycle_values = [
-            corrected_cycles(record) for _, record in selected_records
+            corrected_cycles(record) for record in selected_records
         ]
         # The per-metric sampling radii fold through the model's penalties
         # into a cycles radius (root-sum-square: the metrics' sampling
@@ -780,7 +781,7 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
 
     interval_cpis = tuple(
         record.cycles / record.instructions
-        for _, record in selected_records if record.instructions
+        for record in selected_records if record.instructions
     )
     return SampledEvaluation(
         name=chunked.name,
@@ -797,5 +798,5 @@ def sample_evaluate(chunked: ChunkedTrace, machine: MachineConfig,
         interval_cpis=interval_cpis,
         cold_bias_fraction=cold_bias_fraction,
         cache_hits=hits,
-        cache_misses=misses_count,
+        cache_misses=built,
     )

@@ -614,11 +614,13 @@ class Session:
 
         Thin session wrapper over
         :func:`~repro.profiler.sampling.sample_evaluate` that wires in the
-        artifact cache: every warmed interval profile is persisted
-        content-addressed, so re-sampling the same store — at any nested
-        rate, from any process sharing the cache directory — reuses the
-        expensive per-interval streaming work.  Without a cache directory
-        the records are memoized in process instead.
+        artifact cache: every warmed interval profile, census chunks
+        included, is persisted content-addressed, so re-sampling the same
+        store — at any nested rate, from any process sharing the cache
+        directory — reuses the expensive per-interval streaming work and
+        walks no census chunk.  Without a cache directory the records are
+        memoized in process instead.  ``interval_profiles_built`` and
+        ``interval_cache_hits`` count census records like any other.
         """
         from repro.profiler.sampling import sample_evaluate
 

@@ -167,6 +167,27 @@ def test_true_error_absent_on_one_side_passes_vacuously():
     assert compare_results(_sampled(0.5, 0.1), _sampled(0.5), 0.0) == []
 
 
+def _walked(median: float, walks: int | None = None) -> dict:
+    entry: dict = {"median": median}
+    if walks is not None:
+        entry["chunk_walks"] = walks
+    return {"results": {"long_workload_sampled": entry}}
+
+
+def test_more_chunk_walks_are_a_regression():
+    regressions = compare_results(_walked(0.5, 9), _walked(0.5, 14), 1000.0)
+    assert regressions == [
+        "long_workload_sampled[chunk_walks]: 14 vs reference 9 "
+        "(the sampled evaluation streams more chunks)"]
+    assert compare_results(_walked(0.5, 14), _walked(0.5, 9), 0.0) == []
+    assert compare_results(_walked(0.5, 9), _walked(0.5, 9), 0.0) == []
+
+
+def test_chunk_walks_absent_on_one_side_passes_vacuously():
+    assert compare_results(_walked(0.5), _walked(0.5, 14), 0.0) == []
+    assert compare_results(_walked(0.5, 9), _walked(0.5), 0.0) == []
+
+
 def _obs(median: float, pct: float | None = None,
          limit: float | None = 2.0) -> dict:
     entry: dict = {"median": median, "runs": [median]}
