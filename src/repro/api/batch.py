@@ -117,7 +117,7 @@ def validate_requests(requests: Sequence[EvalRequest]) -> None:
         if isinstance(request, OptimizeRequest):
             # Whole-search requests validate structurally (named-field
             # errors for infeasible constraints, zero-cardinality spaces,
-            # bad strategies/budgets) instead of per-evaluation.
+            # bad budgets) instead of per-evaluation.
             errors = validate_optimize_request(request)
             if errors:
                 message = "; ".join(errors)

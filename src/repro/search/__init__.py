@@ -1,4 +1,4 @@
-"""Design-space search: objectives, spaces, strategies, serving.
+"""Design-space search: objectives, spaces, policies, serving.
 
 The four layers stack bottom-up:
 
@@ -9,9 +9,9 @@ The four layers stack bottom-up:
 * :mod:`repro.search.space` — :class:`SearchSpace`, an indexable,
   never-materialised cross product of plain / coupled / conditional
   axes over a base machine spec;
-* :mod:`repro.search.strategies` — the :data:`STRATEGIES` registry
-  (``exhaustive``, ``random``, ``surrogate``) over a shared budgeted
-  :class:`SearchDriver`;
+* :mod:`repro.search.strategies` — the two search policies over a shared
+  budgeted :class:`SearchDriver`: ``exhaustive`` when the budget covers
+  the space, seeded ``random`` otherwise;
 * :mod:`repro.search.optimize` — the :class:`OptimizeRequest` /
   :class:`OptimizeResult` envelopes behind ``repro optimize`` and
   ``POST /v1/optimize``, plus :func:`optimize` itself.
@@ -38,7 +38,7 @@ from repro.search.optimize import (
     validate_optimize_request,
 )
 from repro.search.space import SPACE_SCHEMA_VERSION, SearchSpace, SpaceAxis
-from repro.search.strategies import STRATEGIES, SearchDriver, strategy_names
+from repro.search.strategies import SearchDriver
 
 __all__ = [
     "Constraint",
@@ -47,7 +47,6 @@ __all__ = [
     "OptimizeResult",
     "SEARCH_SCHEMA_VERSION",
     "SPACE_SCHEMA_VERSION",
-    "STRATEGIES",
     "SearchDriver",
     "SearchSpace",
     "SpaceAxis",
@@ -58,6 +57,5 @@ __all__ = [
     "pareto_front",
     "pareto_indices",
     "split_constraints",
-    "strategy_names",
     "validate_optimize_request",
 ]

@@ -1,8 +1,8 @@
 """The serving layer of :mod:`repro.search`: request/result envelopes.
 
 An :class:`OptimizeRequest` bundles everything one design-space search
-needs — the space, the workload, objectives, constraints, a strategy
-name and an evaluation budget — into one JSON-round-trippable object, so
+needs — the space, the workload, objectives, constraints and an
+evaluation budget — into one JSON-round-trippable object, so
 the same search is addressable from Python, the ``repro optimize`` CLI
 subcommand and ``POST /v1/optimize`` (and cacheable under one canonical
 key).  :func:`optimize` answers it with an :class:`OptimizeResult`:
@@ -26,7 +26,11 @@ from repro.search.objectives import (
     split_constraints,
 )
 from repro.search.space import SearchSpace
-from repro.search.strategies import STRATEGIES, SearchDriver
+from repro.search.strategies import (
+    SearchDriver,
+    exhaustive_strategy,
+    random_strategy,
+)
 
 #: Version stamped into serialized optimize requests/results.
 SEARCH_SCHEMA_VERSION = 1
@@ -45,7 +49,6 @@ class OptimizeRequest:
     workload: WorkloadSpec
     objectives: tuple[Objective, ...]
     constraints: tuple[Constraint, ...] = ()
-    strategy: str = "surrogate"
     budget: int = 64
     batch: int = 8
     seed: int = 0
@@ -55,6 +58,14 @@ class OptimizeRequest:
     mlp_window: int = 64
     #: Opaque caller correlation tag, carried through to the result.
     tag: str = ""
+
+    @property
+    def strategy(self) -> str:
+        """The search policy, decided by size alone: ``"exhaustive"``
+        when the budget covers the space, else ``"random"``."""
+        if self.budget >= self.space.cardinality():
+            return "exhaustive"
+        return "random"
 
     @property
     def effective_with_power(self) -> bool:
@@ -81,7 +92,6 @@ class OptimizeRequest:
                            for objective in self.objectives],
             "constraints": [constraint.to_dict()
                             for constraint in self.constraints],
-            "strategy": self.strategy,
             "budget": self.budget,
             "batch": self.batch,
             "seed": self.seed,
@@ -94,7 +104,7 @@ class OptimizeRequest:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "OptimizeRequest":
         allowed = {"schema_version", "space", "workload", "objectives",
-                   "constraints", "strategy", "budget", "batch", "seed",
+                   "constraints", "budget", "batch", "seed",
                    "backend", "with_power", "mlp_window", "tag"}
         unknown = sorted(set(payload) - allowed)
         if unknown:
@@ -121,7 +131,6 @@ class OptimizeRequest:
                              for objective in objectives),
             constraints=tuple(Constraint.parse(constraint)
                               for constraint in payload.get("constraints", ())),
-            strategy=payload.get("strategy", "surrogate"),
             budget=int(payload.get("budget", 64)),
             batch=int(payload.get("batch", 8)),
             seed=int(payload.get("seed", 0)),
@@ -196,18 +205,6 @@ def validate_optimize_request(request: OptimizeRequest) -> list[str]:
         errors.append(f"budget: must be at least 1, got {request.budget}")
     if request.batch < 1:
         errors.append(f"batch: must be at least 1, got {request.batch}")
-    if request.strategy not in STRATEGIES:
-        known = ", ".join(STRATEGIES.names())
-        errors.append(
-            f"strategy: unknown strategy {request.strategy!r}; known: {known}"
-        )
-    elif (request.strategy == "exhaustive" and cardinality is not None
-            and request.budget < cardinality):
-        errors.append(
-            f"budget: exhaustive search of a {cardinality}-point space "
-            f"needs budget >= {cardinality}, got {request.budget} "
-            "(use the 'random' or 'surrogate' strategy for partial budgets)"
-        )
     machine_constraints, _ = split_constraints(request.constraints)
     for index, constraint in enumerate(request.constraints):
         if constraint not in machine_constraints:
@@ -320,11 +317,12 @@ def optimize(request: "OptimizeRequest | Mapping", *, session=None,
 
     Validates upfront (:func:`validate_optimize_request`; any problem
     raises one ``ValueError`` listing every named-field error), then
-    hands a :class:`~repro.search.strategies.SearchDriver` to the named
-    strategy.  Evaluation runs through :func:`repro.api.evaluate_many`
-    on the given session (or a fresh pooled one built from
-    ``jobs``/``cache_dir``), so batches share profiling passes and the
-    result is byte-identical across job counts and accel backends.
+    hands a :class:`~repro.search.strategies.SearchDriver` to the policy
+    :attr:`OptimizeRequest.strategy` picks.  Evaluation runs through
+    :func:`repro.api.evaluate_many` on the given session (or a fresh
+    pooled one built from ``jobs``/``cache_dir``), so batches share
+    profiling passes and the result is byte-identical across job counts
+    and accel backends.
     """
     parsed = OptimizeRequest.parse(request)
     errors = validate_optimize_request(parsed)
@@ -350,8 +348,9 @@ def _optimize_on(request: OptimizeRequest, session) -> OptimizeResult:
         with_power=request.effective_with_power,
         mlp_window=request.mlp_window, session=session,
     )
-    strategy = STRATEGIES.get(request.strategy)
-    strategy(driver, request.seed, request.batch)
+    search = (exhaustive_strategy if request.strategy == "exhaustive"
+              else random_strategy)
+    search(driver, request.seed, request.batch)
     best_index = driver.best()
     return OptimizeResult(
         request=request,

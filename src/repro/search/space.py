@@ -266,41 +266,6 @@ class SearchSpace:
                 remaining -= subtree
         return overrides
 
-    def index_of(self, overrides: Mapping[str, object]) -> int:
-        """The point index whose decode equals ``overrides`` (the inverse
-        of :meth:`overrides`); :class:`KeyError` if no point matches —
-        e.g. a value not on its axis, or a conditional axis's field bound
-        while the axis is inactive."""
-        memo = self._counts
-        bindings = self._base_bindings()
-        referenced = self._referenced
-        index = 0
-        for axis_index, axis in enumerate(self.axes):
-            if all(field_name in overrides for field_name in axis.fields):
-                target = (overrides[axis.fields[0]] if len(axis.fields) == 1
-                          else tuple(overrides[field_name]
-                                     for field_name in axis.fields))
-            else:
-                target = None
-            found = False
-            for value in self._choices(axis, bindings):
-                child = dict(bindings)
-                if value is not None:
-                    child.update({k: v
-                                  for k, v in axis.overrides_for(value).items()
-                                  if k in referenced})
-                if value == target:
-                    bindings = child
-                    found = True
-                    break
-                index += self._count_from(axis_index + 1, child, memo)
-            if not found:
-                raise KeyError(
-                    f"no point of this space assigns {target!r} to axis "
-                    f"{axis.key!r} under {dict(overrides)!r}"
-                )
-        return index
-
     def point_name(self, overrides: Mapping[str, object]) -> str | None:
         """Render the name template for one decoded point (if any)."""
         if self.name_template is None:
@@ -350,7 +315,7 @@ class SearchSpace:
     # ------------------------------------------------------------------
     # Seeded sampling.
     # ------------------------------------------------------------------
-    def sample(self, count: int, seed: int, *,
+    def sample(self, count: int, seed: int | str, *,
                exclude: Iterable[int] = ()) -> list[int]:
         """``count`` distinct point indices, deterministic given ``seed``.
 

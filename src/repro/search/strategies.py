@@ -1,6 +1,6 @@
-"""Search strategies: exhaustive, seeded random, surrogate-guided.
+"""The two search policies: exhaustive and seeded random.
 
-A strategy decides *which* points of a :class:`~repro.search.space.SearchSpace`
+A policy decides *which* points of a :class:`~repro.search.space.SearchSpace`
 to spend the evaluation budget on; the shared :class:`SearchDriver` owns
 everything else — feasibility filtering against machine constraints,
 batched evaluation through the geometry-grouped planner
@@ -8,31 +8,24 @@ batched evaluation through the geometry-grouped planner
 and shards byte-identically across ``--jobs``), the running Pareto front,
 and the convergence trajectory.
 
-Strategies register by name in :data:`STRATEGIES` (the same
-string-addressed registry pattern as backends and predictors):
+Which policy runs is decided in one place,
+:attr:`repro.search.optimize.OptimizeRequest.strategy`:
 
-* ``exhaustive`` — every feasible point, in index order.  The reference
-  answer for small spaces; refuses spaces larger than the budget.
-* ``random`` — a seeded uniform sample of the space.  The baseline any
-  smarter strategy has to beat.
-* ``surrogate`` — active learning: seed with a random batch, fit a
-  k-nearest-neighbour surrogate over one-hot + log-scaled axis features
-  on everything evaluated so far, score a seeded candidate pool by
-  expected improvement over the current front plus an exploration bonus,
-  evaluate the top batch, repeat until the budget is spent.  Pure stdlib
-  float arithmetic end to end, so the whole trajectory is deterministic
-  given (seed, backend) — and byte-identical across accel backends and
-  job counts, like every other subsystem here.
+* ``exhaustive`` — every feasible point, in index order, when the budget
+  covers the space.  A warm point costs microseconds of model
+  evaluation, so this is the answer for any space the budget can hold.
+* ``random`` — a seeded uniform sample otherwise, drawn in
+  ``batch``-sized rounds until the budget is spent or the space runs
+  out.  Deterministic given the seed, and byte-identical across accel
+  backends and job counts, like every other subsystem here.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.api.batch import evaluate_many
 from repro.api.spec import EvalRequest, EvalResult, WorkloadSpec
-from repro.registry import Registry
 from repro.search.objectives import (
     Constraint,
     Objective,
@@ -42,22 +35,9 @@ from repro.search.objectives import (
 )
 from repro.search.space import SearchSpace
 
-#: Registry of strategy callables: ``fn(driver, seed, batch)``.
-STRATEGIES = Registry("search strategy")
-
-
-def register_strategy(name: str, *, aliases: tuple[str, ...] = (),
-                      description: str = ""):
-    """Decorator registering a search strategy under ``name``."""
-    return STRATEGIES.register(name, aliases=aliases, description=description)
-
-
-def strategy_names() -> list[str]:
-    return STRATEGIES.names()
-
 
 class SearchDriver:
-    """Budgeted evaluation state shared by every strategy."""
+    """Budgeted evaluation state shared by both policies."""
 
     def __init__(self, space: SearchSpace, workload: WorkloadSpec,
                  objectives: Sequence[Objective],
@@ -164,7 +144,7 @@ class SearchDriver:
             objective_vector(self.evaluated[index], self.objectives), index))
 
     def record_round(self) -> None:
-        """Append one trajectory entry (call after each strategy round)."""
+        """Append one trajectory entry (call after each search round)."""
         self._rounds += 1
         best = self.best()
         entry: dict = {
@@ -181,15 +161,11 @@ class SearchDriver:
 
 
 # ----------------------------------------------------------------------
-# Strategies.
+# Policies.
 # ----------------------------------------------------------------------
-@register_strategy(
-    "exhaustive",
-    description="every feasible point in index order (small spaces)",
-)
 def exhaustive_strategy(driver: SearchDriver, seed: int, batch: int) -> None:
-    """Evaluate the whole space (the budget must cover it; validated
-    upfront by :func:`repro.search.optimize.validate_optimize_request`)."""
+    """Evaluate every feasible point, in index order, in one batch (the
+    budget covers the space: see ``OptimizeRequest.strategy``)."""
     del seed, batch  # deterministic by construction
     feasible = [index for index in range(driver.cardinality)
                 if driver.feasible(index)]
@@ -197,31 +173,44 @@ def exhaustive_strategy(driver: SearchDriver, seed: int, batch: int) -> None:
     driver.record_round()
 
 
-#: Most sampling rounds the ``random`` strategy draws.
-_RANDOM_ROUNDS = 64
+#: Rounds whose sample seed is the integer ``seed * 64 + round``; later
+#: rounds take string seeds (see :func:`_round_seed`).
+_INT_SEED_ROUNDS = 64
+
+#: Consecutive rounds that evaluate nothing (every drawn point failed a
+#: machine constraint) before ``random`` search gives up on the budget.
+_IDLE_ROUNDS = 64
 
 
-def _round_seed(seed: int, attempt: int) -> int:
-    """The sample seed of round ``attempt`` (``0 <= attempt < 64``).
+def _round_seed(seed: int, attempt: int) -> int | str:
+    """The sample seed of round ``attempt`` (``attempt >= 0``).
 
     Injective in ``(seed, attempt)``, so no round of one seed redraws a
-    round of another seed.
+    round of another seed.  The integers ``seed * 64 + attempt`` of the
+    first 64 rounds already cover every integer, so later rounds take
+    the string ``"seed:attempt"``, which :class:`random.Random` hashes
+    into a stream of its own.
     """
-    return seed * _RANDOM_ROUNDS + attempt
+    if attempt < _INT_SEED_ROUNDS:
+        return seed * _INT_SEED_ROUNDS + attempt
+    return f"{seed}:{attempt}"
 
 
-@register_strategy(
-    "random",
-    description="seeded uniform sample of the space (the baseline)",
-)
 def random_strategy(driver: SearchDriver, seed: int, batch: int) -> None:
     """Spend the budget on a seeded uniform sample, in ``batch``-sized
-    rounds so the trajectory shows convergence like the surrogate's."""
-    attempts = 0
-    while driver.budget_left > 0 and attempts < _RANDOM_ROUNDS:
+    rounds so the trajectory shows convergence.
+
+    Stops when the budget is spent, when the space has no unseen point
+    left, or after :data:`_IDLE_ROUNDS` rounds in a row that evaluated
+    nothing.  Every round marks the points it drew as evaluated or
+    infeasible, so the pool shrinks and the loop ends.
+    """
+    attempt = 0
+    idle = 0
+    while driver.budget_left > 0 and idle < _IDLE_ROUNDS:
         exclude = set(driver.evaluated) | driver.infeasible
         want = min(batch, driver.budget_left)
-        candidates = driver.space.sample(want, _round_seed(seed, attempts),
+        candidates = driver.space.sample(want, _round_seed(seed, attempt),
                                          exclude=exclude)
         if not candidates:
             break
@@ -229,228 +218,7 @@ def random_strategy(driver: SearchDriver, seed: int, batch: int) -> None:
         driver.evaluate(candidates)
         if len(driver.evaluated) > before:
             driver.record_round()
-        attempts += 1
-
-
-# ----------------------------------------------------------------------
-# Surrogate machinery (pure stdlib, deterministic).
-# ----------------------------------------------------------------------
-class _FeatureMap:
-    """Axis values -> a fixed-width numeric feature vector.
-
-    Numeric axis values are log2-scaled then min-max normalised over the
-    axis's own value range; string values are one-hot encoded.  Coupled
-    axes contribute one feature (block) per coupled field.  Fields the
-    axes never touch are constant across the space and carry no signal,
-    so they are skipped.
-    """
-
-    def __init__(self, space: SearchSpace):
-        self._encoders: list[tuple[str, Callable[[object], list[float]]]] = []
-        base = space.base.resolve()
-        for axis in space.axes:
-            for position, field_name in enumerate(axis.fields):
-                observed = sorted(
-                    {value[position] if len(axis.fields) > 1 else value
-                     for value in axis.values},
-                    key=lambda v: (str(type(v)), v),
-                )
-                base_value = getattr(base, field_name, None)
-                if base_value is not None and base_value not in observed:
-                    observed.append(base_value)  # inactive-conditional fallback
-                if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in observed):
-                    self._encoders.append(
-                        (field_name, self._numeric_encoder(observed)))
-                else:
-                    self._encoders.append(
-                        (field_name, self._onehot_encoder(observed)))
-
-    @staticmethod
-    def _numeric_encoder(observed: list) -> Callable[[object], list[float]]:
-        scaled = {value: math.log2(float(value)) if value > 0 else 0.0
-                  for value in observed}
-        low, high = min(scaled.values()), max(scaled.values())
-        span = (high - low) or 1.0
-
-        def encode(value) -> list[float]:
-            return [(scaled.get(value,
-                                math.log2(float(value)) if value else 0.0)
-                     - low) / span]
-        return encode
-
-    @staticmethod
-    def _onehot_encoder(observed: list) -> Callable[[object], list[float]]:
-        slots = {value: position for position, value in
-                 enumerate(sorted(observed, key=str))}
-
-        def encode(value) -> list[float]:
-            vector = [0.0] * len(slots)
-            slot = slots.get(value)
-            if slot is not None:
-                vector[slot] = 1.0
-            return vector
-        return encode
-
-    def encode(self, space: SearchSpace, index: int) -> tuple[float, ...]:
-        overrides = space.overrides(index)
-        base = space.base.resolve()
-        features: list[float] = []
-        for field_name, encoder in self._encoders:
-            value = overrides.get(field_name, getattr(base, field_name, None))
-            features.extend(encoder(value))
-        return tuple(features)
-
-
-def _knn_predict(features: tuple[float, ...],
-                 points: list[tuple[tuple[float, ...], tuple[float, ...]]],
-                 k: int) -> tuple[tuple[float, ...], float]:
-    """Distance-weighted k-NN prediction plus a novelty estimate.
-
-    Returns ``(predicted objective vector, mean neighbour distance)`` —
-    the latter is the exploration signal: far from everything evaluated
-    means the prediction is a guess worth testing.
-    """
-    scored = sorted(
-        (math.dist(features, other), vector)
-        for other, vector in points
-    )[:k]
-    total_weight = 0.0
-    width = len(scored[0][1])
-    accumulated = [0.0] * width
-    for distance, vector in scored:
-        weight = 1.0 / (distance + 1e-9)
-        total_weight += weight
-        for j in range(width):
-            accumulated[j] += weight * vector[j]
-    predicted = tuple(value / total_weight for value in accumulated)
-    novelty = sum(distance for distance, _ in scored) / len(scored)
-    return predicted, novelty
-
-
-def _neighbor_indices(space: SearchSpace, index: int) -> list[int]:
-    """Indices differing from ``index`` along exactly one axis.
-
-    The incumbent's one-axis neighbourhood — the exploitation moves a
-    local search would try.  Neighbour assignments that name no valid
-    point (a conditional axis opening or closing under the change) are
-    skipped.
-    """
-    overrides = space.overrides(index)
-    neighbors: list[int] = []
-    for axis in space.axes:
-        if not all(field_name in overrides for field_name in axis.fields):
-            continue  # axis inactive at this point
-        current = (overrides[axis.fields[0]] if len(axis.fields) == 1
-                   else tuple(overrides[field_name]
-                              for field_name in axis.fields))
-        for value in axis.values:
-            if value == current:
-                continue
-            candidate = dict(overrides)
-            candidate.update(axis.overrides_for(value))
-            try:
-                neighbors.append(space.index_of(candidate))
-            except KeyError:
-                continue
-    return neighbors
-
-
-@register_strategy(
-    "surrogate",
-    description="k-NN active learning: propose by expected improvement "
-                "over the current front",
-)
-def surrogate_strategy(driver: SearchDriver, seed: int, batch: int) -> None:
-    """Active-learning search under the evaluation budget.
-
-    Round 0 seeds the surrogate with a random batch; each later round
-    fits k-NN on everything evaluated, scores a seeded candidate pool by
-    the additive-epsilon improvement its *predicted* objective vector
-    achieves over the current front (plus a novelty bonus), and spends
-    one batch on the top scorers.  Scores are scale-normalised per
-    objective so CPI and EDP mix without dwarfing each other.
-    """
-    space = driver.space
-    feature_map = _FeatureMap(space)
-    knn_k = 5
-    explore_weight = 0.35
-    pool_size = min(max(64 * batch, 512), 4096)
-
-    initial = min(driver.budget_left, max(2 * batch, 8))
-    driver.evaluate(space.sample(initial, seed,
-                                 exclude=driver.infeasible))
-    driver.record_round()
-
-    round_number = 0
-    stalls = 0
-    while driver.budget_left > 0 and stalls < 8:
-        round_number += 1
-        admitted = driver.admitted() or sorted(driver.evaluated)
-        if not admitted:
-            break
-        training = [
-            (feature_map.encode(space, index),
-             objective_vector(driver.evaluated[index], driver.objectives))
-            for index in admitted
-        ]
-        # Per-objective scale: interquartile-ish spread over the training
-        # values, so the epsilon indicator is unit-free.
-        width = len(driver.objectives)
-        scales = []
-        for j in range(width):
-            values = sorted(vector[j] for _, vector in training)
-            spread = values[-1] - values[0]
-            scales.append(spread if spread > 0 else 1.0)
-        front_vectors = [
-            tuple(objective_vector(driver.evaluated[index],
-                                   driver.objectives)[j] / scales[j]
-                  for j in range(width))
-            for index in driver.front()
-        ] or [tuple(min(vector[j] for _, vector in training) / scales[j]
-                    for j in range(width))]
-
-        exclude = set(driver.evaluated) | driver.infeasible
-        pool = space.sample(pool_size, seed + 7919 * round_number,
-                            exclude=exclude)
-        if not pool:
-            break
-        scored: list[tuple[float, int]] = []
-        for index in pool:
-            features = feature_map.encode(space, index)
-            predicted, novelty = _knn_predict(features, training, knn_k)
-            normalised = tuple(predicted[j] / scales[j] for j in range(width))
-            # Additive-epsilon indicator to the front: how far the
-            # prediction pushes past (negative: falls short of) the
-            # closest front point, uniformly over objectives.
-            epsilon = min(
-                max(normalised[j] - front[j] for j in range(width))
-                for front in front_vectors
-            )
-            scored.append((-epsilon + explore_weight * novelty, index))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        # Exploit around the incumbent: its unevaluated one-axis
-        # neighbours lead the proposal (local search polishing the last
-        # axis or two the global surrogate gets wrong), the top pool
-        # scorers fill the rest of the batch (global exploration).
-        want = min(batch, driver.budget_left)
-        proposal: list[int] = []
-        incumbent = driver.best()
-        if incumbent is not None:
-            fresh_neighbors = [
-                index for index in _neighbor_indices(space, incumbent)
-                if index not in exclude and driver.feasible(index)
-            ]
-            proposal = fresh_neighbors[:max(1, want // 2)]
-        for _, index in scored:
-            if len(proposal) >= want:
-                break
-            if index not in proposal:
-                proposal.append(index)
-        before = len(driver.evaluated)
-        driver.evaluate(proposal)
-        if len(driver.evaluated) == before:
-            stalls += 1
-            continue
-        stalls = 0
-        driver.record_round()
+            idle = 0
+        else:
+            idle += 1
+        attempt += 1

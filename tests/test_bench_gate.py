@@ -86,7 +86,7 @@ def _search(median: float, evals: float | None = None,
         entry["evals_to_front"] = evals
     if matched is not None:
         entry["matched_exhaustive_best"] = matched
-    return {"results": {"search_surrogate_dse": entry}}
+    return {"results": {"search_dse": entry}}
 
 
 def test_evals_to_front_regression_reported():
@@ -94,7 +94,7 @@ def test_evals_to_front_regression_reported():
     current = _search(1.0, evals=40, matched=True)
     regressions = compare_results(reference, current, 25.0)
     assert len(regressions) == 1
-    assert regressions[0].startswith("search_surrogate_dse[evals_to_front]:")
+    assert regressions[0].startswith("search_dse[evals_to_front]:")
     assert "40 vs reference 15" in regressions[0]
 
 

@@ -1,10 +1,11 @@
-"""End-to-end design-space search: strategies, envelopes, validation.
+"""End-to-end design-space search: policies, envelopes, validation.
 
-The two anchor results: the ``exhaustive`` strategy reproduces the
-Table-2 EDP optimum the per-point design-space explorer picked
-(pinned by name and EDP), and the ``surrogate`` strategy finds the same
-Table-2 EDP optimum in at most a third of the exhaustive evaluations —
-deterministically, byte-identical across job counts.
+The anchor results: a search whose budget covers the space is
+exhaustive and reproduces the EDP optima the per-point design-space
+explorer picked (reduced space, sha) and the Table-2 sweep shows
+(dijkstra), pinned by name and EDP; a smaller budget is a seeded random
+search that spends exactly its budget — deterministically,
+byte-identical across job counts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.search import (
     OptimizeRequest,
     OptimizeResult,
     optimize,
-    strategy_names,
     validate_optimize_request,
 )
 
@@ -101,8 +101,7 @@ class TestExhaustiveGolden:
         design = reduced_design_space()
         result = optimize(OptimizeRequest(
             space=design, workload=api.WorkloadSpec("sha"),
-            objectives=(api_objective("edp"),), strategy="exhaustive",
-            budget=len(design),
+            objectives=(api_objective("edp"),), budget=len(design),
         ), session=session)
 
         assert result.evaluations == result.cardinality == len(design)
@@ -115,7 +114,7 @@ class TestExhaustiveGolden:
         result = optimize(OptimizeRequest(
             space=design, workload=api.WorkloadSpec("sha"),
             objectives=(api_objective("edp"), api_objective("max:ipc")),
-            strategy="exhaustive", budget=len(design),
+            budget=len(design),
         ), session=session)
         indices = [entry["index"] for entry in result.front]
         assert indices == sorted(indices)
@@ -129,30 +128,45 @@ def api_objective(text):
     return Objective.parse(text)
 
 
+def _core_space():
+    """160 points that share one memory geometry (only core latencies
+    vary), so long random searches stay cheap."""
+    from repro.search import SearchSpace
+
+    return SearchSpace.make([
+        {"axis": "mul_latency", "values": [1, 2, 3, 4, 5, 6, 7, 8]},
+        {"axis": "div_latency", "values": [8, 12, 16, 20, 24]},
+        {"axis": "pipeline_stages,frequency_mhz",
+         "values": [[5, 600], [6, 700], [7, 800], [9, 1000]]},
+    ])
+
+
 # ----------------------------------------------------------------------
 # Determinism.
 # ----------------------------------------------------------------------
 class TestDeterminism:
-    REQUEST = None  # built lazily against the reduced space
-
     @staticmethod
-    def _request(strategy: str) -> OptimizeRequest:
+    def _request(budget: int = 12) -> OptimizeRequest:
         return OptimizeRequest(
             space=reduced_design_space(),
             workload=api.WorkloadSpec("sha"),
             objectives=(api_objective("edp"),),
-            strategy=strategy, budget=12, batch=4, seed=7,
+            budget=budget, batch=4, seed=7,
         )
 
-    @pytest.mark.parametrize("strategy", ["random", "surrogate"])
-    def test_same_seed_same_bytes(self, strategy, session):
-        request = self._request(strategy)
+    @pytest.mark.parametrize("strategy, budget",
+                             [("random", 12), ("exhaustive", 24)],
+                             ids=["random", "exhaustive"])
+    def test_same_seed_same_bytes(self, strategy, budget, session):
+        request = self._request(budget)
+        assert request.strategy == strategy
         first = optimize(request, session=session).to_json()
         second = optimize(request, session=session).to_json()
         assert first == second
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
-        request = self._request("surrogate")
+        request = self._request()
+        assert request.strategy == "random"
         serial = optimize(request, jobs=1,
                           cache_dir=tmp_path / "serial").to_json()
         parallel = optimize(request, jobs=2,
@@ -160,20 +174,22 @@ class TestDeterminism:
         assert serial == parallel
 
     def test_budget_is_respected(self, session):
-        for strategy in ("random", "surrogate"):
-            result = optimize(self._request(strategy), session=session)
-            assert result.evaluations <= 12
-            assert result.trajectory  # convergence rounds were recorded
-            assert result.trajectory[-1]["evaluations"] == result.evaluations
+        result = optimize(self._request(), session=session)
+        assert result.evaluations <= 12
+        assert result.trajectory  # convergence rounds were recorded
+        assert result.trajectory[-1]["evaluations"] == result.evaluations
 
     def test_random_rounds_draw_distinct_sample_seeds(self, session,
                                                       monkeypatch):
         from repro.search.space import SearchSpace
-        from repro.search.strategies import _RANDOM_ROUNDS, _round_seed
+        from repro.search.strategies import _round_seed
 
-        pairs = [(seed, attempt) for seed in range(10)
-                 for attempt in range(_RANDOM_ROUNDS)]
+        pairs = [(seed, attempt) for seed in range(-3, 10)
+                 for attempt in range(3 * 64)]
         assert len({_round_seed(*pair) for pair in pairs}) == len(pairs)
+        # The first 64 rounds keep their integer seeds.
+        assert [_round_seed(7, attempt) for attempt in range(64)] == \
+            list(range(7 * 64, 8 * 64))
 
         drawn = []
         sample = SearchSpace.sample
@@ -183,39 +199,99 @@ class TestDeterminism:
             return sample(self, count, seed, **kwargs)
 
         monkeypatch.setattr(SearchSpace, "sample", recording_sample)
-        optimize(self._request("random"), session=session)
+        optimize(OptimizeRequest(
+            space=_core_space(), workload=api.WorkloadSpec("sha"),
+            objectives=(api_objective("cpi"),), budget=100, batch=1, seed=7,
+        ), session=session)
+        assert len(drawn) == 100  # past the 64 integer-seeded rounds
         assert drawn == [_round_seed(7, attempt)
                          for attempt in range(len(drawn))]
-        assert len(drawn) > 1
 
 
 # ----------------------------------------------------------------------
-# Surrogate convergence: the ISSUE's acceptance bar.
+# The size rule and the random policy's budget.
 # ----------------------------------------------------------------------
-class TestSurrogateConvergence:
-    def test_finds_table2_edp_best_in_a_third_of_the_evaluations(
+class TestPolicy:
+    def test_strategy_follows_budget_and_cardinality(self):
+        def request(budget):
+            return OptimizeRequest(
+                space=reduced_design_space(),
+                workload=api.WorkloadSpec("sha"),
+                objectives=(api_objective("edp"),), budget=budget)
+
+        assert [request(budget).strategy for budget in (1, 23, 24, 25)] == \
+            ["random", "random", "exhaustive", "exhaustive"]
+        assert "strategy" not in request(24).to_dict()
+
+    def test_random_search_of_a_covered_space_matches_exhaustive(
             self, session):
+        # Why the size rule loses nothing: on a space its budget covers,
+        # random search ends on the exhaustive front and best.
+        from repro.search import SearchDriver
+        from repro.search.strategies import (
+            exhaustive_strategy,
+            random_strategy,
+        )
+
+        def run(search):
+            driver = SearchDriver(
+                reduced_design_space(), api.WorkloadSpec("sha"),
+                (api_objective("edp"), api_objective("max:ipc")),
+                budget=24, with_power=True, session=session)
+            search(driver, 3, 4)
+            return driver
+
+        exhaustive, sampled = run(exhaustive_strategy), run(random_strategy)
+        assert len(sampled.evaluated) == len(exhaustive.evaluated) == 24
+        assert sampled.front() == exhaustive.front()
+        assert sampled.best() == exhaustive.best()
+        assert len(sampled.trajectory) > len(exhaustive.trajectory) == 1
+
+    @pytest.mark.parametrize("budget, batch, constraints", [
+        (100, 1, ()),
+        (150, 8, ()),
+        (75, 1, ("mul_latency<=4",)),  # 80 of the 160 points feasible
+    ])
+    def test_random_search_spends_its_whole_budget(self, session, budget,
+                                                   batch, constraints):
+        result = optimize(OptimizeRequest(
+            space=_core_space(), workload=api.WorkloadSpec("sha"),
+            objectives=(api_objective("cpi"),),
+            constraints=tuple(api_constraint(text) for text in constraints),
+            budget=budget, batch=batch, seed=5,
+        ), session=session)
+        assert result.request.strategy == "random"
+        assert result.evaluations == budget
+        assert result.trajectory[-1]["evaluations"] == budget
+        assert (result.infeasible_skipped > 0) == bool(constraints)
+
+    def test_random_search_stops_when_the_space_runs_out(self, session):
+        result = optimize(OptimizeRequest(
+            space=_core_space(), workload=api.WorkloadSpec("sha"),
+            objectives=(api_objective("cpi"),),
+            constraints=(api_constraint("mul_latency<=1"),),
+            budget=150, batch=8, seed=5,
+        ), session=session)
+        assert result.request.strategy == "random"
+        assert result.evaluations == 20
+        assert result.evaluations + result.infeasible_skipped == 160
+
+
+# ----------------------------------------------------------------------
+# Table 2 and machine constraints.
+# ----------------------------------------------------------------------
+class TestTable2Search:
+    def test_exhaustive_finds_the_table2_edp_optimum(self, session):
         space = default_design_space()
-        common = dict(space=space, workload=api.WorkloadSpec("dijkstra"),
-                      objectives=(api_objective("edp"),))
-
-        exhaustive = optimize(
-            OptimizeRequest(strategy="exhaustive", budget=192, **common),
-            session=session)
-        assert exhaustive.evaluations == 192
-
-        budget = 192 // 3
-        surrogate = optimize(
-            OptimizeRequest(strategy="surrogate", budget=budget, batch=8,
-                            seed=2012, **common),
-            session=session)
-        assert surrogate.evaluations <= budget
-        assert surrogate.best["machine"] == exhaustive.best["machine"]
-        assert surrogate.best["objectives"]["edp"] == \
-            pytest.approx(exhaustive.best["objectives"]["edp"])
-        # The convergence figure the bench gates on.
-        assert surrogate.best_found_at_evaluation is not None
-        assert surrogate.best_found_at_evaluation <= budget
+        result = optimize(OptimizeRequest(
+            space=space, workload=api.WorkloadSpec("dijkstra"),
+            objectives=(api_objective("edp"),), budget=len(space),
+        ), session=session)
+        assert result.request.strategy == "exhaustive"
+        assert result.evaluations == 192
+        assert result.best["machine"] == "w1_d9_f1000_l2-128k-8w_hybrid_3.5kb"
+        assert result.best["objectives"]["edp"] == \
+            pytest.approx(5.6962e-11, rel=1e-4)
 
     def test_machine_constraints_prune_without_spending_budget(self, session):
         result = optimize(OptimizeRequest(
@@ -224,7 +300,7 @@ class TestSurrogateConvergence:
             objectives=(api_objective("edp"),),
             constraints=tuple(api_constraint(text) for text in
                               ("l2_size<=256KB", "width>=2")),
-            strategy="exhaustive", budget=192,
+            budget=192,
         ), session=session)
         assert result.infeasible_skipped > 0
         assert result.evaluations + result.infeasible_skipped == 192
@@ -271,15 +347,19 @@ class TestValidation:
         assert errors == []
 
     def test_bad_budget_batch_and_strategy(self):
-        errors = validate_optimize_request(
-            self._request(budget=0, batch=0, strategy="genetic"))
+        errors = validate_optimize_request(self._request(budget=0, batch=0))
         fields = sorted(error.split(":")[0] for error in errors)
-        assert fields == ["batch", "budget", "strategy"]
+        assert fields == ["batch", "budget"]
+        # The policy follows from the budget; naming one is an unknown key.
+        with pytest.raises(ValueError,
+                           match=r"unknown optimize-request keys \['strategy'\]"):
+            self._request(strategy="random")
 
     def test_exhaustive_needs_full_budget(self):
-        errors = validate_optimize_request(
-            self._request(strategy="exhaustive", budget=1))
-        assert any("needs budget >= 2" in error for error in errors)
+        # A short budget is no error: it makes the search random.
+        short = self._request(budget=1)
+        assert validate_optimize_request(short) == []
+        assert short.strategy == "random"
 
     def test_power_objective_with_power_pinned_off(self):
         errors = validate_optimize_request(
@@ -303,8 +383,8 @@ class TestValidation:
 
     def test_validate_requests_dispatches_optimize_requests(self):
         good_eval = api.EvalRequest.parse({"workload": "sha"})
-        bad_search = self._request(strategy="genetic")
-        with pytest.raises(ValueError, match=r"request\[1\]: strategy:"):
+        bad_search = self._request(budget=0)
+        with pytest.raises(ValueError, match=r"request\[1\]: budget:"):
             api.validate_requests([good_eval, bad_search])
         # A well-formed search request passes through the same gate.
         api.validate_requests([good_eval, self._request()])
@@ -320,7 +400,7 @@ class TestEnvelopes:
             "workload": {"name": "sha", "flags": "O2"},
             "objectives": ["edp", "max:ipc"],
             "constraints": ["area_proxy<=700"],
-            "strategy": "random", "budget": 5, "batch": 2, "seed": 3,
+            "budget": 5, "batch": 2, "seed": 3,
             "tag": "round-trip",
         })
         clone = OptimizeRequest.from_json(request.to_json())
@@ -352,11 +432,8 @@ class TestEnvelopes:
             space=reduced_design_space(),
             workload=api.WorkloadSpec("sha"),
             objectives=(api_objective("edp"),),
-            strategy="random", budget=4, batch=2, seed=1,
+            budget=4, batch=2, seed=1,
         ), session=session)
         clone = OptimizeResult.from_json(result.to_json())
         assert clone.to_dict() == result.to_dict()
         assert clone.to_json() == result.to_json()
-
-    def test_strategy_registry_names(self):
-        assert set(strategy_names()) >= {"exhaustive", "random", "surrogate"}

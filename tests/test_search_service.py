@@ -33,7 +33,6 @@ def _request_payload(**overrides) -> dict:
         ]},
         "workload": "sha",
         "objectives": ["edp"],
-        "strategy": "random",
         "budget": 3,
         "batch": 2,
         "seed": 42,
@@ -90,10 +89,15 @@ class TestServedOptimize:
         assert "infeasible" in info.value.message
 
     def test_unknown_strategy_is_a_400(self, client):
-        with pytest.raises(ServiceError) as info:
-            client.optimize(_request_payload(strategy="genetic"))
-        assert info.value.status == 400
-        assert "strategy" in info.value.message
+        # The policy follows from the budget; a request naming one names
+        # an unknown key.  (The raw body: the client itself would refuse
+        # to encode such a request.)
+        body = json.dumps(_request_payload(strategy="random"))
+        status, answer = client._request("POST", "/v1/optimize",
+                                         body.encode("utf-8"))
+        assert status == 400
+        assert "unknown optimize-request keys ['strategy']" in \
+            json.loads(answer.decode("utf-8"))["error"]
 
     def test_malformed_body_is_a_400(self, client):
         status, body = client._request("POST", "/v1/optimize",
@@ -134,6 +138,7 @@ class TestCliOptimize:
             ])
         assert exit_code == 0
         text = stdout.getvalue()
+        # budget 3 < 4 points: the size rule picks random search.
         assert "strategy=random" in text
         assert "best:" in text
 
